@@ -320,6 +320,54 @@ void LsmTree::FlushMemtable() {
   PersistGeneration();
 }
 
+namespace {
+
+// One pass over sorted runs ordered newest to oldest: each key comes out
+// once, from the newest run holding it, and tombstones are dropped when
+// `drop_tombstones` is set. With k runs and n entries this costs O(n·k)
+// key comparisons; a compaction merges one level's runs and at most one
+// more, so k stays near the size ratio.
+std::vector<Entry> MergeNewestFirst(
+    const std::vector<std::shared_ptr<SortedRun>>& runs,
+    bool drop_tombstones) {
+  struct Cursor {
+    const Entry* at;
+    const Entry* end;
+  };
+  std::vector<Cursor> cursors;
+  cursors.reserve(runs.size());
+  size_t total = 0;
+  for (const auto& run : runs) {
+    const std::vector<Entry>& e = run->entries();
+    if (e.empty()) continue;
+    cursors.push_back({e.data(), e.data() + e.size()});
+    total += e.size();
+  }
+  std::vector<Entry> out;
+  out.reserve(total);
+  while (!cursors.empty()) {
+    // The smallest head key; on a tie the earlier (newer) cursor wins.
+    const Entry* winner = cursors.front().at;
+    for (const Cursor& c : cursors) {
+      if (c.at->key < winner->key) winner = c.at;
+    }
+    const uint64_t key = winner->key;
+    if (!(winner->tombstone && drop_tombstones)) out.push_back(*winner);
+    // Step past `key` in every run that holds it, dropping spent runs.
+    for (size_t i = 0; i < cursors.size();) {
+      Cursor& c = cursors[i];
+      if (c.at->key == key && ++c.at == c.end) {
+        cursors.erase(cursors.begin() + i);
+      } else {
+        ++i;
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 void LsmTree::MaybeCompact(size_t level_idx) {
   if (level_idx >= levels_.size()) return;
   uint64_t level_entries = 0;
@@ -347,25 +395,13 @@ void LsmTree::MaybeCompact(size_t level_idx) {
   }
   levels_[level_idx].runs.clear();
 
-  // K-way merge, newest source wins per key. Sources are ordered newest
-  // to oldest already (level order preserved).
-  std::map<uint64_t, Entry> merged;
-  for (const auto& run : sources) {
-    for (const Entry& e : run->entries()) merged.emplace(e.key, e);
-  }
   // Tombstones may only be dropped when nothing older can resurrect the
   // key: the destination is the last level and (under tiering) holds no
   // older runs that escaped this merge.
   const bool bottom_level =
       level_idx + 2 >= levels_.size() &&
       (!options_.tiering || levels_[level_idx + 1].runs.empty());
-  std::vector<Entry> entries;
-  entries.reserve(merged.size());
-  for (const auto& [k, e] : merged) {
-    // Tombstones drop out once they reach the bottom of the tree.
-    if (e.tombstone && bottom_level) continue;
-    entries.push_back(e);
-  }
+  std::vector<Entry> entries = MergeNewestFirst(sources, bottom_level);
   compaction_writes_ += entries.size();
   if (!entries.empty()) {
     levels_[level_idx + 1].runs.insert(

@@ -1,6 +1,10 @@
 #include "apps/lsm/manifest.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -8,6 +12,7 @@
 #include <sstream>
 #include <system_error>
 
+#include "util/hash.h"
 #include "util/serialize.h"
 
 namespace bbf::lsm {
@@ -25,6 +30,44 @@ constexpr uint64_t kMaxManifestRunsPerLevel = 1u << 16;
 
 class RealStorageEnv : public StorageEnv {};
 
+// Opens `path` write-only with `flags` (O_TRUNC or O_APPEND), creating it
+// with mode 0666 less the umask, and hands every byte to the kernel: short
+// writes resume, EINTR retries. No fsync — a true return means the bytes
+// survive the process, not the machine.
+bool WriteWholeFile(const std::string& path, int flags,
+                    std::string_view bytes) {
+  int fd = -1;
+  do {
+    fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC | flags, 0666);
+  } while (fd < 0 && errno == EINTR);
+  if (fd < 0) return false;
+  bool ok = true;
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      ok = false;
+      break;
+    }
+    bytes.remove_prefix(static_cast<size_t>(n));
+  }
+  // Linux releases the descriptor even when close reports EINTR, so it
+  // is never retried; any other error fails the write.
+  if (::close(fd) != 0 && errno != EINTR) ok = false;
+  return ok;
+}
+
+// Little-endian, as WriteU64 writes to a stream.
+void PutU64(char* dst, uint64_t v) {
+  for (int i = 0; i < 8; ++i) dst[i] = static_cast<char>(v >> (8 * i));
+}
+
+void AppendU64(std::string* out, uint64_t v) {
+  char buf[8];
+  PutU64(buf, v);
+  out->append(buf, sizeof(buf));
+}
+
 }  // namespace
 
 // --- StorageEnv (real filesystem) --------------------------------------------
@@ -36,19 +79,11 @@ bool StorageEnv::CreateDir(const std::string& path) {
 }
 
 bool StorageEnv::WriteFile(const std::string& path, std::string_view bytes) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) return false;
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  os.flush();
-  return os.good();
+  return WriteWholeFile(path, O_TRUNC, bytes);
 }
 
 bool StorageEnv::AppendFile(const std::string& path, std::string_view bytes) {
-  std::ofstream os(path, std::ios::binary | std::ios::app);
-  if (!os) return false;
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  os.flush();
-  return os.good();
+  return WriteWholeFile(path, O_APPEND, bytes);
 }
 
 bool StorageEnv::Rename(const std::string& from, const std::string& to) {
@@ -201,13 +236,23 @@ bool DecodeManifest(std::string_view payload, ManifestData* out) {
 // --- WAL ---------------------------------------------------------------------
 
 std::string EncodeWalRecord(const Entry& e) {
-  std::ostringstream payload;
-  WriteU64(payload, e.key);
-  WriteU64(payload, e.value);
-  WriteU64(payload, e.tombstone ? 1 : 0);
-  std::ostringstream frame;
-  WriteSnapshotFrame(frame, kWalTag, std::move(payload).str());
-  return std::move(frame).str();
+  // Byte for byte what WriteSnapshotFrame(os, kWalTag, payload) writes,
+  // built in one buffer instead of through two string streams.
+  char payload[3 * 8];
+  PutU64(payload, e.key);
+  PutU64(payload + 8, e.value);
+  PutU64(payload + 16, e.tombstone ? 1 : 0);
+  std::string frame;
+  frame.reserve(5 * 8 + kWalTag.size() + sizeof(payload));
+  AppendU64(&frame, kSnapshotMagic);
+  AppendU64(&frame, kSnapshotVersion);
+  AppendU64(&frame, kWalTag.size());
+  frame += kWalTag;
+  AppendU64(&frame, sizeof(payload));
+  AppendU64(&frame,
+            HashBytes(payload, sizeof(payload), kSnapshotChecksumSeed));
+  frame.append(payload, sizeof(payload));
+  return frame;
 }
 
 uint64_t DecodeWalRecords(const std::string& bytes, std::vector<Entry>* out) {

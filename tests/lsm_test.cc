@@ -73,10 +73,14 @@ TEST_P(LsmModelTest, RandomOpsMatchReferenceModel) {
       }
     }
   }
-  // Full sweep at the end.
+  // Full sweep at the end, by point lookups and by one scan of the whole
+  // key space, which reads every run's merge output.
   for (const auto& [k, v] : ref) {
     ASSERT_EQ(db.Get(k), std::optional<uint64_t>(v));
   }
+  const std::vector<std::pair<uint64_t, uint64_t>> expect(ref.begin(),
+                                                          ref.end());
+  EXPECT_EQ(db.Scan(0, UINT64_MAX), expect);
 }
 
 INSTANTIATE_TEST_SUITE_P(LevelingAndTiering, LsmModelTest,
@@ -84,6 +88,56 @@ INSTANTIATE_TEST_SUITE_P(LevelingAndTiering, LsmModelTest,
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Tiering" : "Leveling";
                          });
+
+// A key put into an old run and deleted in a newer one must stay absent
+// while its tombstone is merged down the tree: a merge above the bottom
+// level keeps the tombstone (an older copy may still lie below it), and
+// the merge into the bottom level drops it together with the put.
+TEST(LsmTree, TombstoneShadowsOlderRunUntilDroppedAtBottom) {
+  for (const bool tiering : {false, true}) {
+    SCOPED_TRACE(tiering ? "tiering" : "leveling");
+    LsmOptions o;
+    o.memtable_entries = 8;
+    o.size_ratio = 2;
+    o.tiering = tiering;
+    LsmTree db(o);
+    constexpr uint64_t kVictim = 3 * 40 + 1;  // Between two filler keys.
+    uint64_t fillers = 0;
+    const auto fill = [&](uint64_t n) {
+      for (uint64_t i = 0; i < n; ++i, ++fillers) db.Put(3 * fillers, 1);
+    };
+    // Fourteen memtables first: the tree then has a level below the one
+    // where the put and its tombstone first meet, so that merge is not
+    // into the bottom level.
+    fill(14 * o.memtable_entries);
+    ASSERT_GE(db.NumLevels(), 3);
+    db.Put(kVictim, 99);
+    fill(o.memtable_entries);  // Flushes the put into a run of its own.
+    ASSERT_EQ(db.TotalEntries(), fillers + 1);
+    db.Delete(kVictim);
+    // Every key is written once except the victim, so the copies of the
+    // victim the tree holds (put, tombstone) are what exceeds the fillers.
+    bool tombstone_alone = false;
+    bool dropped = false;
+    for (int step = 0; step < 4096 && !dropped; ++step) {
+      fill(1);
+      ASSERT_EQ(db.Get(kVictim), std::nullopt) << "step " << step;
+      ASSERT_TRUE(db.Scan(kVictim, kVictim).empty()) << "step " << step;
+      const uint64_t copies = db.TotalEntries() - fillers;
+      ASSERT_LE(copies, 2u);
+      if (copies == 1) tombstone_alone = true;
+      if (copies == 0) dropped = true;
+    }
+    EXPECT_TRUE(tombstone_alone)
+        << "the tombstone never outlived the put in a non-bottom merge";
+    EXPECT_TRUE(dropped) << "the tombstone never reached the bottom level";
+    const auto all = db.Scan(0, UINT64_MAX);
+    ASSERT_EQ(all.size(), fillers);
+    for (uint64_t i = 0; i < fillers; ++i) {
+      ASSERT_EQ(all[i], std::make_pair(3 * i, uint64_t{1}));
+    }
+  }
+}
 
 TEST(LsmTree, ScanMatchesReference) {
   LsmOptions o = SmallOptions();

@@ -28,6 +28,7 @@
 #include "core/sharded_filter.h"
 #include "fault_injection.h"
 #include "quotient/quotient_filter.h"
+#include "scratch_path.h"
 #include "test_seed.h"
 #include "workload/generators.h"
 
@@ -393,6 +394,14 @@ TEST(WireServer, OverBudgetRequestsGetBusyNacksNotSilence) {
   }
   ASSERT_TRUE(RawWrite(sp[0], flood));
   ::shutdown(sp[0], SHUT_WR);
+  // Keep reading nothing until the budget has engaged. The event loop
+  // adopts the connection asynchronously; a client that starts draining
+  // before the server has filled its send buffer takes every response as
+  // it is written, and the budget is never reached.
+  for (int ms = 0; ms < 5000 && server.metrics().nacked_busy.Load() == 0;
+       ++ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   timeval tv{};
   tv.tv_sec = 5;
   setsockopt(sp[0], SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
@@ -537,8 +546,7 @@ TEST(WireServer, PartialWritesReassembleIntoServedFrames) {
 }
 
 TEST(WireServer, GracefulDrainFinishesInflightAndSnapshots) {
-  const std::string snap_path =
-      ::testing::TempDir() + "/net_drain_snapshot.bbf";
+  const std::string snap_path = ScratchPath("drain_snapshot.bbf");
   std::remove(snap_path.c_str());
 
   auto filter = MakeFilter();
