@@ -6,9 +6,9 @@
 #include <utility>
 
 #include "core/filter_io.h"
+#include "core/sizing.h"
 #include "expandable/ring_filter.h"
 #include "expandable/taffy_filter.h"
-#include "util/bits.h"
 
 namespace bbf::lsm {
 
@@ -275,10 +275,7 @@ std::unique_ptr<Filter> LsmTree::MakeMemtableFilter() const {
       // Size for the flush threshold at the max load factor; expansion
       // covers overshoot (replays of an over-threshold WAL).
       const uint64_t target = std::max<uint64_t>(options_.memtable_entries, 64);
-      const int q_bits =
-          std::max(6, BitWidth(NextPow2(static_cast<uint64_t>(std::ceil(
-                           target / TaffyFilter::kMaxLoadFactor))) -
-                       1));
+      const int q_bits = QuotientBitsFor(target, TaffyFilter::kMaxLoadFactor);
       const int fp_bits = std::max(
           4, static_cast<int>(std::lround(options_.point_bits_per_key)) - 4);
       return std::make_unique<TaffyFilter>(q_bits, fp_bits,

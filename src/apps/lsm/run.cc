@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "bloom/bloom_filter.h"
+#include "core/sizing.h"
 #include "cuckoo/cuckoo_filter.h"
 #include "quotient/quotient_filter.h"
 #include "range/grafite.h"
@@ -14,7 +15,6 @@
 #include "range/snarf.h"
 #include "range/surf.h"
 #include "staticf/ribbon_filter.h"
-#include "util/bits.h"
 #include "util/serialize.h"
 #include "staticf/xor_filter.h"
 
@@ -63,11 +63,8 @@ std::unique_ptr<Filter> BuildPointFilter(const std::vector<uint64_t>& keys,
     case PointFilterKind::kQuotient: {
       const int r_bits =
           std::max(2, static_cast<int>(std::lround(bits_per_key - 3)));
-      const int q_bits = std::max(
-          6, BitWidth(NextPow2(static_cast<uint64_t>(
-                 std::ceil(n / QuotientFilter::kMaxLoadFactor))) -
-             1));
-      auto f = std::make_unique<QuotientFilter>(q_bits, r_bits, seed);
+      auto f = std::make_unique<QuotientFilter>(
+          QuotientBitsFor(n, QuotientFilter::kMaxLoadFactor), r_bits, seed);
       for (uint64_t k : keys) f->Insert(k);
       return f;
     }

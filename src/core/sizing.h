@@ -3,7 +3,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+
+#include "util/bits.h"
 
 namespace bbf {
 
@@ -27,6 +30,27 @@ inline double BloomBitsFor(double fpr) {
 inline int OptimalBloomHashes(double bits_per_key) {
   return std::max(1, static_cast<int>(std::round(bits_per_key *
                                                  std::numbers::ln2)));
+}
+
+/// Quotient-family geometry (§2.1). Slot-count exponent for `n` keys at
+/// load `max_load`: the next power of two, and never fewer than 2^6 slots.
+inline int QuotientBitsFor(uint64_t n, double max_load) {
+  return std::max(
+      6, BitWidth(NextPow2(static_cast<uint64_t>(std::ceil(n / max_load))) -
+                  1));
+}
+
+/// Remainder width for a target FPR: eps ~= load * 2^-r at `max_load`.
+inline int RemainderBitsFor(double fpr, double max_load) {
+  return std::max(1, static_cast<int>(std::ceil(-std::log2(fpr / max_load))));
+}
+
+/// Splits hash `h` into a q-bit quotient (the bits above the remainder)
+/// and an r-bit remainder (the low bits).
+inline void SplitFingerprint(uint64_t h, int q_bits, int r_bits,
+                             uint64_t* fq, uint64_t* fr) {
+  *fq = (h >> r_bits) & LowMask(q_bits);
+  *fr = h & LowMask(r_bits);
 }
 
 }  // namespace bbf

@@ -31,21 +31,8 @@ void TaffyFilter::KeyParts(HashedKey key, uint64_t* fq, uint64_t* fp) const {
 }
 
 bool TaffyFilter::InsertEncoded(uint64_t fq, uint64_t encoded) {
-  if (table_.num_used_slots() + 1 >= table_.num_slots()) return false;
-  if (table_.SlotEmpty(fq) && !table_.occupied(fq)) {
-    table_.InsertSlotAt(fq, fq, encoded, /*continuation=*/false);
-    table_.set_occupied(fq, true);
-    return true;
-  }
-  const bool was_occupied = table_.occupied(fq);
-  table_.set_occupied(fq, true);
-  const uint64_t start = table_.FindRunStart(fq);
-  if (was_occupied) {
-    // Runs are unordered here (lengths vary); insert as the new head.
-    table_.set_continuation(start, true);
-  }
-  table_.InsertSlotAt(start, fq, encoded, /*continuation=*/false);
-  return true;
+  // Runs are unordered here (lengths vary); insert as the new head.
+  return table_.InsertIntoRun(fq, encoded, [](uint64_t) { return true; });
 }
 
 bool TaffyFilter::Insert(HashedKey key) {
@@ -63,40 +50,35 @@ bool TaffyFilter::Contains(HashedKey key) const {
   uint64_t fq;
   uint64_t fp;
   KeyParts(key, &fq, &fp);
-  if (!table_.occupied(fq)) return false;
-  uint64_t s = table_.FindRunStart(fq);
-  do {
+  bool hit = false;
+  table_.ScanRun(fq, [&](uint64_t s) {
     const uint64_t encoded = table_.remainder(s);
-    const int len = LengthOf(encoded);
     // A stored fingerprint matches if it is a prefix (in low-order bits)
     // of the query's fingerprint; void entries (len 0) match everything.
-    if ((fp & LowMask(len)) == BitsOf(encoded)) return true;
-    s = table_.Next(s);
-  } while (table_.continuation(s));
-  return false;
+    hit = (fp & LowMask(LengthOf(encoded))) == BitsOf(encoded);
+    return !hit;
+  });
+  return hit;
 }
 
 bool TaffyFilter::Erase(HashedKey key) {
   uint64_t fq;
   uint64_t fp;
   KeyParts(key, &fq, &fp);
-  if (!table_.occupied(fq)) return false;
-  const uint64_t start = table_.FindRunStart(fq);
   // Remove the longest matching fingerprint (most specific entry).
   uint64_t best_pos = 0;
   int best_len = -1;
-  uint64_t s = start;
-  do {
+  table_.ScanRun(fq, [&](uint64_t s) {
     const uint64_t encoded = table_.remainder(s);
     const int len = LengthOf(encoded);
     if ((fp & LowMask(len)) == BitsOf(encoded) && len > best_len) {
       best_len = len;
       best_pos = s;
     }
-    s = table_.Next(s);
-  } while (table_.continuation(s));
+    return true;
+  });
   if (best_len < 0) return false;
-  table_.RemoveEntry(best_pos, start, fq);
+  table_.EraseFromRun(fq, best_pos);
   --num_keys_;
   return true;
 }

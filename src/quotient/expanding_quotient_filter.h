@@ -40,10 +40,6 @@ class ExpandingQuotientFilter : public Filter {
   bool LoadPayload(std::istream& is) override;
 
  private:
-  /// Doubles capacity by moving every fingerprint's top remainder bit into
-  /// the quotient. Returns false if remainders are exhausted.
-  bool Expand();
-
   QuotientFilter filter_;
   uint64_t hash_seed_;
   int expansions_ = 0;

@@ -27,20 +27,16 @@ class ExpandingQuotientMaplet {
     return maplet_.Lookup(key);
   }
   bool Erase(uint64_t key, uint64_t value) {
-    const bool ok = maplet_.Erase(key, value);
-    return ok;
+    return maplet_.Erase(key, value);
   }
 
   size_t SpaceBits() const { return maplet_.SpaceBits(); }
   uint64_t NumEntries() const { return maplet_.NumEntries(); }
   int expansions() const { return expansions_; }
-  int r_bits() const { return maplet_.table_.r_bits(); }
+  int r_bits() const { return maplet_.r_bits(); }
 
  private:
-  bool Expand();
-
   QuotientMaplet maplet_;
-  uint64_t hash_seed_;
   int expansions_ = 0;
 };
 

@@ -1,8 +1,8 @@
 #include "quotient/prefix_filter.h"
 
 #include <algorithm>
-#include <cmath>
 
+#include "core/sizing.h"
 #include "util/bits.h"
 #include "util/hash.h"
 #include "util/serialize.h"
@@ -20,12 +20,9 @@ PrefixFilter::PrefixFilter(uint64_t expected_keys, int fingerprint_bits,
   // ~7% of keys land in overflowed buckets at this geometry; size the
   // spare generously so it never becomes the bottleneck.
   const uint64_t spare_capacity = std::max<uint64_t>(expected_keys / 6, 64);
-  const int q_bits = std::max(
-      6, BitWidth(NextPow2(static_cast<uint64_t>(
-             std::ceil(spare_capacity / QuotientFilter::kMaxLoadFactor))) -
-         1));
-  spare_ = std::make_unique<QuotientFilter>(q_bits, fingerprint_bits_,
-                                            hash_seed_ + 0x51);
+  spare_ = std::make_unique<QuotientFilter>(
+      QuotientBitsFor(spare_capacity, QuotientFilter::kMaxLoadFactor),
+      fingerprint_bits_, hash_seed_ + 0x51);
 }
 
 uint64_t PrefixFilter::BucketOf(HashedKey key) const {

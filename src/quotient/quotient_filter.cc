@@ -1,87 +1,45 @@
 #include "quotient/quotient_filter.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/metrics_sink.h"
+#include "core/sizing.h"
 #include "util/bits.h"
 #include "util/hash.h"
 #include "util/serialize.h"
 
 namespace bbf {
-namespace {
-
-// Shared by QF and CQF: sizing from capacity and target FPR.
-void SizeFor(uint64_t n, double fpr, int* q_bits, int* r_bits) {
-  uint64_t slots = NextPow2(static_cast<uint64_t>(
-      std::ceil(n / QuotientFilter::kMaxLoadFactor)));
-  *q_bits = std::max(6, BitWidth(slots - 1));
-  // FPR ~ load * 2^-r; solve r for the target at max load.
-  const double needed = -std::log2(fpr / QuotientFilter::kMaxLoadFactor);
-  *r_bits = std::max(1, static_cast<int>(std::ceil(needed)));
-}
-
-}  // namespace
 
 QuotientFilter::QuotientFilter(int q_bits, int r_bits, uint64_t hash_seed)
     : table_(q_bits, r_bits), hash_seed_(hash_seed) {}
 
 QuotientFilter QuotientFilter::ForCapacity(uint64_t n, double fpr) {
-  int q_bits;
-  int r_bits;
-  SizeFor(n, fpr, &q_bits, &r_bits);
-  return QuotientFilter(q_bits, r_bits);
+  return QuotientFilter(QuotientBitsFor(n, kMaxLoadFactor),
+                        RemainderBitsFor(fpr, kMaxLoadFactor));
 }
 
 void QuotientFilter::Fingerprint(HashedKey key, uint64_t* fq,
                                  uint64_t* fr) const {
-  const uint64_t h = key.Derive(hash_seed_);
-  *fq = (h >> table_.r_bits()) & (table_.num_slots() - 1);
-  *fr = h & LowMask(table_.r_bits());
+  SplitFingerprint(key.Derive(hash_seed_), table_.q_bits(), table_.r_bits(),
+                   fq, fr);
 }
 
 bool QuotientFilter::Insert(HashedKey key) {
-  if (table_.LoadFactor() >= kMaxLoadFactor ||
-      table_.num_used_slots() + 1 >= table_.num_slots()) {
-    return false;
-  }
   uint64_t fq;
   uint64_t fr;
   Fingerprint(key, &fq, &fr);
-  if (!InsertFingerprint(fq, fr)) return false;
-  ++num_keys_;
-  return true;
+  return InsertSorted(fq, fr);
 }
 
-bool QuotientFilter::InsertFingerprint(uint64_t fq, uint64_t fr) {
-  // One slot must always stay empty: clusters and scans rely on it.
-  if (table_.num_used_slots() + 1 >= table_.num_slots()) return false;
-  if (table_.SlotEmpty(fq) && !table_.occupied(fq)) {
-    table_.InsertSlotAt(fq, fq, fr, /*continuation=*/false);
-    table_.set_occupied(fq, true);
-    return true;
+bool QuotientFilter::InsertSorted(uint64_t fq, uint64_t fr) {
+  // Runs stay sorted; a duplicate lands in front of its equals.
+  if (table_.LoadFactor() >= kMaxLoadFactor ||
+      !table_.InsertIntoRun(fq, fr, [&](uint64_t s) {
+        return table_.remainder(s) >= fr;
+      })) {
+    return false;
   }
-  const bool was_occupied = table_.occupied(fq);
-  table_.set_occupied(fq, true);
-  const uint64_t start = table_.FindRunStart(fq);
-  if (!was_occupied) {
-    // New run: its head slides in at `start`, displacing later runs.
-    table_.InsertSlotAt(start, fq, fr, /*continuation=*/false);
-    return true;
-  }
-  // Existing run: keep remainders sorted.
-  uint64_t s = start;
-  do {
-    if (table_.remainder(s) >= fr) break;
-    s = table_.Next(s);
-  } while (table_.continuation(s));
-  if (s == start) {
-    // New minimum: the old head becomes a continuation as it shifts.
-    table_.set_continuation(start, true);
-    table_.InsertSlotAt(s, fq, fr, /*continuation=*/false);
-  } else {
-    table_.InsertSlotAt(s, fq, fr, /*continuation=*/true);
-  }
+  ++num_keys_;
   return true;
 }
 
@@ -93,21 +51,12 @@ bool QuotientFilter::Contains(HashedKey key) const {
 }
 
 bool QuotientFilter::ContainsFingerprint(uint64_t fq, uint64_t fr) const {
-  uint64_t probed = 0;  // Run slots scanned; 0 = unoccupied home slot.
   bool found = false;
-  if (table_.occupied(fq)) {
-    uint64_t s = table_.FindRunStart(fq);
-    do {
-      ++probed;
-      const uint64_t rem = table_.remainder(s);
-      if (rem == fr) {
-        found = true;
-        break;
-      }
-      if (rem > fr) break;  // Runs are sorted.
-      s = table_.Next(s);
-    } while (table_.continuation(s));
-  }
+  const uint64_t probed = table_.ScanRun(fq, [&](uint64_t s) {
+    const uint64_t rem = table_.remainder(s);
+    found = rem == fr;
+    return rem < fr;  // Runs are sorted.
+  });
   if (sink_ != nullptr) sink_->OnProbeLength(probed);
   return found;
 }
@@ -150,17 +99,7 @@ size_t QuotientFilter::InsertMany(std::span<const HashedKey> keys) {
       Fingerprint(keys[base + j], &fq[j], &fr[j]);
       table_.PrefetchSlot(fq[j], /*for_write=*/true);
     }
-    for (size_t j = 0; j < n; ++j) {
-      // Same per-key admission checks as Insert.
-      if (table_.LoadFactor() >= kMaxLoadFactor ||
-          table_.num_used_slots() + 1 >= table_.num_slots()) {
-        continue;
-      }
-      if (InsertFingerprint(fq[j], fr[j])) {
-        ++num_keys_;
-        ++inserted;
-      }
-    }
+    for (size_t j = 0; j < n; ++j) inserted += InsertSorted(fq[j], fr[j]);
   }
   return inserted;
 }
@@ -169,15 +108,12 @@ uint64_t QuotientFilter::Count(HashedKey key) const {
   uint64_t fq;
   uint64_t fr;
   Fingerprint(key, &fq, &fr);
-  if (!table_.occupied(fq)) return 0;
   uint64_t count = 0;
-  uint64_t s = table_.FindRunStart(fq);
-  do {
+  table_.ScanRun(fq, [&](uint64_t s) {
     const uint64_t rem = table_.remainder(s);
-    if (rem == fr) ++count;
-    if (rem > fr) break;
-    s = table_.Next(s);
-  } while (table_.continuation(s));
+    count += rem == fr;
+    return rem <= fr;
+  });
   return count;
 }
 
@@ -185,22 +121,16 @@ bool QuotientFilter::Erase(HashedKey key) {
   uint64_t fq;
   uint64_t fr;
   Fingerprint(key, &fq, &fr);
-  if (!table_.occupied(fq)) return false;
-  const uint64_t start = table_.FindRunStart(fq);
-  uint64_t s = start;
+  uint64_t slot = 0;
   bool found = false;
-  do {
+  table_.ScanRun(fq, [&](uint64_t s) {
     const uint64_t rem = table_.remainder(s);
-    if (rem == fr) {
-      found = true;
-      break;
-    }
-    if (rem > fr) break;
-    s = table_.Next(s);
-  } while (table_.continuation(s));
+    found = rem == fr;
+    slot = s;
+    return rem < fr;
+  });
   if (!found) return false;
-
-  table_.RemoveEntry(s, start, fq);
+  table_.EraseFromRun(fq, slot);
   --num_keys_;
   return true;
 }
@@ -249,12 +179,6 @@ bool QuotientFilter::LoadPayload(std::istream& is) {
                        /*want_tag=*/false, /*want_value_bits=*/0);
 }
 
-void QuotientFilter::ForEachFingerprint(
-    const std::function<void(uint64_t, uint64_t)>& fn) const {
-  table_.ForEachSlot(
-      [&](uint64_t q, uint64_t slot) { fn(q, table_.remainder(slot)); });
-}
-
 // ---------------------------------------------------------------------------
 // CountingQuotientFilter
 // ---------------------------------------------------------------------------
@@ -265,52 +189,40 @@ CountingQuotientFilter::CountingQuotientFilter(int q_bits, int r_bits,
 
 CountingQuotientFilter CountingQuotientFilter::ForCapacity(uint64_t n,
                                                            double fpr) {
-  int q_bits;
-  int r_bits;
-  SizeFor(n, fpr, &q_bits, &r_bits);
-  return CountingQuotientFilter(q_bits, r_bits);
+  return CountingQuotientFilter(
+      QuotientBitsFor(n, QuotientFilter::kMaxLoadFactor),
+      RemainderBitsFor(fpr, QuotientFilter::kMaxLoadFactor));
 }
 
 void CountingQuotientFilter::Fingerprint(HashedKey key, uint64_t* fq,
                                          uint64_t* fr) const {
-  const uint64_t h = key.Derive(hash_seed_);
-  *fq = (h >> table_.r_bits()) & (table_.num_slots() - 1);
-  *fr = h & LowMask(table_.r_bits());
+  SplitFingerprint(key.Derive(hash_seed_), table_.q_bits(), table_.r_bits(),
+                   fq, fr);
 }
 
-bool CountingQuotientFilter::FindRemainderSlot(uint64_t fq, uint64_t fr,
-                                               uint64_t* pos,
-                                               uint64_t* run_start) const {
-  if (!table_.occupied(fq)) return false;
-  const uint64_t start = table_.FindRunStart(fq);
-  *run_start = start;
-  uint64_t s = start;
-  do {
-    if (!table_.tag(s)) {  // Remainder slot (tag slots are counter digits).
-      const uint64_t rem = table_.remainder(s);
-      if (rem == fr) {
-        *pos = s;
-        return true;
-      }
-      if (rem > fr) return false;
-    }
-    s = table_.Next(s);
-  } while (table_.continuation(s));
-  return false;
-}
-
-uint64_t CountingQuotientFilter::ReadCount(
-    uint64_t pos, std::vector<uint64_t>* digits) const {
-  // Little-endian base-2^r digits of (count - 1) follow the remainder slot.
-  uint64_t count = 1;
+uint64_t CountingQuotientFilter::ReadCounter(
+    uint64_t fq, uint64_t fr, uint64_t* pos,
+    std::vector<uint64_t>* digits) const {
+  uint64_t count = 0;
   uint64_t base = 1;
-  uint64_t s = table_.Next(pos);
-  while (table_.continuation(s) && table_.tag(s)) {
-    if (digits != nullptr) digits->push_back(s);
-    count += table_.remainder(s) * base;
-    base <<= table_.r_bits();
-    s = table_.Next(s);
-  }
+  table_.ScanRun(fq, [&](uint64_t s) {
+    if (count > 0) {
+      // Little-endian base-2^r digits of (count - 1) follow the remainder
+      // slot, each in a tagged slot.
+      if (!table_.tag(s)) return false;
+      if (digits != nullptr) digits->push_back(s);
+      count += table_.remainder(s) * base;
+      base <<= table_.r_bits();
+      return true;
+    }
+    if (table_.tag(s)) return true;  // A smaller remainder's digit.
+    const uint64_t rem = table_.remainder(s);
+    if (rem == fr) {
+      count = 1;
+      *pos = s;
+    }
+    return rem <= fr;
+  });
   return count;
 }
 
@@ -323,12 +235,17 @@ bool CountingQuotientFilter::Insert(HashedKey key) {
   uint64_t fr;
   Fingerprint(key, &fq, &fr);
 
-  uint64_t pos;
-  uint64_t run_start;
-  if (FindRemainderSlot(fq, fr, &pos, &run_start)) {
+  uint64_t pos = 0;
+  std::vector<uint64_t> digits;
+  const uint64_t count = ReadCounter(fq, fr, &pos, &digits);
+  if (count == 0) {
+    // New key: a remainder slot in front of the first larger remainder
+    // (that is, behind the previous remainder's digits).
+    table_.InsertIntoRun(fq, fr, [&](uint64_t s) {
+      return !table_.tag(s) && table_.remainder(s) > fr;
+    });
+  } else {
     // Existing key: bump the variable-length counter.
-    std::vector<uint64_t> digits;
-    const uint64_t count = ReadCount(pos, &digits);
     uint64_t c = count;  // New count - 1 == old count.
     const uint64_t mask = LowMask(table_.r_bits());
     for (uint64_t d : digits) {
@@ -336,51 +253,12 @@ bool CountingQuotientFilter::Insert(HashedKey key) {
       c >>= table_.r_bits();
     }
     if (c > 0) {
-      // Counter grew a digit: append the new most-significant digit after
-      // the last existing digit (or right after the remainder slot).
-      const uint64_t after = digits.empty() ? pos : digits.back();
-      table_.InsertSlotAt(table_.Next(after), fq, c & mask,
-                          /*continuation=*/true, /*tag=*/true);
+      // The counter grew a digit: the new most-significant digit goes
+      // right behind the last one (or behind the remainder slot).
+      const uint64_t at = table_.Next(digits.empty() ? pos : digits.back());
+      table_.InsertIntoRun(
+          fq, c & mask, [&](uint64_t s) { return s == at; }, /*tag=*/true);
     }
-    ++num_keys_;
-    return true;
-  }
-
-  // New key: insert a remainder slot at its sorted position in the run.
-  if (table_.SlotEmpty(fq) && !table_.occupied(fq)) {
-    table_.InsertSlotAt(fq, fq, fr, /*continuation=*/false);
-    table_.set_occupied(fq, true);
-    ++num_keys_;
-    return true;
-  }
-  const bool was_occupied = table_.occupied(fq);
-  table_.set_occupied(fq, true);
-  const uint64_t start = table_.FindRunStart(fq);
-  if (!was_occupied) {
-    table_.InsertSlotAt(start, fq, fr, /*continuation=*/false);
-    ++num_keys_;
-    return true;
-  }
-  // Find the first remainder slot with rem > fr; insert before it (i.e.,
-  // after the previous remainder's digit block).
-  uint64_t s = start;
-  uint64_t insert_at = start;
-  bool placed = false;
-  do {
-    if (!table_.tag(s) && table_.remainder(s) > fr) {
-      insert_at = s;
-      placed = true;
-      break;
-    }
-    s = table_.Next(s);
-    insert_at = s;
-  } while (table_.continuation(s));
-  if (placed && insert_at == start) {
-    // New minimum remainder: old head becomes a continuation.
-    table_.set_continuation(start, true);
-    table_.InsertSlotAt(start, fq, fr, /*continuation=*/false);
-  } else {
-    table_.InsertSlotAt(insert_at, fq, fr, /*continuation=*/true);
   }
   ++num_keys_;
   return true;
@@ -390,29 +268,21 @@ uint64_t CountingQuotientFilter::Count(HashedKey key) const {
   uint64_t fq;
   uint64_t fr;
   Fingerprint(key, &fq, &fr);
-  uint64_t pos;
-  uint64_t run_start;
-  if (!FindRemainderSlot(fq, fr, &pos, &run_start)) return 0;
-  return ReadCount(pos, nullptr);
-}
-
-void CountingQuotientFilter::RemoveEntrySlot(uint64_t pos, uint64_t run_start,
-                                             uint64_t fq) {
-  table_.RemoveEntry(pos, run_start, fq);
+  uint64_t pos = 0;
+  return ReadCounter(fq, fr, &pos, nullptr);
 }
 
 bool CountingQuotientFilter::Erase(HashedKey key) {
   uint64_t fq;
   uint64_t fr;
   Fingerprint(key, &fq, &fr);
-  uint64_t pos;
-  uint64_t run_start;
-  if (!FindRemainderSlot(fq, fr, &pos, &run_start)) return false;
+  uint64_t pos = 0;
   std::vector<uint64_t> digits;
-  const uint64_t count = ReadCount(pos, &digits);
+  const uint64_t count = ReadCounter(fq, fr, &pos, &digits);
+  if (count == 0) return false;
   if (count == 1) {
     // Remove the remainder slot itself (it has no digit slots).
-    RemoveEntrySlot(pos, run_start, fq);
+    table_.EraseFromRun(fq, pos);
   } else {
     // Rewrite digits for count - 2 == (count - 1) - 1; drop the last digit
     // slot if the encoding shrank.
@@ -427,8 +297,7 @@ bool CountingQuotientFilter::Erase(HashedKey key) {
       c >>= r;
     }
     for (size_t i = digits.size(); i > needed; --i) {
-      // Digit slots are never run heads; plain removal suffices.
-      table_.RemoveSlotAt(digits[i - 1], fq);
+      table_.EraseFromRun(fq, digits[i - 1]);
     }
   }
   --num_keys_;

@@ -2,7 +2,6 @@
 #define BBF_QUOTIENT_QUOTIENT_FILTER_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/filter.h"
@@ -55,13 +54,9 @@ class QuotientFilter : public Filter {
   /// Splits the fingerprint of `key` into (quotient, remainder).
   void Fingerprint(HashedKey key, uint64_t* fq, uint64_t* fr) const;
 
-  /// Inserts a raw (quotient, remainder) fingerprint. Exposed for the
-  /// expandable variants, which remap fingerprints across doublings.
-  bool InsertFingerprint(uint64_t fq, uint64_t fr);
-
-  /// Visits every stored fingerprint as (quotient, remainder).
-  void ForEachFingerprint(
-      const std::function<void(uint64_t fq, uint64_t fr)>& fn) const;
+  /// Bit-sacrifice doubling of the table (QuotientTable::Double); false
+  /// once remainders are down to one bit.
+  bool DoubleTable() { return table_.Double(); }
 
   /// Read access to the physical table (tests, invariant checks).
   const QuotientTable& table() const { return table_; }
@@ -74,12 +69,10 @@ class QuotientFilter : public Filter {
   static constexpr double kMaxLoadFactor = 0.94;
 
  private:
-  friend class CountingQuotientFilter;
-  friend class ExpandingQuotientFilter;
-
-  // Contains body for a pre-split fingerprint; shared by Contains and
-  // ContainsMany.
+  // Bodies for a pre-split fingerprint, shared by the scalar and batch
+  // paths.
   bool ContainsFingerprint(uint64_t fq, uint64_t fr) const;
+  bool InsertSorted(uint64_t fq, uint64_t fr);
 
   QuotientTable table_;
   uint64_t hash_seed_;
@@ -120,14 +113,11 @@ class CountingQuotientFilter : public Filter {
 
  private:
   void Fingerprint(HashedKey key, uint64_t* fq, uint64_t* fr) const;
-  // Locates the remainder slot for (fq, fr). Returns false if absent;
-  // otherwise *pos is the slot and *run_start the head of the run.
-  bool FindRemainderSlot(uint64_t fq, uint64_t fr, uint64_t* pos,
-                         uint64_t* run_start) const;
-  // Reads the counter digits after `pos`; returns the count (>= 1) and the
-  // digit slot positions in *digits.
-  uint64_t ReadCount(uint64_t pos, std::vector<uint64_t>* digits) const;
-  void RemoveEntrySlot(uint64_t pos, uint64_t run_start, uint64_t fq);
+  // Count of (fq, fr), 0 when absent. Otherwise *pos is its remainder slot
+  // and, when `digits` is non-null, the counter-digit slots behind it are
+  // appended to *digits, least significant first.
+  uint64_t ReadCounter(uint64_t fq, uint64_t fr, uint64_t* pos,
+                       std::vector<uint64_t>* digits) const;
 
   QuotientTable table_;
   uint64_t hash_seed_;

@@ -1,11 +1,9 @@
 #include "quotient/quotient_maplet.h"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
+#include "core/sizing.h"
 #include "quotient/quotient_filter.h"
-#include "util/bits.h"
 #include "util/hash.h"
 #include "util/serialize.h"
 
@@ -18,19 +16,15 @@ QuotientMaplet::QuotientMaplet(int q_bits, int r_bits, int value_bits,
 
 QuotientMaplet QuotientMaplet::ForCapacity(uint64_t n, double fpr,
                                            int value_bits) {
-  uint64_t slots = NextPow2(static_cast<uint64_t>(
-      std::ceil(n / QuotientFilter::kMaxLoadFactor)));
-  const int q_bits = std::max(6, BitWidth(slots - 1));
-  const double needed = -std::log2(fpr / QuotientFilter::kMaxLoadFactor);
-  const int r_bits = std::max(1, static_cast<int>(std::ceil(needed)));
-  return QuotientMaplet(q_bits, r_bits, value_bits);
+  return QuotientMaplet(
+      QuotientBitsFor(n, QuotientFilter::kMaxLoadFactor),
+      RemainderBitsFor(fpr, QuotientFilter::kMaxLoadFactor), value_bits);
 }
 
 void QuotientMaplet::Fingerprint(HashedKey key, uint64_t* fq,
                                  uint64_t* fr) const {
-  const uint64_t h = key.Derive(hash_seed_);
-  *fq = (h >> table_.r_bits()) & (table_.num_slots() - 1);
-  *fr = h & LowMask(table_.r_bits());
+  SplitFingerprint(key.Derive(hash_seed_), table_.q_bits(), table_.r_bits(),
+                   fq, fr);
 }
 
 bool QuotientMaplet::Insert(HashedKey key, uint64_t value) {
@@ -38,50 +32,14 @@ bool QuotientMaplet::Insert(HashedKey key, uint64_t value) {
   uint64_t fq;
   uint64_t fr;
   Fingerprint(key, &fq, &fr);
-  return InsertFingerprint(fq, fr, value);
-}
-
-bool QuotientMaplet::InsertFingerprint(uint64_t fq, uint64_t fr,
-                                       uint64_t value) {
-  if (table_.num_used_slots() + 1 >= table_.num_slots()) return false;
-  if (table_.SlotEmpty(fq) && !table_.occupied(fq)) {
-    table_.InsertSlotAt(fq, fq, fr, /*continuation=*/false, /*tag=*/false,
-                        value);
-    table_.set_occupied(fq, true);
-    ++num_entries_;
-    return true;
-  }
-  const bool was_occupied = table_.occupied(fq);
-  table_.set_occupied(fq, true);
-  const uint64_t start = table_.FindRunStart(fq);
-  if (!was_occupied) {
-    table_.InsertSlotAt(start, fq, fr, /*continuation=*/false, /*tag=*/false,
-                        value);
-    ++num_entries_;
-    return true;
-  }
-  uint64_t s = start;
-  do {
-    if (table_.remainder(s) >= fr) break;
-    s = table_.Next(s);
-  } while (table_.continuation(s));
-  if (s == start) {
-    table_.set_continuation(start, true);
-    table_.InsertSlotAt(s, fq, fr, /*continuation=*/false, /*tag=*/false,
-                        value);
-  } else {
-    table_.InsertSlotAt(s, fq, fr, /*continuation=*/true, /*tag=*/false,
-                        value);
+  // Runs stay sorted by remainder; a new entry lands in front of its equals.
+  if (!table_.InsertIntoRun(
+          fq, fr, [&](uint64_t s) { return table_.remainder(s) >= fr; },
+          /*tag=*/false, value)) {
+    return false;
   }
   ++num_entries_;
   return true;
-}
-
-void QuotientMaplet::ForEachEntry(
-    const std::function<void(uint64_t, uint64_t, uint64_t)>& fn) const {
-  table_.ForEachSlot([&](uint64_t q, uint64_t slot) {
-    fn(q, table_.remainder(slot), table_.value(slot));
-  });
 }
 
 std::vector<uint64_t> QuotientMaplet::Lookup(HashedKey key) const {
@@ -89,14 +47,11 @@ std::vector<uint64_t> QuotientMaplet::Lookup(HashedKey key) const {
   uint64_t fq;
   uint64_t fr;
   Fingerprint(key, &fq, &fr);
-  if (!table_.occupied(fq)) return values;
-  uint64_t s = table_.FindRunStart(fq);
-  do {
+  table_.ScanRun(fq, [&](uint64_t s) {
     const uint64_t rem = table_.remainder(s);
     if (rem == fr) values.push_back(table_.value(s));
-    if (rem > fr) break;
-    s = table_.Next(s);
-  } while (table_.continuation(s));
+    return rem <= fr;
+  });
   return values;
 }
 
@@ -104,22 +59,16 @@ bool QuotientMaplet::Erase(HashedKey key, uint64_t value) {
   uint64_t fq;
   uint64_t fr;
   Fingerprint(key, &fq, &fr);
-  if (!table_.occupied(fq)) return false;
-  const uint64_t start = table_.FindRunStart(fq);
-  uint64_t s = start;
+  uint64_t slot = 0;
   bool found = false;
-  do {
+  table_.ScanRun(fq, [&](uint64_t s) {
     const uint64_t rem = table_.remainder(s);
-    if (rem == fr && table_.value(s) == value) {
-      found = true;
-      break;
-    }
-    if (rem > fr) break;
-    s = table_.Next(s);
-  } while (table_.continuation(s));
+    found = rem == fr && table_.value(s) == value;
+    slot = s;
+    return !found && rem <= fr;
+  });
   if (!found) return false;
-
-  table_.RemoveEntry(s, start, fq);
+  table_.EraseFromRun(fq, slot);
   --num_entries_;
   return true;
 }

@@ -2,7 +2,6 @@
 #define BBF_QUOTIENT_QUOTIENT_MAPLET_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/key.h"
@@ -48,19 +47,15 @@ class QuotientMaplet {
     return Erase(HashedKey(key), value);
   }
 
-  /// Visits every stored entry as (quotient, remainder, value). Exposed
-  /// for the expandable variant, which remaps fingerprints on doubling.
-  void ForEachEntry(
-      const std::function<void(uint64_t fq, uint64_t fr, uint64_t value)>&
-          fn) const;
-
-  /// Inserts a raw (quotient, remainder, value) triple (expansion path).
-  bool InsertFingerprint(uint64_t fq, uint64_t fr, uint64_t value);
+  /// Bit-sacrifice doubling of the table (QuotientTable::Double); values
+  /// ride along. False once remainders are down to one bit.
+  bool DoubleTable() { return table_.Double(); }
 
   size_t SpaceBits() const { return table_.SpaceBits(); }
   uint64_t NumEntries() const { return num_entries_; }
   double LoadFactor() const { return table_.LoadFactor(); }
   int value_bits() const { return table_.value_bits(); }
+  int r_bits() const { return table_.r_bits(); }
 
   /// Raw snapshot payload (framing is the caller's job; the Maplet
   /// adapters wrap these in checksummed frames).
@@ -68,8 +63,6 @@ class QuotientMaplet {
   bool LoadPayload(std::istream& is);
 
  private:
-  friend class ExpandingQuotientMaplet;
-
   void Fingerprint(HashedKey key, uint64_t* fq, uint64_t* fr) const;
 
   QuotientTable table_;

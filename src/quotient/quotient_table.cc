@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <deque>
 
+#include "util/bits.h"
 #include "util/serialize.h"
 
 namespace bbf {
@@ -112,20 +113,32 @@ void QuotientTable::RemoveSlotAt(uint64_t pos, uint64_t run_quotient) {
   }
 }
 
-void QuotientTable::RemoveEntry(uint64_t pos, uint64_t run_start,
-                                uint64_t fq) {
-  const bool was_head = (pos == run_start);
-  if (was_head) {
-    const uint64_t nxt = Next(pos);
-    const bool run_survives = !SlotEmpty(nxt) && continuation_.Get(nxt);
-    if (!run_survives) occupied_.Clear(fq);
+void QuotientTable::EraseFromRun(uint64_t q, uint64_t slot) {
+  // The head is the run's one slot without a continuation bit.
+  const bool was_head = !continuation_.Get(slot);
+  if (was_head && !continuation_.Get(Next(slot))) occupied_.Clear(q);
+  RemoveSlotAt(slot, q);
+  if (was_head && continuation_.Get(slot)) {
+    // Promote the run's second slot to head.
+    continuation_.Clear(slot);
+    if (slot == q) shifted_.Clear(slot);
   }
-  RemoveSlotAt(pos, fq);
-  if (was_head && !SlotEmpty(pos) && continuation_.Get(pos)) {
-    // Promote the run's second element to head.
-    continuation_.Clear(pos);
-    if (pos == fq) shifted_.Clear(pos);
-  }
+}
+
+bool QuotientTable::Double() {
+  if (r_bits_ <= 1 || has_tag_) return false;
+  const int r = r_bits_ - 1;
+  QuotientTable bigger(q_bits_ + 1, r, /*has_tag=*/false, value_bits_);
+  ForEachSlot([&](uint64_t q, uint64_t slot) {
+    const uint64_t fr = remainders_.Get(slot);
+    const uint64_t low = fr & LowMask(r);
+    bigger.InsertIntoRun(
+        (q << 1) | (fr >> r), low,
+        [&](uint64_t s) { return bigger.remainders_.Get(s) >= low; },
+        /*tag=*/false, value(slot));
+  });
+  *this = std::move(bigger);
+  return true;
 }
 
 void QuotientTable::ForEachSlot(
@@ -155,70 +168,45 @@ void QuotientTable::ForEachSlot(
   }
 }
 
-bool QuotientTable::CheckInvariants() const {
-  uint64_t start = num_slots_;
-  for (uint64_t i = 0; i < num_slots_; ++i) {
-    if (SlotEmpty(i)) {
-      if (occupied_.Get(i)) {
-        std::fprintf(stderr, "invariant: empty slot %llu has occupied bit\n",
-                     static_cast<unsigned long long>(i));
-        return false;
-      }
-      if (start == num_slots_) start = i;
-    }
-  }
-  if (used_slots_ == 0) return true;
-  if (start == num_slots_) return true;  // Full table: nothing to scan from.
-  std::deque<uint64_t> pending;
-  uint64_t runs_seen = 0;
-  uint64_t occupied_seen = 0;
+const char* QuotientTable::FindCorruption() const {
+  // Start right after an empty slot so no cluster straddles the walk.
+  uint64_t start = 0;
+  while (start < num_slots_ && !SlotEmpty(start)) ++start;
+  if (start == num_slots_) return "no empty slot";
+  std::deque<uint64_t> pending;  // Occupied quotients awaiting their run.
+  uint64_t used = 0;
+  bool prev_used = false;
   for (uint64_t k = 1; k <= num_slots_; ++k) {
     const uint64_t i = (start + k) & slot_mask_;
-    if (occupied_.Get(i)) {
-      pending.push_back(i);
-      ++occupied_seen;
-    }
+    if (occupied_.Get(i)) pending.push_back(i);
     if (SlotEmpty(i)) {
-      if (!pending.empty()) {
-        // A pending quotient's run must appear before its cluster ends.
-        std::fprintf(stderr,
-                     "invariant: cluster ended at %llu with pending run %llu\n",
-                     static_cast<unsigned long long>(i),
-                     static_cast<unsigned long long>(pending.front()));
-        return false;
-      }
+      // Ends the cluster (the walk ends on `start`, itself empty).
+      if (!pending.empty()) return "cluster ends before an occupied run";
+      prev_used = false;
       continue;
     }
-    if (!continuation_.Get(i)) {
-      if (pending.empty()) {
-        std::fprintf(stderr, "invariant: run head at %llu with no pending\n",
-                     static_cast<unsigned long long>(i));
-        return false;
+    ++used;
+    if (continuation_.Get(i)) {
+      if (!prev_used) return "continuation outside a run";
+      if (!shifted_.Get(i)) return "continuation not shifted";
+    } else {
+      if (pending.empty()) return "run head with no occupied quotient";
+      if ((pending.front() == i) == shifted_.Get(i)) {
+        return "run head shifted bit disagrees with its home";
       }
-      const uint64_t q = pending.front();
+      if (tag(i)) return "counter digit heads a run";
       pending.pop_front();
-      ++runs_seen;
-      const bool at_home = (i == q);
-      if (at_home != !shifted_.Get(i)) {
-        std::fprintf(stderr,
-                     "invariant: head at %llu quotient %llu shifted bit %d\n",
-                     static_cast<unsigned long long>(i),
-                     static_cast<unsigned long long>(q), (int)shifted_.Get(i));
-        return false;
-      }
-    } else if (!shifted_.Get(i)) {
-      std::fprintf(stderr, "invariant: continuation at %llu not shifted\n",
-                   static_cast<unsigned long long>(i));
-      return false;
     }
+    prev_used = true;
   }
-  if (runs_seen != occupied_seen) {
-    std::fprintf(stderr, "invariant: %llu runs vs %llu occupied bits\n",
-                 static_cast<unsigned long long>(runs_seen),
-                 static_cast<unsigned long long>(occupied_seen));
-    return false;
-  }
-  return true;
+  if (used != used_slots_) return "used-slot count disagrees with the planes";
+  return nullptr;
+}
+
+bool QuotientTable::CheckInvariants() const {
+  const char* error = FindCorruption();
+  if (error != nullptr) std::fprintf(stderr, "quotient table: %s\n", error);
+  return error == nullptr;
 }
 
 void QuotientTable::Save(std::ostream& os) const {
@@ -257,7 +245,6 @@ bool QuotientTable::Load(std::istream& is) {
   fresh.num_slots_ = uint64_t{1} << q;
   fresh.slot_mask_ = fresh.num_slots_ - 1;
   fresh.used_slots_ = used;
-  if (used > fresh.num_slots_) return false;
   if (!fresh.occupied_.Load(is) || !fresh.continuation_.Load(is) ||
       !fresh.shifted_.Load(is) || !fresh.tag_.Load(is) ||
       !fresh.remainders_.Load(is) || !fresh.values_.Load(is)) {
@@ -274,6 +261,8 @@ bool QuotientTable::Load(std::istream& is) {
       (fresh.value_bits_ > 0 && fresh.values_.width() != fresh.value_bits_)) {
     return false;
   }
+  // Structure: a walk over broken metadata may never find a run's end.
+  if (fresh.FindCorruption() != nullptr) return false;
   *this = std::move(fresh);
   return true;
 }

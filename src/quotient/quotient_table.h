@@ -15,15 +15,17 @@ namespace bbf {
 /// of 2^q slots, each holding an r-bit remainder plus the classic three
 /// metadata bits — is_occupied / is_continuation / is_shifted — stored as
 /// separate bit planes. Collisions are resolved Robin-Hood style: runs of
-/// remainders sharing a quotient are kept sorted and contiguous, shifted
-/// right as needed, with wraparound.
+/// remainders sharing a quotient are kept contiguous, shifted right as
+/// needed, with wraparound.
 ///
 /// Two optional per-slot planes ride along with the remainders during
 /// shifts: a 1-bit *tag* (used by the counting variant to mark counter
 /// digits) and a v-bit *value* (used by the maplet variant).
 ///
-/// This class only manages slots; fingerprint semantics live in the
-/// variant classes.
+/// Only this class knows the metadata layout. Variants reach slots through
+/// the run API (ScanRun, InsertIntoRun, EraseFromRun) and touch nothing but
+/// slot payloads (remainder, tag, value); fingerprint semantics, including
+/// the order kept within a run, live in the variant classes.
 class QuotientTable {
  public:
   QuotientTable() = default;
@@ -45,29 +47,13 @@ class QuotientTable {
   /// Total bits of all planes (remainders + metadata + tag + values).
   size_t SpaceBits() const;
 
-  // --- Per-slot accessors -------------------------------------------------
-  bool occupied(uint64_t i) const { return occupied_.Get(i); }
-  bool continuation(uint64_t i) const { return continuation_.Get(i); }
-  bool shifted(uint64_t i) const { return shifted_.Get(i); }
+  // --- Slot payloads --------------------------------------------------------
   bool tag(uint64_t i) const { return has_tag_ && tag_.Get(i); }
   uint64_t remainder(uint64_t i) const { return remainders_.Get(i); }
   uint64_t value(uint64_t i) const {
     return value_bits_ ? values_.Get(i) : 0;
   }
-  void set_occupied(uint64_t i, bool v) { occupied_.Assign(i, v); }
-  void set_continuation(uint64_t i, bool v) { continuation_.Assign(i, v); }
-  void set_shifted(uint64_t i, bool v) { shifted_.Assign(i, v); }
-  void set_tag(uint64_t i, bool v) {
-    if (has_tag_) tag_.Assign(i, v);
-  }
   void set_remainder(uint64_t i, uint64_t r) { remainders_.Set(i, r); }
-  void set_value(uint64_t i, uint64_t v) {
-    if (value_bits_) values_.Set(i, v);
-  }
-
-  bool SlotEmpty(uint64_t i) const {
-    return !occupied_.Get(i) && !continuation_.Get(i) && !shifted_.Get(i);
-  }
 
   /// Hints the cache lines a probe of slot `i` touches first: the three
   /// metadata planes and the remainder word. Cluster walks may run past
@@ -80,6 +66,86 @@ class QuotientTable {
   }
 
   uint64_t Next(uint64_t i) const { return (i + 1) & slot_mask_; }
+
+  // --- Run API --------------------------------------------------------------
+
+  /// Calls `fn(slot)` for the slots of quotient `q`'s run in storage order;
+  /// stops early when fn returns false. Returns the number of slots
+  /// visited (0 = `q` has no run).
+  template <typename Fn>
+  uint64_t ScanRun(uint64_t q, Fn&& fn) const {
+    if (!occupied_.Get(q)) return 0;
+    uint64_t s = FindRunStart(q);
+    uint64_t visited = 0;
+    do {
+      ++visited;
+      if (!fn(s)) break;
+      s = Next(s);
+    } while (continuation_.Get(s));
+    return visited;
+  }
+
+  /// Inserts a slot holding (`remainder`, `tag`, `value`) into quotient
+  /// `q`'s run, in front of the first run slot `s` for which `before(s)`
+  /// holds, or behind the run's last slot when none does; starts the run
+  /// when `q` has none. Returns false (table unchanged) when the insert
+  /// would fill the last empty slot, which cluster walks rely on.
+  template <typename Pred>
+  bool InsertIntoRun(uint64_t q, uint64_t remainder, Pred&& before,
+                     bool tag = false, uint64_t value = 0) {
+    if (used_slots_ + 1 >= num_slots_) return false;
+    if (SlotEmpty(q)) {
+      // The occupied bit goes last: InsertSlotAt must see the slot empty.
+      InsertSlotAt(q, q, remainder, /*continuation=*/false, tag, value);
+      occupied_.Set(q);
+      return true;
+    }
+    const bool had_run = occupied_.Get(q);
+    occupied_.Set(q);
+    const uint64_t start = FindRunStart(q);
+    uint64_t s = start;
+    if (had_run) {
+      while (!before(s)) {
+        s = Next(s);
+        if (!continuation_.Get(s)) break;
+      }
+      // A new head pushes the old one right, where it continues the run.
+      if (s == start) continuation_.Set(start);
+    }
+    InsertSlotAt(s, q, remainder, /*continuation=*/s != start, tag, value);
+    return true;
+  }
+
+  /// Removes `slot`, which must lie in quotient `q`'s run, promoting the
+  /// run's second slot when the head goes.
+  void EraseFromRun(uint64_t q, uint64_t slot);
+
+  /// Bit-sacrifice doubling (§2.2): 2^(q+1) slots of (r-1)-bit remainders,
+  /// each stored remainder's top bit moving into the quotient's low bit,
+  /// exactly where a fresh split of the same hash puts it. Values ride
+  /// along; runs stay sorted by remainder. Returns false (table unchanged)
+  /// once remainders are down to one bit, or for a tagged table.
+  bool Double();
+
+  /// Visits every stored slot as (quotient, slot_index). Slots of one run
+  /// are visited in order. Requires at least one empty slot.
+  void ForEachSlot(
+      const std::function<void(uint64_t quotient, uint64_t slot)>& fn) const;
+
+  /// Structural self-check (the validation Load runs); prints the
+  /// violation on corruption.
+  bool CheckInvariants() const;
+
+  /// Binary serialization of the full table state. Load rejects (leaving
+  /// the table untouched) any payload whose geometry or structure is
+  /// inconsistent.
+  void Save(std::ostream& os) const;
+  bool Load(std::istream& is);
+
+ private:
+  bool SlotEmpty(uint64_t i) const {
+    return !occupied_.Get(i) && !continuation_.Get(i) && !shifted_.Get(i);
+  }
   uint64_t Prev(uint64_t i) const { return (i - 1) & slot_mask_; }
 
   /// Start slot of the run for quotient `q`. Requires occupied(q).
@@ -89,37 +155,20 @@ class QuotientTable {
   /// shifting the remaining cluster right. `continuation` is the bit for
   /// the new slot; displaced slots keep their continuation/tag/value bits
   /// and become shifted. `home` is the quotient of the inserted entry (used
-  /// to decide its shifted bit). The caller is responsible for occupied
-  /// bits and for clearing/setting the continuation bit of a displaced run
-  /// head when inserting in front of it.
+  /// to decide its shifted bit).
   void InsertSlotAt(uint64_t pos, uint64_t home, uint64_t remainder,
-                    bool continuation, bool tag = false, uint64_t value = 0);
+                    bool continuation, bool tag, uint64_t value);
 
   /// Removes the slot at `pos`, left-shifting the rest of the cluster and
   /// fixing shifted bits of run heads that slide into their home slots.
   /// `run_quotient` is the quotient of the run containing `pos`. Does not
-  /// touch occupied bits (caller's job).
+  /// touch occupied bits.
   void RemoveSlotAt(uint64_t pos, uint64_t run_quotient);
 
-  /// Removes the entry at `pos` within the run of quotient `fq` starting
-  /// at `run_start`, maintaining occupied bits and promoting the run's
-  /// second element to head when the head is removed.
-  void RemoveEntry(uint64_t pos, uint64_t run_start, uint64_t fq);
+  /// One linear pass over the planes: nullptr when the runs, clusters,
+  /// empty slot and used-slot count are consistent, else the violation.
+  const char* FindCorruption() const;
 
-  /// Visits every stored slot as (quotient, slot_index). Slots of one run
-  /// are visited in order. Requires at least one empty slot.
-  void ForEachSlot(
-      const std::function<void(uint64_t quotient, uint64_t slot)>& fn) const;
-
-  /// Structural self-check (run/cluster/occupied-bit consistency). Used by
-  /// the test suite; returns false and prints the violation on corruption.
-  bool CheckInvariants() const;
-
-  /// Binary serialization of the full table state.
-  void Save(std::ostream& os) const;
-  bool Load(std::istream& is);
-
- private:
   int q_bits_ = 0;
   int r_bits_ = 0;
   int value_bits_ = 0;

@@ -1,10 +1,11 @@
 #include "quotient/rsqf.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "core/metrics_sink.h"
+#include "core/sizing.h"
 #include "util/bits.h"
 #include "util/hash.h"
 #include "util/serialize.h"
@@ -102,14 +103,15 @@ bool RsqfTable::InsertValue(uint64_t q, uint64_t value, bool sorted) {
       }
     }
   }
-  // First unused slot at or after p, jumping run by run.
+  // First unused slot at or after p, jumping run by run. The last slot
+  // always stays free (LoadBody checks it), so u never passes the table.
   uint64_t u = p;
   while (true) {
     const uint64_t ru = RunEndUpTo(u);
     if (ru == kNone || ru < u) break;
     u = ru + 1;
-    if (u + 1 >= total_slots_) return false;  // Slack exhausted.
   }
+  if (u + 1 >= total_slots_) return false;  // Slack exhausted.
   // Shift values and runend bits in [p, u) one slot right.
   for (uint64_t j = u; j > p; --j) {
     values_.Set(j, values_.Get(j - 1));
@@ -162,36 +164,64 @@ void RsqfTable::RecomputeOffsets(uint64_t first_block, uint64_t last_block) {
   }
 }
 
-bool RsqfTable::CheckInvariants() const {
-  // The occupieds/runends bijection: equal cardinality, and the i-th
-  // runend must sit at or after the i-th occupied quotient.
-  if (occupieds_.CountOnes() != runends_.CountOnes()) {
-    std::fprintf(stderr, "rsqf: %llu occupieds vs %llu runends\n",
-                 static_cast<unsigned long long>(occupieds_.CountOnes()),
-                 static_cast<unsigned long long>(runends_.CountOnes()));
-    return false;
-  }
-  uint64_t runend_pos = 0;
-  uint64_t seen = 0;
-  for (uint64_t q = 0; q < num_quotients_; ++q) {
-    if (!occupieds_.Get(q)) continue;
-    ++seen;
-    const uint64_t e = SelectRunendAfter(0, seen);
-    if (e == kNone || e < q) {
-      std::fprintf(stderr, "rsqf: runend %llu of quotient %llu before it\n",
-                   static_cast<unsigned long long>(e),
-                   static_cast<unsigned long long>(q));
-      return false;
+bool RsqfTable::Double() {
+  const int q_bits = BitWidth(num_quotients_) - 1;
+  if (value_bits_ <= 1 || q_bits >= 38) return false;
+  const int top = value_bits_ - 1;
+  RsqfTable next(q_bits + 1, top);
+  bool ok = true;
+  // Runs arrive in quotient order and sorted, so every re-split insert
+  // appends at its new run's end — the rebuild is one linear pass.
+  ForEachValue([&](uint64_t q, uint64_t value) {
+    if (ok) {
+      ok = next.InsertValue((q << 1) | (value >> top), value & LowMask(top),
+                            /*sorted=*/true);
     }
-    runend_pos = e;
+  });
+  if (!ok) return false;
+  *this = std::move(next);
+  return true;
+}
+
+const char* RsqfTable::FindCorruption(uint64_t* used) const {
+  // Walks the occupied quotients and the runends in step — the i-th
+  // runend closes the i-th occupied quotient's run — and recomputes each
+  // block offset (the spill of earlier runs past its boundary) on the way.
+  *used = 0;
+  uint64_t last_end = kNone;  // Runend of the last quotient walked.
+  uint64_t e = 0;             // Where the next runend search resumes.
+  for (uint64_t b = 0; b < offsets_.size(); ++b) {
+    const uint64_t boundary = b * kBlockSlots;
+    const uint64_t spill =
+        last_end != kNone && last_end >= boundary ? last_end + 1 - boundary
+                                                  : 0;
+    if (offsets_[b] != spill) return "block offset disagrees with the runs";
+    const uint64_t block_end =
+        std::min(boundary + kBlockSlots, total_slots_);
+    for (uint64_t q = boundary; q < block_end; ++q) {
+      if (!occupieds_.Get(q)) continue;
+      if (q >= num_quotients_) return "occupied bit in the slack region";
+      while (e < total_slots_ && !runends_.Get(e)) ++e;
+      if (e == total_slots_) return "occupied quotient without a runend";
+      if (e < q) return "run ends before its quotient";
+      *used += e + 1 - (last_end == kNone ? q : std::max(q, last_end + 1));
+      last_end = e++;
+    }
   }
-  (void)runend_pos;
-  // Offsets must match a from-scratch recomputation.
-  std::vector<uint16_t> saved = offsets_;
-  const_cast<RsqfTable*>(this)->RecomputeOffsets(1, offsets_.size() - 1);
-  const bool match = saved == offsets_;
-  if (!match) std::fprintf(stderr, "rsqf: stale offsets\n");
-  return match;
+  while (e < total_slots_ && !runends_.Get(e)) ++e;
+  if (e < total_slots_) return "runend without an occupied quotient";
+  // InsertValue never fills the last slot: shifts stop short of it.
+  if (last_end != kNone && last_end + 1 >= total_slots_) {
+    return "runs reach the last slot";
+  }
+  return nullptr;
+}
+
+bool RsqfTable::CheckInvariants() const {
+  uint64_t used;
+  const char* error = FindCorruption(&used);
+  if (error != nullptr) std::fprintf(stderr, "rsqf: %s\n", error);
+  return error == nullptr;
 }
 
 bool RsqfTable::SaveBody(std::ostream& os) const {
@@ -203,7 +233,7 @@ bool RsqfTable::SaveBody(std::ostream& os) const {
 }
 
 bool RsqfTable::LoadBody(std::istream& is, int q_bits, int value_bits,
-                         RsqfTable* out) {
+                         uint64_t used_slots, RsqfTable* out) {
   if (q_bits < 1 || q_bits > 38 || value_bits < 1 || value_bits > 64) {
     return false;
   }
@@ -218,22 +248,26 @@ bool RsqfTable::LoadBody(std::istream& is, int q_bits, int value_bits,
       values.width() != value_bits) {
     return false;
   }
-  std::vector<uint16_t> offsets(total_slots / kBlockSlots + 1);
-  for (size_t b = 0; b < offsets.size(); ++b) {
+  RsqfTable fresh(1, 1);
+  fresh.offsets_.resize(total_slots / kBlockSlots + 1);
+  for (uint16_t& offset : fresh.offsets_) {
     uint64_t v;
     if (!ReadU64Capped(is, &v, 0xFFFF)) return false;
-    // An offset names the absolute slot b*64 + v - 1; a hostile value
-    // pointing past the table would turn later lookups into OOB reads.
-    if (v != 0 && b * kBlockSlots + v - 1 >= total_slots) return false;
-    offsets[b] = static_cast<uint16_t>(v);
+    offset = static_cast<uint16_t>(v);
   }
-  out->value_bits_ = value_bits;
-  out->num_quotients_ = num_quotients;
-  out->total_slots_ = total_slots;
-  out->occupieds_ = std::move(occupieds);
-  out->runends_ = std::move(runends);
-  out->values_ = std::move(values);
-  out->offsets_ = std::move(offsets);
+  fresh.value_bits_ = value_bits;
+  fresh.num_quotients_ = num_quotients;
+  fresh.total_slots_ = total_slots;
+  fresh.occupieds_ = std::move(occupieds);
+  fresh.runends_ = std::move(runends);
+  fresh.values_ = std::move(values);
+  // Every offset must match its recomputation, so none can point past the
+  // table, and every run must end: lookups then stay inside the planes.
+  uint64_t used;
+  if (fresh.FindCorruption(&used) != nullptr || used != used_slots) {
+    return false;
+  }
+  *out = std::move(fresh);
   return true;
 }
 
@@ -241,22 +275,15 @@ Rsqf::Rsqf(int q_bits, int r_bits, uint64_t hash_seed)
     : q_bits_(q_bits),
       r_bits_(r_bits),
       hash_seed_(hash_seed),
-      num_quotients_(uint64_t{1} << q_bits),
       table_(q_bits, r_bits) {}
 
 Rsqf Rsqf::ForCapacity(uint64_t n, double fpr) {
-  const uint64_t slots =
-      NextPow2(static_cast<uint64_t>(std::ceil(n / kMaxLoadFactor)));
-  const int q = std::max(6, BitWidth(slots - 1));
-  const double needed = -std::log2(fpr / kMaxLoadFactor);
-  const int r = std::max(1, static_cast<int>(std::ceil(needed)));
-  return Rsqf(q, r);
+  return Rsqf(QuotientBitsFor(n, kMaxLoadFactor),
+              RemainderBitsFor(fpr, kMaxLoadFactor));
 }
 
 void Rsqf::Fingerprint(HashedKey key, uint64_t* fq, uint64_t* fr) const {
-  const uint64_t h = key.Derive(hash_seed_);
-  *fq = (h >> r_bits_) & (num_quotients_ - 1);
-  *fr = h & LowMask(r_bits_);
+  SplitFingerprint(key.Derive(hash_seed_), q_bits_, r_bits_, fq, fr);
 }
 
 bool Rsqf::Contains(HashedKey key) const {
@@ -297,12 +324,11 @@ bool Rsqf::LoadPayload(std::istream& is) {
     return false;
   }
   RsqfTable table(1, 1);
-  if (!RsqfTable::LoadBody(is, q, r, &table)) return false;
+  if (!RsqfTable::LoadBody(is, q, r, n, &table)) return false;
   q_bits_ = q;
   r_bits_ = r;
   hash_seed_ = seed;
   num_keys_ = n;
-  num_quotients_ = uint64_t{1} << q;
   table_ = std::move(table);
   return true;
 }

@@ -38,7 +38,6 @@ class RsqfTable {
   uint64_t num_quotients() const { return num_quotients_; }
   uint64_t total_slots() const { return total_slots_; }
   int value_bits() const { return value_bits_; }
-  bool Occupied(uint64_t q) const { return occupieds_.Get(q); }
 
   /// Inserts `value` into the run of quotient `q`, shifting the cluster
   /// one slot right. With `sorted` the value is spliced at its ordered
@@ -79,14 +78,21 @@ class RsqfTable {
     }
   }
 
+  /// Doubling: 2^(q+1) quotients of (value_bits-1)-bit values, each
+  /// stored value's top bit moving into the quotient's low bit; the bits
+  /// below (a Memento's memento among them) ride along. Runs stay sorted.
+  /// Returns false (table unchanged) at one-bit values, at 2^38
+  /// quotients, or when the slack region runs out.
+  bool Double();
+
   /// 2 metadata bits + `value_bits` per slot, plus 16/64 bits of offset
   /// per block: the "2.125-ish" accounting of the paper.
   size_t SpaceBits() const {
     return total_slots_ * (2 + value_bits_) + offsets_.size() * 16;
   }
 
-  /// Structural self-check for the test suite: the occupieds/runends
-  /// bijection and offset freshness.
+  /// Structural self-check (the validation LoadBody runs); prints the
+  /// violation on corruption.
   bool CheckInvariants() const;
 
   /// Serializes the four structural members (occupieds, runends, values,
@@ -94,10 +100,11 @@ class RsqfTable {
   /// the layout Rsqf snapshots have always used.
   bool SaveBody(std::ostream& os) const;
   /// Parses a SaveBody stream into `*out`, validating every size against
-  /// the expected geometry before committing. `*out` is untouched on
+  /// the expected geometry and the structure against `used_slots` (the
+  /// caller's key count) before committing. `*out` is untouched on
   /// failure.
   static bool LoadBody(std::istream& is, int q_bits, int value_bits,
-                       RsqfTable* out);
+                       uint64_t used_slots, RsqfTable* out);
 
   static constexpr double kMaxLoadFactor = 0.94;
   static constexpr uint64_t kBlockSlots = 64;
@@ -112,6 +119,10 @@ class RsqfTable {
   // First slot of the run of occupied quotient q.
   uint64_t RunStart(uint64_t q) const;
   void RecomputeOffsets(uint64_t first_block, uint64_t last_block);
+  // One linear pass: nullptr when the occupieds/runends bijection, the
+  // slack region and every block offset are consistent, else the
+  // violation. `*used` receives the number of slots the runs cover.
+  const char* FindCorruption(uint64_t* used) const;
 
   int value_bits_;
   uint64_t num_quotients_;
@@ -163,7 +174,6 @@ class Rsqf : public Filter {
   int q_bits_;
   int r_bits_;
   uint64_t hash_seed_;
-  uint64_t num_quotients_;
   uint64_t num_keys_ = 0;
   RsqfTable table_;
 };

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/metrics_sink.h"
+#include "core/sizing.h"
 #include "util/bits.h"
 #include "util/hash.h"
 #include "util/serialize.h"
@@ -23,33 +24,25 @@ MementoFilter::MementoFilter(int q_bits, int r_bits, int memento_bits,
 
 MementoFilter MementoFilter::ForCapacity(uint64_t n, double fpr,
                                          int memento_bits) {
-  const uint64_t slots = NextPow2(static_cast<uint64_t>(
-      std::ceil(std::max<uint64_t>(n, 1) / kMaxLoadFactor)));
-  const int q = std::max(6, BitWidth(slots - 1));
   const double needed = std::log2(2.0 * kMaxLoadFactor / fpr);
   const int r =
       std::clamp(static_cast<int>(std::ceil(needed)), 1, 64 - memento_bits);
-  return MementoFilter(q, r, memento_bits);
+  return MementoFilter(QuotientBitsFor(n, kMaxLoadFactor), r, memento_bits);
 }
 
 MementoFilter MementoFilter::ForBitsPerKey(uint64_t n, double bits_per_key,
                                            int memento_bits) {
-  const uint64_t slots = NextPow2(static_cast<uint64_t>(
-      std::ceil(std::max<uint64_t>(n, 1) / kMaxLoadFactor)));
-  const int q = std::max(6, BitWidth(slots - 1));
   // bits/key = (2 metadata + r + m + 0.25 offset) / load; solve for r.
   const int r = std::clamp(
       static_cast<int>(std::lround(bits_per_key * kMaxLoadFactor - 2.25 -
                                    memento_bits)),
       1, 64 - memento_bits);
-  return MementoFilter(q, r, memento_bits);
+  return MementoFilter(QuotientBitsFor(n, kMaxLoadFactor), r, memento_bits);
 }
 
 void MementoFilter::Fingerprint(uint64_t prefix, uint64_t* fq,
                                 uint64_t* fr) const {
-  const uint64_t h = Hash64(prefix, hash_seed_);
-  *fq = (h >> r_bits_) & (num_quotients_ - 1);
-  *fr = h & LowMask(r_bits_);
+  SplitFingerprint(Hash64(prefix, hash_seed_), q_bits_, r_bits_, fq, fr);
 }
 
 bool MementoFilter::AddKey(uint64_t key) {
@@ -76,10 +69,6 @@ bool MementoFilter::ProbePrefix(uint64_t prefix, uint64_t m_lo,
   uint64_t fq;
   uint64_t fr;
   Fingerprint(prefix, &fq, &fr);
-  if (!table_.Occupied(fq)) {
-    if (sink_ != nullptr) sink_->OnProbeLength(0);
-    return false;
-  }
   const uint64_t lo = (fr << m_bits_) | m_lo;
   const uint64_t hi = (fr << m_bits_) | m_hi;
   bool hit = false;
@@ -114,27 +103,11 @@ bool MementoFilter::MayContainRange(uint64_t lo, uint64_t hi) const {
 }
 
 bool MementoFilter::Expand() {
-  if (r_bits_ <= 1 || q_bits_ >= 38) return false;
-  const int new_r = r_bits_ - 1;
-  RsqfTable next(q_bits_ + 1, new_r + m_bits_);
-  const uint64_t m_mask = LowMask(m_bits_);
-  bool ok = true;
-  // Old runs are sorted by (fr << m) | memento, so fingerprints arrive in
-  // ascending full-fingerprint order per quotient and every re-split
-  // insert appends at its new run's end — the rebuild is one linear pass.
-  table_.ForEachValue([&](uint64_t fq, uint64_t value) {
-    if (!ok) return;
-    const uint64_t fr = value >> m_bits_;
-    const uint64_t full = (fq << r_bits_) | fr;
-    const uint64_t nfq = full >> new_r;
-    const uint64_t nvalue =
-        ((full & LowMask(new_r)) << m_bits_) | (value & m_mask);
-    ok = next.InsertValue(nfq, nvalue, /*sorted=*/true);
-  });
-  if (!ok) return false;
-  table_ = std::move(next);
+  // The table's top payload bit is the remainder's top bit: the doubling
+  // re-splits the constant (q + r)-bit fingerprints, mementos riding along.
+  if (r_bits_ <= 1 || !table_.Double()) return false;
   ++q_bits_;
-  r_bits_ = new_r;
+  --r_bits_;
   num_quotients_ <<= 1;
   ++expansions_;
   if (sink_ != nullptr) sink_->OnExpansion();
@@ -145,19 +118,14 @@ bool MementoFilter::CheckInvariants() const {
   if (!table_.CheckInvariants()) return false;
   // Every run must be nondecreasing — the sorted-memento-list contract.
   bool sorted = true;
-  for (uint64_t q = 0; q < table_.num_quotients(); ++q) {
-    if (!table_.Occupied(q)) continue;
-    uint64_t prev = 0;
-    bool first = true;
-    table_.ScanRun(q, [&](uint64_t v) {
-      if (!first && v < prev) sorted = false;
-      prev = v;
-      first = false;
-      return sorted;
-    });
-    if (!sorted) return false;
-  }
-  return true;
+  uint64_t prev_q = RsqfTable::kNone;
+  uint64_t prev = 0;
+  table_.ForEachValue([&](uint64_t q, uint64_t v) {
+    if (q == prev_q && v < prev) sorted = false;
+    prev_q = q;
+    prev = v;
+  });
+  return sorted;
 }
 
 bool MementoFilter::Save(std::ostream& os) const {
@@ -199,7 +167,7 @@ bool MementoFilter::LoadPayload(std::istream& is) {
     return false;
   }
   RsqfTable table(1, 1);
-  if (!RsqfTable::LoadBody(is, q, r + m, &table)) return false;
+  if (!RsqfTable::LoadBody(is, q, r + m, n, &table)) return false;
   q_bits_ = q;
   r_bits_ = r;
   m_bits_ = m;

@@ -124,8 +124,8 @@ class MementoFilter : public Filter, public RangeFilter {
   /// its remainder with a memento in [m_lo, m_hi]. Reports the run-scan
   /// length through the metrics sink.
   bool ProbePrefix(uint64_t prefix, uint64_t m_lo, uint64_t m_hi) const;
-  /// The RSQF resize path: rebuilds into a (q+1, r-1) table, re-splitting
-  /// the constant (q + r)-bit fingerprints. False when r == 1.
+  /// The RSQF resize path (RsqfTable::Double): a (q+1, r-1) table
+  /// holding the same (q + r)-bit fingerprints. False when r == 1.
   bool Expand();
 
   int q_bits_;

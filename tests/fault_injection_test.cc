@@ -18,9 +18,13 @@
 #include "core/key.h"
 #include "core/sharded_filter.h"
 #include "fault_injection.h"
+#include "quotient/quotient_filter.h"
+#include "quotient/rsqf.h"
 #include "range/memento.h"
 #include "staticf/ribbon_filter.h"
 #include "staticf/xor_filter.h"
+#include "util/bit_vector.h"
+#include "util/compact_vector.h"
 #include "util/hash.h"
 #include "util/random.h"
 #include "util/serialize.h"
@@ -169,6 +173,79 @@ TEST(FaultInjection, MementoRangeLoaderRejectsCorruptSnapshots) {
   auto reloaded = lsm::LoadRangeFilterSnapshot(is);
   ASSERT_NE(reloaded, nullptr);
   for (uint64_t k : keys) ASSERT_TRUE(reloaded->MayContainRange(k, k)) << k;
+}
+
+// Well-formed frames (valid checksum, consistent geometry) around broken
+// slot metadata: the quotient engines must reject them when they load, not
+// misbehave on the first probe, and leave the filter as it was.
+std::string Frame(std::string_view tag, const std::ostringstream& payload) {
+  std::ostringstream frame;
+  EXPECT_TRUE(WriteSnapshotFrame(frame, tag, payload.str()));
+  return std::move(frame).str();
+}
+
+TEST(FaultInjection, RsqfFrameWithoutRunendsIsRejected) {
+  // Occupied quotients with no runend anywhere: a probe would select a
+  // runend that does not exist and read slot ~0.
+  constexpr int kQ = 10;
+  constexpr int kR = 8;
+  Rsqf f(kQ, kR);
+  const std::vector<uint64_t> keys = InsertSome(&f, 0xC0DE, 300);
+  const std::string before = SaveToString(f);
+
+  const uint64_t slots = (uint64_t{1} << kQ) + 2 * Rsqf::kBlockSlots;
+  BitVector occupieds(slots);
+  uint64_t occupied = 0;
+  for (uint64_t q = 0; q < (uint64_t{1} << kQ); q += 7, ++occupied) {
+    occupieds.Set(q);
+  }
+  std::ostringstream payload;
+  WriteI32(payload, kQ);
+  WriteI32(payload, kR);
+  WriteU64(payload, 0x45F);
+  WriteU64(payload, occupied);
+  occupieds.Save(payload);
+  BitVector(slots).Save(payload);  // Runends: none.
+  CompactVector(slots, kR).Save(payload);
+  for (uint64_t b = 0; b < slots / Rsqf::kBlockSlots + 1; ++b) {
+    WriteU64(payload, 0);
+  }
+  std::istringstream is(Frame("rsqf", payload));
+  ASSERT_FALSE(f.Load(is));
+  EXPECT_EQ(SaveToString(f), before);
+  for (uint64_t key : keys) ASSERT_TRUE(f.Contains(key)) << key;
+}
+
+TEST(FaultInjection, QuotientFrameWithEverySlotShiftedIsRejected) {
+  // Every slot occupied and shifted: a run-start walk never meets the
+  // unshifted slot it stops at.
+  constexpr int kQ = 8;
+  constexpr int kR = 8;
+  QuotientFilter f(kQ, kR);
+  const std::vector<uint64_t> keys = InsertSome(&f, 0xC0DF, 150);
+  const std::string before = SaveToString(f);
+
+  const uint64_t slots = uint64_t{1} << kQ;
+  BitVector all(slots);
+  for (uint64_t i = 0; i < slots; ++i) all.Set(i);
+  std::ostringstream payload;
+  WriteU64(payload, 0xBB);
+  WriteU64(payload, slots);
+  WriteI32(payload, kQ);
+  WriteI32(payload, kR);
+  WriteI32(payload, 0);  // No value plane.
+  WriteI32(payload, 0);  // No tag plane.
+  WriteU64(payload, slots);
+  all.Save(payload);              // Occupied.
+  BitVector(slots).Save(payload);  // Continuation.
+  all.Save(payload);              // Shifted.
+  BitVector().Save(payload);      // Tag.
+  CompactVector(slots, kR).Save(payload);
+  CompactVector(0, 1).Save(payload);  // Values.
+  std::istringstream is(Frame("quotient", payload));
+  ASSERT_FALSE(f.Load(is));
+  EXPECT_EQ(SaveToString(f), before);
+  for (uint64_t key : keys) ASSERT_TRUE(f.Contains(key)) << key;
 }
 
 TEST(FaultInjection, GarbageAndEmptyStreamsAreRejected) {

@@ -179,21 +179,27 @@ TEST(QuotientFilter, NeverCompletelyFills) {
   EXPECT_TRUE(f.table().CheckInvariants());
 }
 
-TEST(QuotientFilter, ForEachFingerprintEnumeratesAll) {
+TEST(QuotientFilter, DoubleTableKeepsEveryFingerprint) {
+  // Doubling moves each remainder's top bit into the quotient, so the
+  // (q + r)-bit fingerprints — and with them every Count — are unchanged.
   QuotientFilter f(8, 12);
   const auto keys = GenerateDistinctKeys(200);
-  std::unordered_multiset<uint64_t> expected;
-  for (uint64_t k : keys) {
-    ASSERT_TRUE(f.Insert(k));
-    uint64_t fq;
-    uint64_t fr;
-    f.Fingerprint(HashedKey(k), &fq, &fr);
-    expected.insert((fq << 12) | fr);
+  for (uint64_t k : keys) ASSERT_TRUE(f.Insert(k));
+  std::vector<uint64_t> probes = keys;
+  const auto negatives = GenerateNegativeKeys(keys, 20000);
+  probes.insert(probes.end(), negatives.begin(), negatives.end());
+  std::vector<uint64_t> counts;
+  for (uint64_t k : probes) counts.push_back(f.Count(k));
+  ASSERT_TRUE(f.DoubleTable());
+  EXPECT_EQ(f.q_bits(), 9);
+  EXPECT_EQ(f.r_bits(), 11);
+  EXPECT_EQ(f.NumKeys(), keys.size());
+  EXPECT_TRUE(f.table().CheckInvariants());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    ASSERT_EQ(f.Count(probes[i]), counts[i]) << i;
   }
-  std::unordered_multiset<uint64_t> seen;
-  f.ForEachFingerprint(
-      [&](uint64_t fq, uint64_t fr) { seen.insert((fq << 12) | fr); });
-  EXPECT_EQ(seen, expected);
+  QuotientFilter exhausted(6, 1);
+  EXPECT_FALSE(exhausted.DoubleTable());
 }
 
 TEST(QuotientFilter, ForCapacitySizing) {

@@ -90,6 +90,25 @@ TEST(Rsqf, DuplicateInsertsAreStored) {
   EXPECT_TRUE(f.CheckInvariants());
 }
 
+TEST(RsqfTable, LastSlotStaysFreeWhenOneRunFillsTheSlack) {
+  // 64 quotients plus 128 slack slots: the last quotient's run can grow
+  // into slots 63..190. Slot 191 must stay free — an insert behind it
+  // would probe past the table — so the 129th append is refused.
+  RsqfTable t(6, 8);
+  ASSERT_EQ(t.total_slots(), 192u);
+  for (uint64_t i = 0; i < 128; ++i) {
+    ASSERT_TRUE(t.InsertValue(63, i, /*sorted=*/false)) << i;
+  }
+  EXPECT_FALSE(t.InsertValue(63, 128, /*sorted=*/false));
+  EXPECT_TRUE(t.CheckInvariants());
+  uint64_t seen = 0;
+  t.ForEachValue([&](uint64_t q, uint64_t v) {
+    EXPECT_EQ(q, 63u);
+    EXPECT_EQ(v, seen++);
+  });
+  EXPECT_EQ(seen, 128u);
+}
+
 // --- ARF --------------------------------------------------------------------
 
 class ArfHarness {
