@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "adaptive/adaptive_quotient_filter.h"
-#include "bench_util.h"
+#include "harness.h"
 #include "cuckoo/adaptive_cuckoo_filter.h"
 #include "cuckoo/cuckoo_filter.h"
 #include "quotient/quotient_filter.h"

@@ -1,30 +1,40 @@
-// Experiment E3b (DESIGN.md §4): batched (prefetch-pipelined) vs scalar
-// probes across the filter hierarchy. Paper claim (§1.1): filter probes
-// are cache-miss-bound, and real deployments (LSM compaction, join
-// pre-filters, k-mer lookup) query keys in batches — hashing a batch up
-// front, prefetching every target cache line, then probing hides DRAM
-// latency that the traditional one-key-at-a-time loop eats per query.
+// Experiments E3 and E18 (DESIGN.md §4): throughput across the filter
+// hierarchy, one key at a time and in batches.
+//
+// E3 paper claim (§1.1): "systems developers still use Bloom filters in
+// traditional ways leaving performance on the table" — fingerprint
+// filters answer a lookup with one or two cache probes where a Bloom
+// filter takes k dependent ones, and the static filters (§2.7) buy their
+// space with a bulk build, ribbon also with slower queries. xor and
+// ribbon get build and scalar-lookup rows only: neither has a batched
+// probe.
+//
+// E18 paper claim (§1.1): filter probes are cache-miss-bound, and real
+// deployments (LSM compaction, join pre-filters, k-mer lookup) query keys
+// in batches — hashing a batch up front, prefetching every target cache
+// line, then probing hides DRAM latency that the traditional
+// one-key-at-a-time loop eats per query.
 //
 // Usage: bench_batch [--quick] [--json=PATH]
 //   --quick      only the in-cache size (1M keys); default also runs the
 //                out-of-LLC size (16M keys).
-//   --json=PATH  append machine-readable results (BENCH_batch.json).
+//   --json=PATH  write machine-readable results (BENCH_batch.json).
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "bloom/bloom_filter.h"
 #include "core/sharded_filter.h"
 #include "cuckoo/cuckoo_filter.h"
+#include "harness.h"
 #include "quotient/quotient_filter.h"
 #include "simd/dispatch.h"
+#include "staticf/ribbon_filter.h"
+#include "staticf/xor_filter.h"
 #include "workload/generators.h"
 
 using namespace bbf;
@@ -32,37 +42,24 @@ using namespace bbf::bench;
 
 namespace {
 
-struct Row {
-  std::string filter;
-  uint64_t n;
-  std::string op;      // "insert" | "lookup"
-  std::string mode;    // "scalar" | "batch" | "batch8" | "batch32" | ...
-  double mops;
-  double speedup;      // vs the scalar row of the same (filter, n, op).
-};
+constexpr uint64_t kOutOfLlc = uint64_t{1} << 24;
 
-std::vector<Row> g_rows;
-
-void Record(const std::string& filter, uint64_t n, const std::string& op,
-            const std::string& mode, double mops, double scalar_mops) {
-  const double speedup = scalar_mops > 0 ? mops / scalar_mops : 0.0;
-  g_rows.push_back({filter, n, op, mode, mops, speedup});
-  std::printf("  %-14s n=%-9llu %-7s %-8s %9.2f Mops   %5.2fx\n",
+/// Adds one row; `speedup` is the row's median over `scalar_mops`, the
+/// scalar row of the same (filter, n, op).
+void Record(Harness& h, const std::string& filter, uint64_t n,
+            const std::string& op, const std::string& mode, const Spread& mops,
+            double scalar_mops) {
+  const double speedup = scalar_mops > 0 ? mops.median / scalar_mops : 0.0;
+  h.AddRow()
+      .Text("filter", filter)
+      .Int("n", n)
+      .Text("op", op)
+      .Text("mode", mode)
+      .Cell("mops", mops)
+      .Num("speedup", speedup);
+  std::printf("  %-14s n=%-9llu %-7s %-8s %9.2f Mops [%.2f, %.2f]  %5.2fx\n",
               filter.c_str(), static_cast<unsigned long long>(n), op.c_str(),
-              mode.c_str(), mops, speedup);
-}
-
-/// Mixed positive/negative query stream: realistic for join pre-filters
-/// and LSM point reads, and exercises both the hit and miss probe paths.
-std::vector<uint64_t> MixedQueries(const std::vector<uint64_t>& keys,
-                                   const std::vector<uint64_t>& negatives) {
-  std::vector<uint64_t> q;
-  q.reserve(keys.size() + negatives.size());
-  for (size_t i = 0; i < keys.size() || i < negatives.size(); ++i) {
-    if (i < keys.size()) q.push_back(keys[i]);
-    if (i < negatives.size()) q.push_back(negatives[i]);
-  }
-  return q;
+              mode.c_str(), mops.median, mops.p10, mops.p90, speedup);
 }
 
 uint64_t ScalarLookup(const Filter& f, const std::vector<uint64_t>& queries) {
@@ -84,106 +81,99 @@ uint64_t BatchedLookup(const Filter& f, const std::vector<uint64_t>& queries,
   return hits;
 }
 
-void RunFamily(const std::string& name,
+void RunFamily(Harness& h, const std::string& name,
                const std::function<std::unique_ptr<Filter>()>& make,
                uint64_t n, const std::vector<uint64_t>& keys,
                const std::vector<uint64_t>& queries) {
-  // Insert: scalar loop vs one InsertMany over the whole key set. Like the
-  // lookups below, each mode is timed kReps times on a fresh filter and the
-  // best run kept (min-time strips co-tenant cache contention on this
-  // shared machine from both sides of the comparison equally).
-  constexpr int kReps = 3;
-  std::unique_ptr<Filter> scalar_f;
-  double t_ins_scalar = 1e30;
-  for (int rep = 0; rep < kReps; ++rep) {
-    scalar_f = make();
-    t_ins_scalar = std::min(
-        t_ins_scalar,
-        Seconds([&] { for (uint64_t k : keys) scalar_f->Insert(k); }));
+  // Insert: scalar loop vs one InsertMany over the whole key set, each
+  // rep on a fresh filter.
+  std::unique_ptr<Filter> f;
+  const Spread ins_scalar = h.Rate(
+      keys.size(), [&] { f = make(); },
+      [&] { for (uint64_t k : keys) f->Insert(k); });
+  Record(h, name, n, "insert", "scalar", ins_scalar, ins_scalar.median);
+  {
+    std::unique_ptr<Filter> batch_f;
+    Record(h, name, n, "insert", "batch",
+           h.Rate(keys.size(), [&] { batch_f = make(); },
+                  [&] { batch_f->InsertMany(keys); }),
+           ins_scalar.median);
   }
-  const double ins_scalar = Mops(keys.size(), t_ins_scalar);
-  Record(name, n, "insert", "scalar", ins_scalar, ins_scalar);
 
-  double t_ins_batch = 1e30;
-  for (int rep = 0; rep < kReps; ++rep) {
-    auto batch_f = make();
-    t_ins_batch =
-        std::min(t_ins_batch, Seconds([&] { batch_f->InsertMany(keys); }));
-  }
-  Record(name, n, "insert", "batch", Mops(keys.size(), t_ins_batch),
-         ins_scalar);
-
-  // Lookup on the scalar-built filter (identical state either way for the
-  // Bloom variants; for fingerprint filters the batch-built one differs
-  // only in kick order). Each mode is timed kLookupReps times and the best
-  // run kept.
-  constexpr int kLookupReps = kReps;
-  const Filter& f = *scalar_f;
+  // Lookups run on the scalar-built filter (identical state either way
+  // for the Bloom variants; for fingerprint filters the batch-built one
+  // differs only in kick order).
   uint64_t hits_scalar = 0;
-  double t_scalar = 1e30;
-  for (int rep = 0; rep < kLookupReps; ++rep) {
-    t_scalar = std::min(
-        t_scalar, Seconds([&] { hits_scalar = ScalarLookup(f, queries); }));
-  }
-  const double scalar_mops = Mops(queries.size(), t_scalar);
-  Record(name, n, "lookup", "scalar", scalar_mops, scalar_mops);
+  const Spread scalar =
+      h.Rate(queries.size(), [&] { hits_scalar = ScalarLookup(*f, queries); });
+  Record(h, name, n, "lookup", "scalar", scalar, scalar.median);
 
+  // The full batch, then the pipeline-depth sweep: how big must the
+  // caller's batch be?
   std::vector<uint8_t> out(queries.size());
-  uint64_t hits_batch = 0;
-  double t_batch = 1e30;
-  for (int rep = 0; rep < kLookupReps; ++rep) {
-    t_batch = std::min(t_batch, Seconds([&] {
-      hits_batch = BatchedLookup(f, queries, queries.size(), out.data());
-    }));
-  }
-  Record(name, n, "lookup", "batch", Mops(queries.size(), t_batch),
-         scalar_mops);
-  if (hits_batch != hits_scalar) {
-    std::fprintf(stderr, "FATAL: %s batch/scalar hit mismatch (%llu vs %llu)\n",
-                 name.c_str(), static_cast<unsigned long long>(hits_batch),
-                 static_cast<unsigned long long>(hits_scalar));
-    std::exit(1);
-  }
-
-  // Pipeline-depth sweep: how big must the caller's batch be?
-  for (size_t b : {size_t{8}, size_t{32}, size_t{128}}) {
+  for (size_t b : {queries.size(), size_t{8}, size_t{32}, size_t{128}}) {
+    const std::string mode =
+        b == queries.size() ? "batch" : "batch" + std::to_string(b);
     uint64_t hits = 0;
-    double t = 1e30;
-    for (int rep = 0; rep < kLookupReps; ++rep) {
-      t = std::min(t,
-                   Seconds([&] { hits = BatchedLookup(f, queries, b, out.data()); }));
+    const Spread batched = h.Rate(
+        queries.size(),
+        [&] { hits = BatchedLookup(*f, queries, b, out.data()); });
+    Record(h, name, n, "lookup", mode, batched, scalar.median);
+    h.Check(hits == hits_scalar, name + " n=" + std::to_string(n) + " " +
+                                     mode + " hits equal scalar hits");
+    // The batch path exists to be faster: a full-batch lookup slower
+    // than the scalar loop is a regression, not a tradeoff. 3% grace
+    // absorbs timer noise on a shared machine; the historical cuckoo
+    // 0.959x sits right at the line. The sweep rows are not gated:
+    // sub-batch calls are dominated by the host's call/dispatch cost, so
+    // gating them would test the machine, not the code. Quotient below
+    // its 4 MiB batching threshold runs the identical scalar loop in both
+    // modes (DESIGN §7, E18 "fallback parity"), a ratio of pure noise.
+    if (b == queries.size() && !(name == "quotient" && n < kOutOfLlc)) {
+      h.Gate(name + " n=" + std::to_string(n) + " batch/scalar lookup",
+             batched.median / scalar.median, Cmp::kAtLeast, 0.97);
     }
-    if (hits != hits_scalar) {
-      std::fprintf(stderr, "FATAL: %s batch%zu hit mismatch\n", name.c_str(),
-                   b);
-      std::exit(1);
-    }
-    Record(name, n, "lookup", "batch" + std::to_string(b),
-           Mops(queries.size(), t), scalar_mops);
   }
 }
 
-void RunSize(uint64_t n) {
+/// Static families: the bulk build, then scalar lookups.
+void RunStatic(Harness& h, const std::string& name,
+               const std::function<std::unique_ptr<Filter>()>& build,
+               uint64_t n, const std::vector<uint64_t>& keys,
+               const std::vector<uint64_t>& queries) {
+  std::unique_ptr<Filter> f;
+  const Spread built =
+      h.Rate(keys.size(), [&] { f.reset(); }, [&] { f = build(); });
+  Record(h, name, n, "build", "static", built, built.median);
+  uint64_t hits = 0;
+  const Spread scalar =
+      h.Rate(queries.size(), [&] { hits = ScalarLookup(*f, queries); });
+  Record(h, name, n, "lookup", "scalar", scalar, scalar.median);
+  h.Check(hits >= keys.size(), name + " n=" + std::to_string(n) +
+                                   " hits at least every key");
+}
+
+void RunSize(Harness& h, uint64_t n) {
   std::printf("n = %llu keys (%s)\n", static_cast<unsigned long long>(n),
-              n >= (uint64_t{1} << 24) ? "out-of-LLC" : "in-cache");
+              n >= kOutOfLlc ? "out-of-LLC" : "in-cache");
   const auto keys = GenerateDistinctKeys(n, 77);
   const auto negatives = GenerateNegativeKeys(keys, n, 78);
   const auto queries = MixedQueries(keys, negatives);
 
-  RunFamily("bloom", [n] { return std::make_unique<BloomFilter>(n, 10.0); },
+  RunFamily(h, "bloom", [n] { return std::make_unique<BloomFilter>(n, 10.0); },
             n, keys, queries);
-  RunFamily("blocked-bloom",
+  RunFamily(h, "blocked-bloom",
             [n] { return std::make_unique<BlockedBloomFilter>(n, 10.0); }, n,
             keys, queries);
-  RunFamily("cuckoo", [n] { return std::make_unique<CuckooFilter>(n, 12); },
+  RunFamily(h, "cuckoo", [n] { return std::make_unique<CuckooFilter>(n, 12); },
             n, keys, queries);
-  RunFamily("quotient",
+  RunFamily(h, "quotient",
             [n] {
               return std::make_unique<QuotientFilter>(
                   QuotientFilter::ForCapacity(n, 0.01));
             },
             n, keys, queries);
-  RunFamily("sharded",
+  RunFamily(h, "sharded",
             [n] {
               return std::make_unique<ShardedFilter>(
                   n, 16, [](uint64_t cap) -> std::unique_ptr<Filter> {
@@ -191,91 +181,22 @@ void RunSize(uint64_t n) {
                   });
             },
             n, keys, queries);
+  RunStatic(h, "xor", [&] { return std::make_unique<XorFilter>(keys, 12); },
+            n, keys, queries);
+  RunStatic(h, "ribbon",
+            [&] { return std::make_unique<RibbonFilter>(keys, 12); }, n, keys,
+            queries);
   std::printf("\n");
-}
-
-/// The batch path exists to be faster: a full-batch lookup slower than
-/// the scalar loop is a regression, not a tradeoff — for every family at
-/// every size. 3% grace absorbs timer noise on a shared machine
-/// (min-of-3 already strips most of it); a real regression (the
-/// historical cuckoo 0.959x) sits right at the line, so the gate would
-/// have caught it. The batch{8,32,128} sweep rows are informational
-/// only: sub-batch per-call overhead is dominated by the host's
-/// call/dispatch cost (on the 1-CPU CI container even the untouched
-/// classic-bloom batch8 runs ~0.5x scalar), so gating them would test
-/// the machine, not the code.
-bool CheckBatchAtLeastScalar() {
-  constexpr double kTolerance = 0.97;
-  bool ok = true;
-  for (const Row& r : g_rows) {
-    if (r.op != "lookup" || r.mode != "batch") continue;
-    // Quotient at the in-cache size sits below its 4 MiB batching
-    // threshold, so both modes run the identical scalar loop (DESIGN §7,
-    // E18 "fallback parity") — a ratio of pure timer noise that cannot
-    // regress and should not gate.
-    if (r.filter == "quotient" && r.n < (uint64_t{1} << 24)) continue;
-    if (r.speedup < kTolerance) {
-      std::fprintf(stderr,
-                   "REGRESSION: %s n=%llu lookup %s is %.3fx scalar "
-                   "(< %.2f)\n",
-                   r.filter.c_str(), static_cast<unsigned long long>(r.n),
-                   r.mode.c_str(), r.speedup, kTolerance);
-      ok = false;
-    }
-  }
-  if (ok) {
-    std::printf(
-        "full-batch lookup >= scalar for every family at every size "
-        "(tolerance %.2f)\n",
-        kTolerance);
-  }
-  return ok;
-}
-
-void WriteJson(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"batch\",\n  \"kernel\": \"%.*s\",\n  \"results\": [\n",
-               static_cast<int>(simd::ActiveIsaName().size()),
-               simd::ActiveIsaName().data());
-  for (size_t i = 0; i < g_rows.size(); ++i) {
-    const Row& r = g_rows[i];
-    std::fprintf(f,
-                 "    {\"filter\": \"%s\", \"n\": %llu, \"op\": \"%s\", "
-                 "\"mode\": \"%s\", \"mops\": %.3f, \"speedup\": %.3f}%s\n",
-                 r.filter.c_str(), static_cast<unsigned long long>(r.n),
-                 r.op.c_str(), r.mode.c_str(), r.mops, r.speedup,
-                 i + 1 < g_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json=PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+  Harness h("batch", /*reps=*/5, argc, argv);
   std::printf("active kernel: %.*s\n\n",
               static_cast<int>(simd::ActiveIsaName().size()),
               simd::ActiveIsaName().data());
-  RunSize(uint64_t{1} << 20);
-  if (!quick) RunSize(uint64_t{1} << 24);
-  const bool ok = CheckBatchAtLeastScalar();
-  if (!json_path.empty()) WriteJson(json_path);
-  return ok ? 0 : 1;
+  RunSize(h, uint64_t{1} << 20);
+  if (!h.quick()) RunSize(h, kOutOfLlc);
+  return h.Finish();
 }

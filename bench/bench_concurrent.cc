@@ -1,26 +1,36 @@
-// Experiment E20 (DESIGN.md §4): the serving layer under thread scaling —
-// ShardedFilter (cuckoo inner, chain policy) driven by 1/2/4/8 worker
-// threads in scalar and batch mode, for both inserts and lookups. Where
-// E16 (bench_concurrency) compares sharding against a global lock on a
-// mixed workload, this experiment measures the serving layer's pure
-// insert and lookup rates per mode, so the batch-vs-scalar gap and the
-// thread-scaling curve land in one table.
+// Experiments E16 and E20 (DESIGN.md §4): the serving layer under thread
+// scaling — a ShardedFilter (16 cuckoo shards, chain policy) driven by
+// 1/2/4/8 worker threads.
+//
+// E20 measures pure insert and lookup rates, scalar and in 128-key
+// batches, so the batch-vs-scalar gap and the thread-scaling curve land
+// in one table. Every insert and lookup cell must find every key.
+//
+// E16 checks the paper's claim (§1, feature 6) that modern filters
+// "scale with the number of threads (i.e., achieve high concurrency)":
+// each thread runs 400k operations of a mixed stream, 80% lookups and 20%
+// inserts of keys drawn at random, against a 32-shard filter and against
+// a baseline of one cuckoo filter behind one global lock, both sized for
+// 4x the key count.
 //
 // Usage: bench_concurrent [--quick] [--json=PATH]
 //   --quick      256k keys instead of 1M (CI smoke run).
 //   --json=PATH  write machine-readable results (BENCH_concurrent.json).
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "bench_util.h"
 #include "core/sharded_filter.h"
 #include "cuckoo/cuckoo_filter.h"
+#include "harness.h"
+#include "util/random.h"
 #include "workload/generators.h"
 
 using namespace bbf;
@@ -29,182 +39,177 @@ using namespace bbf::bench;
 namespace {
 
 constexpr size_t kBatch = 128;  // Sub-batch for the pipelined modes.
+constexpr int kThreads[] = {1, 2, 4, 8};
+constexpr size_t kMixedOpsPerThread = 400'000;
 
-struct Row {
-  int threads;
-  uint64_t n;
-  std::string op;    // "insert" | "lookup"
-  std::string mode;  // "scalar" | "batch"
-  double mops;
-  double speedup;  // vs the 1-thread scalar row of the same op.
-};
-
-std::vector<Row> g_rows;
-
-void Record(int threads, uint64_t n, const std::string& op,
-            const std::string& mode, double mops, double base_mops) {
-  const double speedup = base_mops > 0 ? mops / base_mops : 0.0;
-  g_rows.push_back({threads, n, op, mode, mops, speedup});
-  std::printf("  threads=%d n=%-9llu %-7s %-7s %9.2f Mops   %5.2fx\n",
-              threads, static_cast<unsigned long long>(n), op.c_str(),
-              mode.c_str(), mops, speedup);
-}
-
-std::unique_ptr<ShardedFilter> MakeFilter(uint64_t n) {
-  // 16 shards: enough lock striping for 8 threads; chain policy keeps the
-  // bench honest if a shard saturates early.
+/// The chain policy keeps the bench honest if a shard saturates early.
+std::unique_ptr<Filter> MakeSharded(uint64_t capacity, int shards) {
   return std::make_unique<ShardedFilter>(
-      n, 16, [](uint64_t cap) -> std::unique_ptr<Filter> {
+      capacity, shards, [](uint64_t cap) -> std::unique_ptr<Filter> {
         return std::make_unique<CuckooFilter>(cap, 12);
       });
 }
 
-// Splits `keys` into `threads` contiguous chunks and times all threads
-// completing `fn(chunk, tid)`.
+/// E16's baseline: one lock around the whole filter.
+class GlobalLockFilter : public Filter {
+ public:
+  explicit GlobalLockFilter(uint64_t capacity) : inner_(capacity, 12) {}
+
+  using Filter::Contains;
+  using Filter::Erase;
+  using Filter::Insert;
+
+  bool Insert(HashedKey key) override {
+    std::lock_guard lock(mutex_);
+    return inner_.Insert(key);
+  }
+  bool Contains(HashedKey key) const override {
+    std::lock_guard lock(mutex_);
+    return inner_.Contains(key);
+  }
+  bool Erase(HashedKey key) override {
+    std::lock_guard lock(mutex_);
+    return inner_.Erase(key);
+  }
+  size_t SpaceBits() const override { return inner_.SpaceBits(); }
+  uint64_t NumKeys() const override { return inner_.NumKeys(); }
+  FilterClass Class() const override { return FilterClass::kDynamic; }
+  std::string_view Name() const override { return "global-lock"; }
+
+ private:
+  mutable std::mutex mutex_;
+  CuckooFilter inner_;
+};
+
+/// Splits [0, total) into `threads` contiguous chunks and runs
+/// `fn(begin, end, thread)` for each on its own thread.
 template <typename Fn>
-double DriveChunks(const std::vector<uint64_t>& keys, int threads, Fn fn) {
-  return Seconds([&] {
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    const size_t per = keys.size() / threads;
-    for (int t = 0; t < threads; ++t) {
-      const size_t begin = t * per;
-      const size_t end = t + 1 == threads ? keys.size() : begin + per;
-      workers.emplace_back(
-          [&fn, &keys, begin, end, t] { fn(&keys[begin], end - begin, t); });
-    }
-    for (auto& w : workers) w.join();
-  });
+void Drive(size_t total, int threads, const Fn& fn) {
+  std::vector<std::thread> workers;
+  const size_t per = total / threads;
+  for (int t = 0; t < threads; ++t) {
+    const size_t begin = t * per;
+    const size_t end = t + 1 == threads ? total : begin + per;
+    workers.emplace_back([&fn, begin, end, t] { fn(begin, end, t); });
+  }
+  for (auto& w : workers) w.join();
 }
 
-void RunThreads(uint64_t n, int threads, const std::vector<uint64_t>& keys,
-                const std::vector<uint64_t>& queries, double base[2]) {
-  constexpr int kReps = 3;
-
-  // Insert, scalar: every thread loops Insert over its chunk.
-  double t_ins_scalar = 1e30;
-  std::unique_ptr<ShardedFilter> built;
-  for (int rep = 0; rep < kReps; ++rep) {
-    built = MakeFilter(n);
-    ShardedFilter& f = *built;
-    t_ins_scalar = std::min(
-        t_ins_scalar,
-        DriveChunks(keys, threads,
-                    [&f](const uint64_t* chunk, size_t len, int) {
-                      for (size_t i = 0; i < len; ++i) f.Insert(chunk[i]);
-                    }));
-  }
-  const double ins_scalar = Mops(keys.size(), t_ins_scalar);
-  if (threads == 1) base[0] = ins_scalar;
-  Record(threads, n, "insert", "scalar", ins_scalar, base[0]);
-
-  // Insert, batch: InsertMany over kBatch-key sub-batches (one shard-lock
-  // acquisition per shard per sub-batch instead of per key).
-  double t_ins_batch = 1e30;
-  for (int rep = 0; rep < kReps; ++rep) {
-    auto f = MakeFilter(n);
-    t_ins_batch = std::min(
-        t_ins_batch,
-        DriveChunks(keys, threads,
-                    [&f](const uint64_t* chunk, size_t len, int) {
-                      for (size_t base_i = 0; base_i < len; base_i += kBatch) {
-                        const size_t m = std::min(kBatch, len - base_i);
-                        f->InsertMany({chunk + base_i, m});
-                      }
-                    }));
-  }
-  Record(threads, n, "insert", "batch", Mops(keys.size(), t_ins_batch),
-         base[0]);
-
-  // Lookups run against the scalar-built filter.
-  const ShardedFilter& f = *built;
-  double t_lk_scalar = 1e30;
-  for (int rep = 0; rep < kReps; ++rep) {
-    t_lk_scalar = std::min(
-        t_lk_scalar,
-        DriveChunks(queries, threads,
-                    [&f](const uint64_t* chunk, size_t len, int) {
-                      uint64_t hits = 0;
-                      for (size_t i = 0; i < len; ++i) {
-                        hits += f.Contains(chunk[i]);
-                      }
-                      if (hits == ~uint64_t{0}) std::printf("!");
-                    }));
-  }
-  const double lk_scalar = Mops(queries.size(), t_lk_scalar);
-  if (threads == 1) base[1] = lk_scalar;
-  Record(threads, n, "lookup", "scalar", lk_scalar, base[1]);
-
-  double t_lk_batch = 1e30;
-  for (int rep = 0; rep < kReps; ++rep) {
-    t_lk_batch = std::min(
-        t_lk_batch,
-        DriveChunks(queries, threads,
-                    [&f](const uint64_t* chunk, size_t len, int) {
-                      std::vector<uint8_t> out(kBatch);
-                      for (size_t base_i = 0; base_i < len; base_i += kBatch) {
-                        const size_t m = std::min(kBatch, len - base_i);
-                        f.ContainsMany({chunk + base_i, m}, out.data());
-                      }
-                    }));
-  }
-  Record(threads, n, "lookup", "batch", Mops(queries.size(), t_lk_batch),
-         base[1]);
-}
-
-void WriteJson(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"concurrent\",\n  \"results\": [\n");
-  for (size_t i = 0; i < g_rows.size(); ++i) {
-    const Row& r = g_rows[i];
-    std::fprintf(
-        f,
-        "    {\"filter\": \"sharded-cuckoo\", \"threads\": %d, \"n\": %llu, "
-        "\"op\": \"%s\", \"mode\": \"%s\", \"mops\": %.3f, "
-        "\"speedup\": %.3f}%s\n",
-        r.threads, static_cast<unsigned long long>(r.n), r.op.c_str(),
-        r.mode.c_str(), r.mops, r.speedup,
-        i + 1 < g_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
+bool FindsEveryKey(const Filter& f, const std::vector<uint64_t>& keys) {
+  return std::all_of(keys.begin(), keys.end(),
+                     [&f](uint64_t k) { return f.Contains(k); });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json=PATH]\n", argv[0]);
-      return 2;
+  Harness h("concurrent", /*reps=*/5, argc, argv);
+  const uint64_t n = h.quick() ? (uint64_t{1} << 18) : (uint64_t{1} << 20);
+  std::printf("sharded(cuckoo) n = %llu keys, %u hardware threads\n",
+              static_cast<unsigned long long>(n),
+              std::thread::hardware_concurrency());
+  const auto keys = GenerateDistinctKeys(n, 79);
+  const auto queries = MixedQueries(keys, GenerateNegativeKeys(keys, n, 80));
+
+  // Speedups are vs the 1-thread scalar row of the same filter and op,
+  // which each op runs first.
+  double base = 0;
+  const auto record = [&](const char* filter, int threads, const char* op,
+                          const std::string& mode, const Spread& mops) {
+    if (threads == 1 && mode == "scalar") base = mops.median;
+    const double speedup = base > 0 ? mops.median / base : 0.0;
+    h.AddRow()
+        .Text("filter", filter)
+        .Int("threads", threads)
+        .Int("n", n)
+        .Text("op", op)
+        .Text("mode", mode)
+        .Cell("mops", mops)
+        .Num("speedup", speedup);
+    std::printf("  %-18s threads=%d %-7s %-7s %9.2f Mops [%.2f, %.2f]  "
+                "%5.2fx\n",
+                filter, threads, op, mode.c_str(), mops.median, mops.p10,
+                mops.p90, speedup);
+  };
+
+  // E20 inserts: every thread loops Insert over its chunk, or calls
+  // InsertMany per kBatch keys (one shard-lock acquisition per shard per
+  // sub-batch instead of per key). Each rep fills a fresh filter of 16
+  // shards, enough lock striping for 8 threads.
+  std::unique_ptr<Filter> f;
+  for (const bool batch : {false, true}) {
+    const std::string mode = batch ? "batch" : "scalar";
+    for (int threads : kThreads) {
+      record("sharded-cuckoo", threads, "insert", mode,
+             h.Rate(n, [&] { f = MakeSharded(n, 16); }, [&] {
+               Drive(n, threads, [&](size_t b, size_t e, int) {
+                 for (; b < e; b += batch ? kBatch : 1) {
+                   if (batch) {
+                     f->InsertMany({keys.data() + b, std::min(kBatch, e - b)});
+                   } else {
+                     f->Insert(keys[b]);
+                   }
+                 }
+               });
+             }));
+      h.Check(FindsEveryKey(*f, keys),
+              "insert " + mode + " threads=" + std::to_string(threads) +
+                  " keeps every key");
     }
   }
-  const uint64_t n = quick ? (uint64_t{1} << 18) : (uint64_t{1} << 20);
-  std::printf("sharded(cuckoo) n = %llu keys, 16 shards\n",
-              static_cast<unsigned long long>(n));
-  const auto keys = GenerateDistinctKeys(n, 79);
-  const auto negatives = GenerateNegativeKeys(keys, n, 80);
-  std::vector<uint64_t> queries;
-  queries.reserve(2 * n);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    queries.push_back(keys[i]);
-    queries.push_back(negatives[i]);
+
+  // E20 lookups, on the last filter built above. Positives sit at the
+  // even indices of the query stream; every one must be found.
+  std::vector<uint8_t> answers(queries.size());
+  for (const bool batch : {false, true}) {
+    const std::string mode = batch ? "batch" : "scalar";
+    for (int threads : kThreads) {
+      std::fill(answers.begin(), answers.end(), 0);
+      record("sharded-cuckoo", threads, "lookup", mode,
+             h.Rate(queries.size(), [&] {
+               Drive(queries.size(), threads, [&](size_t b, size_t e, int) {
+                 for (; b < e; b += batch ? kBatch : 1) {
+                   if (batch) {
+                     f->ContainsMany(
+                         {queries.data() + b, std::min(kBatch, e - b)},
+                         answers.data() + b);
+                   } else {
+                     answers[b] = f->Contains(queries[b]);
+                   }
+                 }
+               });
+             }));
+      bool found = true;
+      for (size_t i = 0; i < answers.size(); i += 2) found &= answers[i] != 0;
+      h.Check(found, "lookup " + mode + " threads=" + std::to_string(threads) +
+                         " finds every inserted key");
+    }
   }
-  double base[2] = {0.0, 0.0};
-  for (int threads : {1, 2, 4, 8}) {
-    RunThreads(n, threads, keys, queries, base);
+
+  // E16: the mixed stream. The work grows with the thread count; each rep
+  // starts from an empty filter.
+  const std::pair<const char*, std::function<std::unique_ptr<Filter>()>>
+      mixed[] = {{"sharded32-cuckoo", [n] { return MakeSharded(4 * n, 32); }},
+                 {"global-lock-cuckoo",
+                  [n] { return std::make_unique<GlobalLockFilter>(4 * n); }}};
+  for (const auto& [name, make] : mixed) {
+    for (int threads : kThreads) {
+      const size_t ops = threads * kMixedOpsPerThread;
+      record(name, threads, "mixed", "scalar",
+             h.Rate(ops, [&, &make = make] { f = make(); }, [&] {
+               Drive(ops, threads, [&](size_t b, size_t e, int t) {
+                 SplitMix64 rng(1000 + t);
+                 for (; b < e; ++b) {
+                   const uint64_t key = keys[rng.NextBelow(keys.size())];
+                   if (rng.NextDouble() < 0.2) {
+                     f->Insert(key);
+                   } else {
+                     (void)f->Contains(key);
+                   }
+                 }
+               });
+             }));
+    }
   }
-  if (!json_path.empty()) WriteJson(json_path);
-  return 0;
+  return h.Finish();
 }

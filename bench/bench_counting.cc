@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <unordered_map>
 
-#include "bench_util.h"
+#include "harness.h"
 #include "bloom/counting_bloom.h"
 #include "bloom/dleft_filter.h"
 #include "quotient/quotient_filter.h"

@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "bench_util.h"
+#include "harness.h"
 #include "bloom/scalable_bloom.h"
 #include "expandable/chained_filter.h"
 #include "expandable/ring_filter.h"

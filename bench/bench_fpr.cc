@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "bench_util.h"
+#include "harness.h"
 #include "bloom/bloom_filter.h"
 #include "cuckoo/cuckoo_filter.h"
 #include "quotient/quotient_filter.h"

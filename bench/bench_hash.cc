@@ -17,14 +17,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
+#include "harness.h"
 #include "bloom/bloom_filter.h"
 #include "core/key.h"
 #include "core/sharded_filter.h"
@@ -37,67 +35,57 @@ using namespace bbf::bench;
 
 namespace {
 
-constexpr int kReps = 3;
 constexpr size_t kShards = 16;
 
-struct Row {
-  std::string section;  // "primitive" | "sharded-lookup"
-  std::string name;
-  uint64_t n;
-  double mops;
-  double speedup;  // vs the section's baseline row at the same n.
-};
-
-std::vector<Row> g_rows;
-
-void Record(const std::string& section, const std::string& name, uint64_t n,
-            double mops, double baseline_mops) {
-  const double speedup = baseline_mops > 0 ? mops / baseline_mops : 0.0;
-  g_rows.push_back({section, name, n, mops, speedup});
-  std::printf("  %-14s %-22s n=%-9llu %9.2f Mops   %5.2fx\n", section.c_str(),
-              name.c_str(), static_cast<unsigned long long>(n), mops, speedup);
-}
-
-/// Best-of-kReps wall time of `fn` (min strips co-tenant noise).
-template <typename Fn>
-double BestSeconds(Fn&& fn) {
-  double t = 1e30;
-  for (int rep = 0; rep < kReps; ++rep) t = std::min(t, Seconds(fn));
-  return t;
+/// Adds one row; `speedup` is its median over `baseline_mops`, the
+/// section's baseline row at the same n.
+void Record(Harness& h, const std::string& section, const std::string& name,
+            uint64_t n, const Spread& mops, double baseline_mops) {
+  const double speedup =
+      baseline_mops > 0 ? mops.median / baseline_mops : 0.0;
+  h.AddRow()
+      .Text("section", section)
+      .Text("mode", name)
+      .Int("n", n)
+      .Cell("mops", mops)
+      .Num("speedup", speedup);
+  std::printf("  %-14s %-22s n=%-9llu %9.2f Mops [%.2f, %.2f]  %5.2fx\n",
+              section.c_str(), name.c_str(),
+              static_cast<unsigned long long>(n), mops.median, mops.p10,
+              mops.p90, speedup);
 }
 
 // ---- Part A: per-key hashing primitives. The accumulator is consumed
 // after timing so the hash loops cannot be dead-code-eliminated.
 
-void RunPrimitives(const std::vector<uint64_t>& keys) {
+void RunPrimitives(Harness& h, const std::vector<uint64_t>& keys) {
   const uint64_t n = keys.size();
   uint64_t acc = 0;
 
   // Legacy pipeline: one seeded routing hash (the old ShardedFilter's
   // Hash64(key, 0x5A4D)) plus the family's own full re-mix of the raw
   // key — two finalizer-strength mixes per op.
-  const double t_legacy = BestSeconds([&] {
+  const Spread legacy_mops = h.Rate(n, [&] {
     for (uint64_t k : keys) acc ^= Hash64(k, 0x5A4D) ^ Mix64(k);
   });
-  const double legacy_mops = Mops(n, t_legacy);
-  Record("primitive", "legacy-route+rehash", n, legacy_mops, legacy_mops);
+  Record(h, "primitive", "legacy-route+rehash", n, legacy_mops,
+         legacy_mops.median);
 
   // Hash-once boundary: the single canonical mix every layer shares.
-  const double t_mix = BestSeconds([&] {
-    for (uint64_t k : keys) acc ^= HashedKey(k).value();
-  });
-  Record("primitive", "hash-once-boundary", n, Mops(n, t_mix), legacy_mops);
+  Record(h, "primitive", "hash-once-boundary", n, h.Rate(n, [&] {
+           for (uint64_t k : keys) acc ^= HashedKey(k).value();
+         }),
+         legacy_mops.median);
 
   // Boundary mix plus a Kirsch–Mitzenmacher h1/h2 stream pair — the full
   // per-key hashing a Bloom probe needs under the new pipeline.
-  const double t_derive = BestSeconds([&] {
-    for (uint64_t k : keys) {
-      const HashedKey hk(k);
-      acc ^= hk.Derive(0) ^ hk.Derive(1);
-    }
-  });
-  Record("primitive", "hash-once+derive-pair", n, Mops(n, t_derive),
-         legacy_mops);
+  Record(h, "primitive", "hash-once+derive-pair", n, h.Rate(n, [&] {
+           for (uint64_t k : keys) {
+             const HashedKey hk(k);
+             acc ^= hk.Derive(0) ^ hk.Derive(1);
+           }
+         }),
+         legacy_mops.median);
 
   // String boundary: 16-byte keys hashed once at entry.
   std::vector<std::string> strs;
@@ -108,28 +96,17 @@ void RunPrimitives(const std::vector<uint64_t>& keys) {
                   static_cast<unsigned long long>(k));
     strs.emplace_back(buf, 16);
   }
-  const double t_str = BestSeconds([&] {
-    for (const std::string& s : strs) {
-      acc ^= HashedKey(std::string_view(s)).value();
-    }
-  });
-  Record("primitive", "string-boundary-16B", n, Mops(n, t_str), legacy_mops);
+  Record(h, "primitive", "string-boundary-16B", n, h.Rate(n, [&] {
+           for (const std::string& s : strs) {
+             acc ^= HashedKey(std::string_view(s)).value();
+           }
+         }),
+         legacy_mops.median);
 
   if (acc == 42) std::printf("# unlikely\n");  // Consume the accumulator.
 }
 
 // ---- Part B: end-to-end sharded lookups.
-
-std::vector<uint64_t> MixedQueries(const std::vector<uint64_t>& keys,
-                                   const std::vector<uint64_t>& negatives) {
-  std::vector<uint64_t> q;
-  q.reserve(keys.size() + negatives.size());
-  for (size_t i = 0; i < keys.size() || i < negatives.size(); ++i) {
-    if (i < keys.size()) q.push_back(keys[i]);
-    if (i < negatives.size()) q.push_back(negatives[i]);
-  }
-  return q;
-}
 
 using ShardFactory = std::function<std::unique_ptr<Filter>(uint64_t)>;
 
@@ -199,8 +176,9 @@ struct BatchScratch {
   }
 };
 
-void RunShardedFamily(const std::string& family, const ShardFactory& make,
-                      uint64_t n, const std::vector<uint64_t>& keys,
+void RunShardedFamily(Harness& h, const std::string& family,
+                      const ShardFactory& make, uint64_t n,
+                      const std::vector<uint64_t>& keys,
                       const std::vector<uint64_t>& queries) {
   // Two filter states: one populated through legacy routing, one through
   // hash-once routing, so each pipeline queries the placement it built.
@@ -214,61 +192,59 @@ void RunShardedFamily(const std::string& family, const ShardFactory& make,
     current.shards[hk.value() % kShards]->Insert(hk);
   }
 
+  const uint64_t q = queries.size();
   uint64_t hits_legacy = 0;
-  const double t_legacy = BestSeconds([&] {
+  const Spread legacy_mops = h.Rate(q, [&] {
     hits_legacy = 0;
     for (uint64_t k : queries) hits_legacy += legacy.LegacyContains(k);
   });
-  const double legacy_mops = Mops(queries.size(), t_legacy);
-  Record(family, "legacy-double-hash", n, legacy_mops, legacy_mops);
+  Record(h, family, "legacy-double-hash", n, legacy_mops, legacy_mops.median);
 
   uint64_t hits_scalar = 0;
-  const double t_scalar = BestSeconds([&] {
-    hits_scalar = 0;
-    for (uint64_t k : queries) hits_scalar += current.Contains(HashedKey(k));
-  });
-  Record(family, "hash-once-scalar", n, Mops(queries.size(), t_scalar),
-         legacy_mops);
+  Record(h, family, "hash-once-scalar", n, h.Rate(q, [&] {
+           hits_scalar = 0;
+           for (uint64_t k : queries) {
+             hits_scalar += current.Contains(HashedKey(k));
+           }
+         }),
+         legacy_mops.median);
 
-  std::vector<uint8_t> out(queries.size());
+  std::vector<uint8_t> out(q);
   BatchScratch scratch;
   uint64_t hits_batch = 0;
-  const double t_batch128 = BestSeconds(
-      [&] { hits_batch = scratch.Lookup(current, queries, 128, out.data()); });
-  Record(family, "hash-once-batch128", n, Mops(queries.size(), t_batch128),
-         legacy_mops);
-  const double t_batchfull = BestSeconds([&] {
-    hits_batch = scratch.Lookup(current, queries, queries.size(), out.data());
-  });
-  Record(family, "hash-once-batchfull", n, Mops(queries.size(), t_batchfull),
-         legacy_mops);
+  for (size_t batch : {size_t{128}, q}) {
+    Record(h, family,
+           batch == q ? "hash-once-batchfull" : "hash-once-batch128", n,
+           h.Rate(q, [&] {
+             hits_batch = scratch.Lookup(current, queries, batch, out.data());
+           }),
+           legacy_mops.median);
+    h.Check(hits_batch == hits_scalar,
+            family + " batched hits equal scalar hits");
+  }
 
   // Routing differs between the two pipelines, so shard membership (and
   // hence which negatives false-positive) differs — but no pipeline may
   // lose a key: every positive query must hit in every mode, and the
-  // batched path must agree with the scalar path bit for bit.
-  if (hits_legacy < keys.size() || hits_scalar < keys.size() ||
-      hits_batch != hits_scalar) {
-    std::fprintf(stderr, "FATAL: %s hit-count invariant broken\n",
-                 family.c_str());
-    std::exit(1);
-  }
+  // batched path must agree with the scalar path bit for bit (above).
+  h.Check(hits_legacy >= keys.size() && hits_scalar >= keys.size(),
+          family + " every positive hits in every mode");
 }
 
-void RunSize(uint64_t n) {
+void RunSize(Harness& h, uint64_t n) {
   std::printf("n = %llu keys (%s)\n", static_cast<unsigned long long>(n),
               n >= (uint64_t{1} << 23) ? "out-of-LLC" : "in-cache");
   const auto keys = GenerateDistinctKeys(n, 91);
   const auto negatives = GenerateNegativeKeys(keys, n, 92);
   const auto queries = MixedQueries(keys, negatives);
 
-  RunPrimitives(keys);
-  RunShardedFamily("sharded-blbloom",
+  RunPrimitives(h, keys);
+  RunShardedFamily(h, "sharded-blbloom",
                    [](uint64_t cap) -> std::unique_ptr<Filter> {
                      return std::make_unique<BlockedBloomFilter>(cap, 10.0);
                    },
                    n, keys, queries);
-  RunShardedFamily("sharded-cuckoo",
+  RunShardedFamily(h, "sharded-cuckoo",
                    [](uint64_t cap) -> std::unique_ptr<Filter> {
                      return std::make_unique<CuckooFilter>(cap, 12);
                    },
@@ -276,44 +252,11 @@ void RunSize(uint64_t n) {
   std::printf("\n");
 }
 
-void WriteJson(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"hash\",\n  \"results\": [\n");
-  for (size_t i = 0; i < g_rows.size(); ++i) {
-    const Row& r = g_rows[i];
-    std::fprintf(f,
-                 "    {\"section\": \"%s\", \"mode\": \"%s\", \"n\": %llu, "
-                 "\"mops\": %.3f, \"speedup\": %.3f}%s\n",
-                 r.section.c_str(), r.name.c_str(),
-                 static_cast<unsigned long long>(r.n), r.mops, r.speedup,
-                 i + 1 < g_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json=PATH]\n", argv[0]);
-      return 2;
-    }
-  }
-  RunSize(uint64_t{1} << 20);
-  if (!quick) RunSize(uint64_t{1} << 23);
-  if (!json_path.empty()) WriteJson(json_path);
-  return 0;
+  Harness h("hash", /*reps=*/5, argc, argv);
+  RunSize(h, uint64_t{1} << 20);
+  if (!h.quick()) RunSize(h, uint64_t{1} << 23);
+  return h.Finish();
 }

@@ -13,44 +13,27 @@
 //   --json=PATH  machine-readable results (BENCH_lsm.json).
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/lsm/lsm_tree.h"
-#include "bench_util.h"
+#include "harness.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
 using namespace bbf::lsm;
+using bbf::bench::Harness;
 using bbf::bench::Mops;
 using bbf::bench::Seconds;
 
 namespace {
 
-struct Row {
-  std::string config;
-  double neg_ios;    // Simulated data reads per negative point lookup.
-  double pos_ios;    // ... per positive point lookup.
-  double scan_ios;   // ... per (mostly empty) short range scan.
-  double fpr;        // Measured point-lookup FPR across the whole tree.
-  double neg_mops;   // Wall-clock negative-lookup throughput.
-  double filter_mib;
-  double w_amp;
-};
-
-struct LifecycleRow {
-  std::string mode;  // "recovery" | "rebuild"
-  uint64_t keys;
-  double seconds;
-};
-
-std::vector<Row> g_rows;
-std::vector<LifecycleRow> g_lifecycle;
-
-void RunConfig(const char* name, const LsmOptions& options,
+/// One E9 row. I/O columns are simulated data reads per negative point
+/// lookup, per positive one and per (mostly empty) short range scan; fpr
+/// is the measured point-lookup FPR across the whole tree.
+void RunConfig(Harness& h, const char* name, const LsmOptions& options,
                const std::vector<uint64_t>& keys,
                const std::vector<uint64_t>& negatives) {
   LsmTree db(options);
@@ -68,11 +51,8 @@ void RunConfig(const char* name, const LsmOptions& options,
   const double fpr = static_cast<double>(db.io().false_probes +
                                          db.io().quarantined_reads) /
                      negatives.size();
-  if (hits != 0) {
-    std::fprintf(stderr, "FATAL: %s returned values for negative keys\n",
-                 name);
-    std::exit(1);
-  }
+  h.Check(hits == 0,
+          std::string(name) + " returns no value for a negative key");
 
   db.ResetIo();
   for (size_t i = 0; i < 10000; ++i) db.Get(keys[i * 37 % keys.size()]);
@@ -87,24 +67,28 @@ void RunConfig(const char* name, const LsmOptions& options,
   }
   const double scan_ios = static_cast<double>(db.io().data_reads) / kScans;
 
-  const Row row{name,
-                neg_ios,
-                pos_ios,
-                scan_ios,
-                fpr,
-                Mops(negatives.size(), t_neg),
-                db.TotalFilterBits() / 8.0 / (1 << 20),
-                db.WriteAmplification()};
-  g_rows.push_back(row);
+  const double neg_mops = Mops(negatives.size(), t_neg);
+  const double filter_mib = db.TotalFilterBits() / 8.0 / (1 << 20);
+  const double w_amp = db.WriteAmplification();
+  h.AddRow()
+      .Text("section", "e9")
+      .Text("config", name)
+      .Num("neg_ios", neg_ios)
+      .Num("pos_ios", pos_ios)
+      .Num("scan_ios", scan_ios)
+      .Num("fpr", fpr)
+      .Num("neg_mops", neg_mops)
+      .Num("filter_mib", filter_mib)
+      .Num("write_amp", w_amp);
   std::printf("%-26s | %8.4f | %8.4f | %8.4f | %8.5f | %8.2f | %9.2f | %6.1f\n",
-              name, row.neg_ios, row.pos_ios, row.scan_ios, row.fpr,
-              row.neg_mops, row.filter_mib, row.w_amp);
+              name, neg_ios, pos_ios, scan_ios, fpr, neg_mops, filter_mib,
+              w_amp);
 }
 
 /// E24: persist a tree under mixed insert/flush/compact load, then time
 /// LsmTree::Open (manifest + filter snapshots) against rebuilding the
 /// same tree by re-ingesting every key (every filter reconstructed).
-void RunLifecycle(const std::vector<uint64_t>& keys) {
+void RunLifecycle(Harness& h, const std::vector<uint64_t>& keys) {
   std::printf("\n== E24: recovery from manifest vs rebuild from keys ==\n\n");
   const std::string dir =
       (std::filesystem::temp_directory_path() / "bbf_bench_lsm").string();
@@ -118,10 +102,7 @@ void RunLifecycle(const std::vector<uint64_t>& keys) {
   o.dir = dir;
   {
     auto db = LsmTree::Open(o);
-    if (db == nullptr) {
-      std::fprintf(stderr, "FATAL: cannot create %s\n", dir.c_str());
-      std::exit(1);
-    }
+    if (!h.Check(db != nullptr, "create a tree in " + dir)) return;
     const double t_ingest = Seconds([&] {
       for (uint64_t k : keys) db->Put(k, k);
     });
@@ -134,11 +115,10 @@ void RunLifecycle(const std::vector<uint64_t>& keys) {
 
   std::unique_ptr<LsmTree> recovered;
   const double t_recover = Seconds([&] { recovered = LsmTree::Open(o); });
-  if (recovered == nullptr || recovered->TotalEntries() == 0) {
-    std::fprintf(stderr, "FATAL: recovery failed\n");
-    std::exit(1);
+  if (!h.Check(recovered != nullptr && recovered->TotalEntries() != 0,
+               "recover the tree from its manifest")) {
+    return;
   }
-  g_lifecycle.push_back({"recovery", keys.size(), t_recover});
 
   LsmOptions volatile_o = o;
   volatile_o.dir.clear();
@@ -147,7 +127,14 @@ void RunLifecycle(const std::vector<uint64_t>& keys) {
     rebuilt = std::make_unique<LsmTree>(volatile_o);
     for (uint64_t k : keys) rebuilt->Put(k, k);
   });
-  g_lifecycle.push_back({"rebuild", keys.size(), t_rebuild});
+  for (const auto& [mode, seconds] :
+       {std::pair{"recovery", t_recover}, std::pair{"rebuild", t_rebuild}}) {
+    h.AddRow()
+        .Text("section", "e24")
+        .Text("mode", mode)
+        .Int("keys", keys.size())
+        .Num("seconds", seconds);
+  }
 
   std::printf("  open from manifest: %8.3f s   (filters loaded: snapshots)\n",
               t_recover);
@@ -158,56 +145,13 @@ void RunLifecycle(const std::vector<uint64_t>& keys) {
   std::filesystem::remove_all(dir);
 }
 
-void WriteJson(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"lsm\",\n  \"results\": [\n");
-  for (size_t i = 0; i < g_rows.size(); ++i) {
-    const Row& r = g_rows[i];
-    std::fprintf(f,
-                 "    {\"config\": \"%s\", \"neg_ios\": %.4f, "
-                 "\"pos_ios\": %.4f, \"scan_ios\": %.4f, \"fpr\": %.5f, "
-                 "\"neg_mops\": %.3f, \"filter_mib\": %.2f, "
-                 "\"write_amp\": %.2f}%s\n",
-                 r.config.c_str(), r.neg_ios, r.pos_ios, r.scan_ios, r.fpr,
-                 r.neg_mops, r.filter_mib, r.w_amp,
-                 i + 1 < g_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"lifecycle\": [\n");
-  for (size_t i = 0; i < g_lifecycle.size(); ++i) {
-    const LifecycleRow& r = g_lifecycle[i];
-    std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"keys\": %llu, "
-                 "\"seconds\": %.4f}%s\n",
-                 r.mode.c_str(), static_cast<unsigned long long>(r.keys),
-                 r.seconds, i + 1 < g_lifecycle.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json=PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+  Harness h("lsm", /*reps=*/1, argc, argv);
 
   std::printf("== E9: LSM point lookups and range scans (simulated I/O) ==\n\n");
-  const uint64_t n = quick ? 200000 : 1000000;
+  const uint64_t n = h.quick() ? 200000 : 1000000;
   const auto keys = bbf::GenerateDistinctKeys(n, 3);
   const auto negatives = bbf::GenerateNegativeKeys(keys, n / 20, 4);
 
@@ -225,48 +169,48 @@ int main(int argc, char** argv) {
     LsmOptions o = base;
     o.point_filter = PointFilterKind::kNone;
     o.memtable_filter = MemtableFilterKind::kNone;
-    RunConfig("no filters", o, keys, negatives);
+    RunConfig(h, "no filters", o, keys, negatives);
   }
-  RunConfig("bloom uniform", base, keys, negatives);
+  RunConfig(h, "bloom uniform", base, keys, negatives);
   {
     LsmOptions o = base;
     o.allocation = FilterAllocation::kMonkey;
-    RunConfig("bloom monkey", o, keys, negatives);
+    RunConfig(h, "bloom monkey", o, keys, negatives);
   }
   {
     LsmOptions o = base;
     o.point_filter = PointFilterKind::kXor;
-    RunConfig("xor uniform", o, keys, negatives);
+    RunConfig(h, "xor uniform", o, keys, negatives);
   }
   {
     LsmOptions o = base;
     o.point_filter = PointFilterKind::kRibbon;
-    RunConfig("ribbon uniform", o, keys, negatives);
+    RunConfig(h, "ribbon uniform", o, keys, negatives);
   }
   {
     LsmOptions o = base;
     o.point_filter = PointFilterKind::kQuotient;
-    RunConfig("quotient uniform", o, keys, negatives);
+    RunConfig(h, "quotient uniform", o, keys, negatives);
   }
   {
     LsmOptions o = base;
     o.tiering = true;
-    RunConfig("bloom tiered", o, keys, negatives);
+    RunConfig(h, "bloom tiered", o, keys, negatives);
   }
   {
     LsmOptions o = base;
     o.range_filter = RangeFilterKind::kGrafite;
-    RunConfig("bloom + grafite", o, keys, negatives);
+    RunConfig(h, "bloom + grafite", o, keys, negatives);
   }
   {
     LsmOptions o = base;
     o.range_filter = RangeFilterKind::kSurf;
-    RunConfig("bloom + surf", o, keys, negatives);
+    RunConfig(h, "bloom + surf", o, keys, negatives);
   }
   {
     LsmOptions o = base;
     o.range_filter = RangeFilterKind::kSnarf;
-    RunConfig("bloom + snarf", o, keys, negatives);
+    RunConfig(h, "bloom + snarf", o, keys, negatives);
   }
 
   std::printf(
@@ -274,8 +218,6 @@ int main(int argc, char** argv) {
       "I/Os per negative get; monkey ~eps; tiering trades lookup cost for\n"
       "write-amp; range filters collapse the empty-scan column.\n");
 
-  RunLifecycle(keys);
-
-  if (!json_path.empty()) WriteJson(json_path);
-  return 0;
+  RunLifecycle(h, keys);
+  return h.Finish();
 }

@@ -27,8 +27,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <set>
@@ -36,7 +34,7 @@
 #include <utility>
 #include <vector>
 
-#include "bench_util.h"
+#include "harness.h"
 #include "range/arf.h"
 #include "range/grafite.h"
 #include "range/memento.h"
@@ -49,6 +47,8 @@
 #include "workload/generators.h"
 
 using namespace bbf;
+using bbf::bench::Cmp;
+using bbf::bench::Harness;
 using bbf::bench::Mops;
 using bbf::bench::Seconds;
 
@@ -109,21 +109,6 @@ std::vector<Family> ScenarioFamilies() {
        }},
   };
 }
-
-struct ScenarioRow {
-  std::string family;
-  double bits_per_key = 0;
-  double uncorr_fpr = 0;
-  double corr_fpr = 0;
-  double mixed_fpr = 0;
-  double inter_fpr = 0;
-  uint64_t inter_fn = 0;   // False negatives in the interleaved run: MUST be 0.
-  uint64_t rebuilds = 0;   // Static rebuilds the interleaved run forced.
-  double build_s = 0;      // Seconds spent building/rebuilding, interleaved.
-  double query_mops = 0;   // Query throughput, uncorrelated scenario.
-};
-
-std::vector<ScenarioRow> g_rows;
 
 struct FprResult {
   double fpr;
@@ -237,47 +222,12 @@ InterleavedResult InterleavedRun(const Family& family,
   return r;
 }
 
-void WriteJson(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"range\",\n  \"results\": [\n");
-  for (size_t i = 0; i < g_rows.size(); ++i) {
-    const ScenarioRow& r = g_rows[i];
-    std::fprintf(
-        f,
-        "    {\"family\": \"%s\", \"bits_per_key\": %.2f, "
-        "\"uncorr_fpr\": %.5f, \"corr_fpr\": %.5f, \"mixed_fpr\": %.5f, "
-        "\"inter_fpr\": %.5f, \"inter_false_negatives\": %llu, "
-        "\"rebuilds\": %llu, \"build_s\": %.4f, \"query_mops\": %.3f}%s\n",
-        r.family.c_str(), r.bits_per_key, r.uncorr_fpr, r.corr_fpr,
-        r.mixed_fpr, r.inter_fpr,
-        static_cast<unsigned long long>(r.inter_fn),
-        static_cast<unsigned long long>(r.rebuilds), r.build_s, r.query_mops,
-        i + 1 < g_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    }
-  }
-
-  const uint64_t n = quick ? 50000 : 200000;
-  const uint64_t attempts = quick ? 20000 : 50000;
+  Harness h("range", /*reps=*/1, argc, argv);
+  const uint64_t n = h.quick() ? 50000 : 200000;
+  const uint64_t attempts = h.quick() ? 20000 : 50000;
   auto keys = GenerateDistinctKeys(n);
   // Interleaved inserts arrive in generation (random) order — feeding the
   // sorted vector would grow the key set as an ascending prefix of the
@@ -327,34 +277,52 @@ int main(int argc, char** argv) {
               "bits/key", "uncorr_fpr", "corr_fpr", "mixed_fpr", "inter_fpr",
               "inter_fn", "rebuilds", "build_s", "q_mops");
   const uint64_t rebuild_every = std::max<uint64_t>(n / 16, 1);
+  const double min_measurable = 1.0 / static_cast<double>(attempts);
+  double worst_static_ratio = 0;
+  uint64_t false_negatives = 0;
   for (const Family& family : ScenarioFamilies()) {
-    ScenarioRow row;
-    row.family = family.name;
     auto filter = family.build(keys);
-    row.bits_per_key = static_cast<double>(filter->SpaceBits()) / n;
+    const double bits_per_key = static_cast<double>(filter->SpaceBits()) / n;
     const FprResult uncorr =
         EmptyRangeFpr(*filter, keys, key_set, attempts, 64, false, 200);
-    row.uncorr_fpr = uncorr.fpr;
-    row.query_mops = uncorr.mops;
-    row.corr_fpr =
+    const double corr_fpr =
         EmptyRangeFpr(*filter, keys, key_set, attempts, 64, true, 201).fpr;
-    row.mixed_fpr = MixedStreamFpr(*filter, key_set, attempts, 202);
+    const double mixed_fpr = MixedStreamFpr(*filter, key_set, attempts, 202);
     filter.reset();
     const InterleavedResult inter =
         InterleavedRun(family, insert_order, rebuild_every, 203);
-    row.inter_fpr = inter.fpr;
-    row.inter_fn = inter.false_negatives;
-    row.rebuilds = inter.rebuilds;
-    row.build_s = inter.build_s;
-    g_rows.push_back(row);
+    h.AddRow()
+        .Text("family", family.name)
+        .Num("bits_per_key", bits_per_key)
+        .Num("uncorr_fpr", uncorr.fpr)
+        .Num("corr_fpr", corr_fpr)
+        .Num("mixed_fpr", mixed_fpr)
+        .Num("inter_fpr", inter.fpr)
+        .Int("inter_false_negatives", inter.false_negatives)
+        .Int("rebuilds", inter.rebuilds)
+        .Num("build_s", inter.build_s)
+        .Num("query_mops", uncorr.mops);
     std::printf("%-14s %9.2f %11.5f %11.5f %11.5f %11.5f %9llu %9llu %9.3f "
                 "%9.3f\n",
-                row.family.c_str(), row.bits_per_key, row.uncorr_fpr,
-                row.corr_fpr, row.mixed_fpr, row.inter_fpr,
-                static_cast<unsigned long long>(row.inter_fn),
-                static_cast<unsigned long long>(row.rebuilds), row.build_s,
-                row.query_mops);
+                family.name, bits_per_key, uncorr.fpr, corr_fpr, mixed_fpr,
+                inter.fpr,
+                static_cast<unsigned long long>(inter.false_negatives),
+                static_cast<unsigned long long>(inter.rebuilds), inter.build_s,
+                uncorr.mops);
+    false_negatives += inter.false_negatives;
+    if (std::string_view(family.name) == "memento") {
+      h.Gate("memento correlated FPR (1.5x the configured 1%)", corr_fpr,
+             Cmp::kAtMost, 1.5 * 0.01);
+    } else {
+      worst_static_ratio =
+          std::max(worst_static_ratio,
+                   corr_fpr / std::max(uncorr.fpr, min_measurable));
+    }
   }
+  h.Gate("worst static corr/uncorr FPR ratio", worst_static_ratio,
+         Cmp::kAtLeast, 5.0);
+  h.Gate("interleaved false negatives", static_cast<double>(false_negatives),
+         Cmp::kAtMost, 0);
 
   // (c) E7: adversarial keys — pairs sharing long prefixes.
   std::printf("\n(c) space under adversarial long-common-prefix keys\n");
@@ -422,48 +390,6 @@ int main(int argc, char** argv) {
                 untrained, trained, shifted, arf.num_nodes());
   }
 
-  if (!json_path.empty()) WriteJson(json_path);
-
-  // Acceptance gates (DESIGN.md §16): fail loudly if the dynamic-range
-  // story regresses.
-  int violations = 0;
-  const double min_measurable = 1.0 / static_cast<double>(attempts);
-  double worst_static_ratio = 0;
-  for (const ScenarioRow& r : g_rows) {
-    if (r.inter_fn != 0) {
-      std::fprintf(stderr,
-                   "GATE: %s returned %llu false negatives in the "
-                   "interleaved run\n",
-                   r.family.c_str(),
-                   static_cast<unsigned long long>(r.inter_fn));
-      ++violations;
-    }
-    if (r.family == "memento") {
-      if (r.corr_fpr > 1.5 * 0.01) {
-        std::fprintf(stderr,
-                     "GATE: memento correlated FPR %.5f exceeds 1.5x the "
-                     "configured 1%%\n",
-                     r.corr_fpr);
-        ++violations;
-      }
-    } else {
-      worst_static_ratio =
-          std::max(worst_static_ratio,
-                   r.corr_fpr / std::max(r.uncorr_fpr, min_measurable));
-    }
-  }
-  if (worst_static_ratio < 5.0) {
-    std::fprintf(stderr,
-                 "GATE: no static family degraded >= 5x under correlation "
-                 "(worst %.1fx) — the negative control lost its teeth\n",
-                 worst_static_ratio);
-    ++violations;
-  }
-  if (violations != 0) {
-    std::fprintf(stderr, "%d acceptance gate(s) violated\n", violations);
-    return 1;
-  }
-
   std::printf(
       "\nexpected shape (paper §2.5 / DESIGN.md §16): rosetta's FPR races\n"
       "to 1 as ranges grow; grafite/snarf flat into their design range;\n"
@@ -472,5 +398,5 @@ int main(int argc, char** argv) {
       "rebuilds where every static family pays repeated construction; surf's\n"
       "space explodes on adversarial keys; ARF converges on a repeating\n"
       "workload and relapses when it shifts.\n");
-  return 0;
+  return h.Finish();
 }

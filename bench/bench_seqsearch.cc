@@ -10,7 +10,7 @@
 #include <set>
 
 #include "apps/bio/sequence_index.h"
-#include "bench_util.h"
+#include "harness.h"
 #include "util/random.h"
 
 using namespace bbf::bio;

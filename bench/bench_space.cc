@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <memory>
 
-#include "bench_util.h"
+#include "harness.h"
 #include "bloom/bloom_filter.h"
 #include "bloom/counting_bloom.h"
 #include "bloom/dleft_filter.h"

@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "bench_util.h"
+#include "harness.h"
 #include "bloom/bloom_filter.h"
 #include "staticf/ribbon_filter.h"
 #include "staticf/xor_filter.h"

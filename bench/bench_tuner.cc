@@ -19,14 +19,13 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
 
-#include "bench_util.h"
+#include "harness.h"
 #include "core/factory.h"
 #include "core/fpr_estimator.h"
 #include "core/key.h"
@@ -42,6 +41,8 @@ using bbf::HashedKey;
 using bbf::ObservedFprEstimator;
 using bbf::ShardedFilter;
 using bbf::SplitMix64;
+using bbf::bench::Cmp;
+using bbf::bench::Harness;
 
 namespace {
 
@@ -93,16 +94,14 @@ struct PauseResult {
 };
 
 // --- Phase 1: lookup latency while every shard migrates under load. ------
-PauseResult MeasureMigrationPause(bool quick) {
-  const uint64_t pool_size = quick ? (uint64_t{1} << 16) : (uint64_t{1} << 18);
-  const uint64_t lookups = quick ? 200'000 : 2'000'000;
+PauseResult MeasureMigrationPause(Harness& h) {
+  const uint64_t pool_size =
+      h.quick() ? (uint64_t{1} << 16) : (uint64_t{1} << 18);
+  const uint64_t lookups = h.quick() ? 200'000 : 2'000'000;
   constexpr size_t kShards = 8;
 
   ShardedFilter filter(pool_size, kShards, FamilyFactory("quotient", 0.01));
-  if (!filter.EnableMigration()) {
-    std::fprintf(stderr, "EnableMigration failed\n");
-    std::exit(1);
-  }
+  if (!h.Check(filter.EnableMigration(), "enable migration")) return {};
   const auto pool = GenerateDistinctKeys(pool_size, 42);
   for (size_t i = 0; i < pool.size() / 2; ++i) filter.Insert(pool[i]);
 
@@ -134,10 +133,8 @@ PauseResult MeasureMigrationPause(bool quick) {
       migrating.store(true, std::memory_order_release);
       const auto report = filter.MigrateShard(s, FamilyFactory(family, 0.01));
       migrating.store(false, std::memory_order_release);
-      if (!report.ok) {
-        std::fprintf(stderr, "migration failed: %s\n", report.error.c_str());
-        std::exit(1);
-      }
+      h.Check(report.ok, "migrate shard " + std::to_string(s) + " to " +
+                             family + ": " + report.error);
       r.max_pause_ns = std::max(r.max_pause_ns, report.pause_ns);
       ++r.migrations;
     }
@@ -162,17 +159,13 @@ struct RecoveryResult {
 };
 
 // --- Phase 2: adversarial-repeat abuse, tuner migration, FPR recovery. ---
-RecoveryResult MeasureFprRecovery(bool quick) {
-  const uint64_t num_keys = quick ? 2'000 : 20'000;
+RecoveryResult MeasureFprRecovery(Harness& h) {
+  const uint64_t num_keys = h.quick() ? 2'000 : 20'000;
   // A deliberately loose blocked-bloom shard (the kind a static sizing
   // guess leaves behind) so abusive false positives are easy to find.
   auto inner = std::make_unique<ShardedFilter>(
       num_keys * 2, 1, FamilyFactory("blocked-bloom", 0.25));
-  ShardedFilter* sharded = inner.get();
-  if (!sharded->EnableMigration()) {
-    std::fprintf(stderr, "EnableMigration failed\n");
-    std::exit(1);
-  }
+  if (!h.Check(inner->EnableMigration(), "enable migration")) return {};
   bbf::obs::InstrumentedFilter filter(std::move(inner), 0.25);
 
   const auto keys = GenerateDistinctKeys(num_keys, 7);
@@ -193,10 +186,7 @@ RecoveryResult MeasureFprRecovery(bool quick) {
     if (!ObservedFprEstimator::InDomain(hk)) continue;
     if (filter.Contains(k)) hot.push_back(k);
   }
-  if (hot.size() < 512) {
-    std::fprintf(stderr, "could not find abusive false positives\n");
-    std::exit(1);
-  }
+  if (!h.Check(hot.size() >= 512, "find abusive false positives")) return {};
 
   RecoveryResult r;
   uint64_t fp = 0;
@@ -217,15 +207,12 @@ RecoveryResult MeasureFprRecovery(bool quick) {
   r.budget = cfg.fpr_budget;
   bbf::tuning::Tuner tuner(filter, cfg);
   const auto poll = tuner.Poll();
-  if (!poll.acted || !poll.report.ok) {
-    std::fprintf(stderr, "tuner did not migrate: %s\n",
-                 poll.decision.reason.c_str());
-    std::exit(1);
-  }
-  if (poll.decision.action != bbf::tuning::TunerAction::kMigrateAdaptive) {
-    std::fprintf(stderr, "expected the adaptive migration, got: %s\n",
-                 poll.decision.reason.c_str());
-    std::exit(1);
+  if (!h.Check(poll.acted && poll.report.ok &&
+                   poll.decision.action ==
+                       bbf::tuning::TunerAction::kMigrateAdaptive,
+               "tuner migrates to an adaptive family: " +
+                   poll.decision.reason)) {
+    return {};
   }
   r.from_family = poll.decision.from_family;
   r.to_family = poll.decision.to_family;
@@ -238,79 +225,25 @@ RecoveryResult MeasureFprRecovery(bool quick) {
   for (uint64_t k : hot) fp += filter.Contains(k);
   r.fpr_after = static_cast<double>(fp) / static_cast<double>(hot.size());
 
-  // Sanity: migration must not have dropped real keys.
-  for (uint64_t k : keys) {
-    if (!filter.Contains(k)) {
-      std::fprintf(stderr, "migration lost a key\n");
-      std::exit(1);
-    }
-  }
+  // Migration must not have dropped real keys.
+  uint64_t lost = 0;
+  for (uint64_t k : keys) lost += !filter.Contains(k);
+  h.Check(lost == 0, "migration keeps every key (lost " +
+                         std::to_string(lost) + ")");
   return r;
-}
-
-void WriteJson(const std::string& path, const PauseResult& p,
-               const RecoveryResult& f, double ratio, bool pause_ok,
-               bool recovered) {
-  FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"tuner\",\n");
-  std::fprintf(out, "  \"migration_pause\": {\n");
-  std::fprintf(out, "    \"steady_p50_ns\": %llu,\n",
-               static_cast<unsigned long long>(p.steady_p50_ns));
-  std::fprintf(out, "    \"steady_p99_ns\": %llu,\n",
-               static_cast<unsigned long long>(p.steady_p99_ns));
-  std::fprintf(out, "    \"swap_p50_ns\": %llu,\n",
-               static_cast<unsigned long long>(p.swap_p50_ns));
-  std::fprintf(out, "    \"swap_p99_ns\": %llu,\n",
-               static_cast<unsigned long long>(p.swap_p99_ns));
-  std::fprintf(out, "    \"max_pause_ns\": %llu,\n",
-               static_cast<unsigned long long>(p.max_pause_ns));
-  std::fprintf(out, "    \"migrations\": %llu,\n",
-               static_cast<unsigned long long>(p.migrations));
-  std::fprintf(out, "    \"swap_p99_over_steady_p99\": %.2f,\n", ratio);
-  std::fprintf(out, "    \"within_10x_budget\": %s\n  },\n",
-               pause_ok ? "true" : "false");
-  std::fprintf(out, "  \"fpr_recovery\": {\n");
-  std::fprintf(out, "    \"from_family\": \"%s\",\n", f.from_family.c_str());
-  std::fprintf(out, "    \"to_family\": \"%s\",\n", f.to_family.c_str());
-  std::fprintf(out, "    \"fpr_budget\": %.4f,\n", f.budget);
-  std::fprintf(out, "    \"hot_set_fpr_before\": %.4f,\n", f.fpr_before);
-  std::fprintf(out, "    \"hot_set_fpr_after\": %.4f,\n", f.fpr_after);
-  std::fprintf(out, "    \"migration_pause_ns\": %llu,\n",
-               static_cast<unsigned long long>(f.pause_ns));
-  std::fprintf(out, "    \"recovered\": %s\n  }\n}\n",
-               recovered ? "true" : "false");
-  std::fclose(out);
-  std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json=PATH]\n", argv[0]);
-      return 1;
-    }
-  }
-
+  Harness h("tuner", /*reps=*/1, argc, argv);
   std::printf("E26: online migration cost and FPR recovery\n\n");
 
-  const PauseResult p = MeasureMigrationPause(quick);
+  const PauseResult p = MeasureMigrationPause(h);
   const double ratio =
       p.steady_p99_ns > 0
           ? static_cast<double>(p.swap_p99_ns) / p.steady_p99_ns
           : 0.0;
-  const bool pause_ok = ratio <= 10.0;
   std::printf("migration pause (%llu migrations across 8 shards):\n",
               static_cast<unsigned long long>(p.migrations));
   std::printf("  %-28s %10llu ns\n", "steady-state lookup p50",
@@ -323,11 +256,18 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(p.swap_p99_ns));
   std::printf("  %-28s %10llu ns\n", "max drain-and-swap pause",
               static_cast<unsigned long long>(p.max_pause_ns));
-  std::printf("  swap p99 / steady p99 = %.2fx (budget 10x) -> %s\n\n", ratio,
-              pause_ok ? "ok" : "FAIL");
+  h.AddRow()
+      .Text("phase", "migration_pause")
+      .Int("steady_p50_ns", p.steady_p50_ns)
+      .Int("steady_p99_ns", p.steady_p99_ns)
+      .Int("swap_p50_ns", p.swap_p50_ns)
+      .Int("swap_p99_ns", p.swap_p99_ns)
+      .Int("max_pause_ns", p.max_pause_ns)
+      .Int("migrations", p.migrations)
+      .Num("swap_p99_over_steady_p99", ratio);
+  h.Gate("swap p99 / steady p99 lookup latency", ratio, Cmp::kAtMost, 10.0);
 
-  const RecoveryResult f = MeasureFprRecovery(quick);
-  const bool recovered = f.fpr_after < f.budget;
+  const RecoveryResult f = MeasureFprRecovery(h);
   std::printf("FPR recovery (adversarial repeat on a loose shard):\n");
   std::printf("  %-28s %s -> %s\n", "migration", f.from_family.c_str(),
               f.to_family.c_str());
@@ -336,9 +276,15 @@ int main(int argc, char** argv) {
               f.fpr_after, f.budget);
   std::printf("  %-28s %10llu ns\n", "migration pause",
               static_cast<unsigned long long>(f.pause_ns));
-  std::printf("  recovery -> %s\n", recovered ? "ok" : "FAIL");
-
-  if (!json_path.empty()) WriteJson(json_path, p, f, ratio, pause_ok, recovered);
-  if (!pause_ok || !recovered) return 1;
-  return 0;
+  h.AddRow()
+      .Text("phase", "fpr_recovery")
+      .Text("from_family", f.from_family)
+      .Text("to_family", f.to_family)
+      .Num("fpr_budget", f.budget)
+      .Num("hot_set_fpr_before", f.fpr_before)
+      .Num("hot_set_fpr_after", f.fpr_after)
+      .Int("migration_pause_ns", f.pause_ns);
+  h.Gate("hot-set FPR after the tuner's migration", f.fpr_after, Cmp::kBelow,
+         f.budget);
+  return h.Finish();
 }

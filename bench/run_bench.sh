@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Builds and runs the throughput experiments, emitting BENCH_batch.json,
-# BENCH_concurrent.json, BENCH_hash.json, BENCH_obs.json, BENCH_lsm.json,
-# BENCH_net.json, BENCH_tuner.json, and BENCH_range.json at the repo root
-# so successive PRs accumulate a perf trajectory.
+# Builds and runs every bench binary that writes a BENCH file, leaving
+# BENCH_<name>.json at the repo root so successive PRs accumulate a perf
+# trajectory. Every binary runs even after one fails a check or a gate,
+# so no file is left stale; the script then exits non-zero.
 #
 # Usage: bench/run_bench.sh [--quick] [BUILD_DIR]
-#   --quick    smaller key counts (skips the out-of-LLC batch runs and
-#              shrinks the concurrent run).
+#   --quick    smaller key counts (CI smoke run; skips the out-of-LLC
+#              sizes, so also the E22 gate).
 #   BUILD_DIR  existing CMake build tree (default: build).
 set -euo pipefail
 
@@ -21,16 +21,17 @@ for arg in "$@"; do
   esac
 done
 
+BENCHES="batch concurrent hash obs lsm tuner range snapshot"
 cmake -B "$BUILD_DIR" -S . >/dev/null
-cmake --build "$BUILD_DIR" --target bench_batch bench_concurrent bench_hash \
-  bench_obs bench_lsm bench_net bench_tuner bench_range -j "$(nproc)" \
-  >/dev/null
+# shellcheck disable=SC2046
+cmake --build "$BUILD_DIR" --target $(printf 'bench_%s ' $BENCHES) \
+  -j "$(nproc)" >/dev/null
 
-"$BUILD_DIR"/bench/bench_batch $QUICK --json=BENCH_batch.json
-"$BUILD_DIR"/bench/bench_concurrent $QUICK --json=BENCH_concurrent.json
-"$BUILD_DIR"/bench/bench_hash $QUICK --json=BENCH_hash.json
-"$BUILD_DIR"/bench/bench_obs $QUICK --json=BENCH_obs.json
-"$BUILD_DIR"/bench/bench_lsm $QUICK --json=BENCH_lsm.json
-"$BUILD_DIR"/bench/bench_net $QUICK --json=BENCH_net.json
-"$BUILD_DIR"/bench/bench_tuner $QUICK --json=BENCH_tuner.json
-"$BUILD_DIR"/bench/bench_range $QUICK --json=BENCH_range.json
+failed=""
+for b in $BENCHES; do
+  "$BUILD_DIR/bench/bench_$b" $QUICK --json="BENCH_$b.json" || failed="$failed $b"
+done
+if [ -n "$failed" ]; then
+  echo "failed:$failed" >&2
+  exit 1
+fi

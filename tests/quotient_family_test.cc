@@ -288,11 +288,34 @@ std::vector<uint64_t> InsertAndEraseHalf(uint64_t seed, Insert&& insert,
   return kept;
 }
 
-struct HazardCase {
-  const char* family;
-  double fpr;
-  bool sharded;  // Inside a 4-shard ShardedFilter.
+// ctest registers each case under a dump of GetParam()'s 24 raw bytes, so a
+// HazardCase holds no pointer (its bytes move with ASLR) and no padding: a
+// fixed family id stands in for the name. The ids keep the names the cases
+// were first registered under.
+struct HazardFamily {
+  uint64_t id;
+  const char* name;
 };
+constexpr HazardFamily kHazardFamilies[] = {
+    {0x18, "quotient"},
+    {0x04, "counting-quotient"},
+    {0xA016, "taffy"},
+    {0x1C, "expanding-quotient"},
+};
+
+const char* HazardFamilyName(uint64_t id) {
+  for (const HazardFamily& f : kHazardFamilies) {
+    if (f.id == id) return f.name;
+  }
+  return nullptr;
+}
+
+struct HazardCase {
+  uint64_t family_id;  // A kHazardFamilies id.
+  double fpr;
+  uint64_t sharded;  // Nonzero: inside a 4-shard ShardedFilter.
+};
+static_assert(sizeof(HazardCase) == 24, "no padding bytes in a case name");
 
 class DeleteHazard : public ::testing::TestWithParam<HazardCase> {};
 
@@ -300,7 +323,9 @@ TEST_P(DeleteHazard, ErasingHalfLosesNoRemainingKey) {
   const HazardCase& c = GetParam();
   const uint64_t seed = TestSeed(0xDE1E7E);
   BBF_ANNOUNCE_SEED(seed);
-  auto make = [&](uint64_t n) { return CreateFilter(c.family, n, c.fpr); };
+  const char* family = HazardFamilyName(c.family_id);
+  ASSERT_NE(family, nullptr);
+  auto make = [&](uint64_t n) { return CreateFilter(family, n, c.fpr); };
   std::unique_ptr<Filter> f =
       c.sharded ? std::make_unique<ShardedFilter>(kHazardKeys, 4, make)
                 : make(kHazardKeys);
@@ -315,11 +340,10 @@ TEST_P(DeleteHazard, ErasingHalfLosesNoRemainingKey) {
 
 std::vector<HazardCase> HazardCases() {
   std::vector<HazardCase> cases;
-  for (const char* family :
-       {"quotient", "counting-quotient", "taffy", "expanding-quotient"}) {
+  for (const HazardFamily& family : kHazardFamilies) {
     for (double fpr : {0.25, 0.05}) {
-      for (bool sharded : {false, true}) {
-        cases.push_back({family, fpr, sharded});
+      for (uint64_t sharded : {0, 1}) {
+        cases.push_back({family.id, fpr, sharded});
       }
     }
   }
@@ -329,7 +353,7 @@ std::vector<HazardCase> HazardCases() {
 INSTANTIATE_TEST_SUITE_P(
     Families, DeleteHazard, ::testing::ValuesIn(HazardCases()),
     [](const ::testing::TestParamInfo<HazardCase>& info) {
-      std::string name = info.param.family;
+      std::string name = HazardFamilyName(info.param.family_id);
       for (char& ch : name) {
         if (ch == '-') ch = '_';
       }
