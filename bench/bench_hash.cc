@@ -139,36 +139,37 @@ struct BareSharded {
 };
 
 /// The hash-once batched pipeline (what ShardedFilter::ContainsMany does
-/// under its locks): mix every key once into scratch, group by shard,
-/// then hand each shard one contiguous sub-batch for its prefetch
-/// pipeline, scattering results back by original index.
+/// under its locks): mix every key once into scratch, group by shard with
+/// the library's counting sort, then hand each shard one contiguous
+/// sub-batch for its prefetch pipeline, scattering results back by
+/// original index.
 struct BatchScratch {
-  std::vector<std::vector<HashedKey>> grouped{kShards};
-  std::vector<std::vector<size_t>> index{kShards};
-  std::vector<uint8_t> shard_out;
+  std::vector<HashedKey> hashed;
+  std::vector<HashedKey> sorted;
+  std::vector<size_t> src;
+  std::vector<uint8_t> res;
+  size_t start[kShards + 1];
 
   uint64_t Lookup(const BareSharded& f, std::span<const uint64_t> keys,
                   size_t batch, uint8_t* out) {
     for (size_t base = 0; base < keys.size(); base += batch) {
       const size_t m = std::min(batch, keys.size() - base);
-      for (size_t s = 0; s < kShards; ++s) {
-        grouped[s].clear();
-        index[s].clear();
-      }
+      hashed.resize(m);
+      sorted.resize(m);
+      src.resize(m);
+      res.resize(m);
       for (size_t i = 0; i < m; ++i) {
-        const HashedKey hk(keys[base + i]);  // The one mix per key.
-        const size_t s = hk.value() % kShards;
-        grouped[s].push_back(hk);
-        index[s].push_back(base + i);
+        hashed[i] = HashedKey(keys[base + i]);  // The one mix per key.
       }
+      GroupByShard(hashed, kShards, sorted.data(), src.data(), start);
       for (size_t s = 0; s < kShards; ++s) {
-        if (grouped[s].empty()) continue;
-        shard_out.resize(grouped[s].size());
-        f.shards[s]->ContainsMany(grouped[s], shard_out.data());
-        for (size_t i = 0; i < index[s].size(); ++i) {
-          out[index[s][i]] = shard_out[i];
-        }
+        if (start[s] == start[s + 1]) continue;
+        f.shards[s]->ContainsMany(
+            std::span<const HashedKey>(sorted.data() + start[s],
+                                       start[s + 1] - start[s]),
+            res.data() + start[s]);
       }
+      for (size_t p = 0; p < m; ++p) out[base + src[p]] = res[p];
     }
     uint64_t hits = 0;
     for (size_t i = 0; i < keys.size(); ++i) hits += out[i];

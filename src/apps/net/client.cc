@@ -106,43 +106,31 @@ FrameStatus SyncClient::Call(Opcode op, uint32_t count,
 
 FrameStatus SyncClient::Ping() { return Call(Opcode::kPing, 0, "", nullptr); }
 
-namespace {
-
-FrameStatus StatusesFromBody(FrameStatus st, const std::string& body,
-                             size_t want, std::vector<uint8_t>* out) {
+FrameStatus SyncClient::CallItems(Opcode op, size_t count,
+                                  std::string_view payload,
+                                  std::vector<uint8_t>* out) {
+  std::string body;
+  const FrameStatus st =
+      Call(op, static_cast<uint32_t>(count), payload, &body);
   if (st != FrameStatus::kOk) return st;
-  if (body.size() != want) return FrameStatus::kTransportError;
+  if (body.size() != count) return FrameStatus::kTransportError;
   out->assign(body.begin(), body.end());
   return st;
 }
 
-}  // namespace
-
 FrameStatus SyncClient::Lookup(std::span<const uint64_t> keys,
                                std::vector<uint8_t>* out) {
-  std::string body;
-  const FrameStatus st =
-      Call(Opcode::kLookup, static_cast<uint32_t>(keys.size()),
-           EncodeKeysPayload(keys), &body);
-  return StatusesFromBody(st, body, keys.size(), out);
+  return CallItems(Opcode::kLookup, keys.size(), EncodeKeysPayload(keys), out);
 }
 
 FrameStatus SyncClient::Insert(std::span<const uint64_t> keys,
                                std::vector<uint8_t>* out) {
-  std::string body;
-  const FrameStatus st =
-      Call(Opcode::kInsert, static_cast<uint32_t>(keys.size()),
-           EncodeKeysPayload(keys), &body);
-  return StatusesFromBody(st, body, keys.size(), out);
+  return CallItems(Opcode::kInsert, keys.size(), EncodeKeysPayload(keys), out);
 }
 
 FrameStatus SyncClient::Erase(std::span<const uint64_t> keys,
                               std::vector<uint8_t>* out) {
-  std::string body;
-  const FrameStatus st =
-      Call(Opcode::kErase, static_cast<uint32_t>(keys.size()),
-           EncodeKeysPayload(keys), &body);
-  return StatusesFromBody(st, body, keys.size(), out);
+  return CallItems(Opcode::kErase, keys.size(), EncodeKeysPayload(keys), out);
 }
 
 FrameStatus SyncClient::Metrics(std::string* text) {
@@ -156,20 +144,14 @@ FrameStatus SyncClient::TunerCtl(uint8_t cmd, std::string* text) {
 
 FrameStatus SyncClient::BlockCheck(const std::vector<std::string>& urls,
                                    std::vector<uint8_t>* out) {
-  std::string body;
-  const FrameStatus st =
-      Call(Opcode::kBlockCheck, static_cast<uint32_t>(urls.size()),
-           EncodeStringsPayload(urls), &body);
-  return StatusesFromBody(st, body, urls.size(), out);
+  return CallItems(Opcode::kBlockCheck, urls.size(),
+                   EncodeStringsPayload(urls), out);
 }
 
 FrameStatus SyncClient::ReportFalseBlock(const std::vector<std::string>& urls,
                                          std::vector<uint8_t>* out) {
-  std::string body;
-  const FrameStatus st =
-      Call(Opcode::kReportFalseBlock, static_cast<uint32_t>(urls.size()),
-           EncodeStringsPayload(urls), &body);
-  return StatusesFromBody(st, body, urls.size(), out);
+  return CallItems(Opcode::kReportFalseBlock, urls.size(),
+                   EncodeStringsPayload(urls), out);
 }
 
 }  // namespace bbf::net

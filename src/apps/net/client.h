@@ -11,11 +11,11 @@
 namespace bbf::net {
 
 /// Blocking request/response client for the wire protocol — one call per
-/// frame, used by tests, bench_net, and the demo. It validates response
-/// frames with the same CutFrame discipline as the server (a hostile or
-/// corrupt *server* cannot crash a client either) and reports transport
-/// failure as FrameStatus::kTransportError, after which the connection
-/// is closed and every later call fails fast.
+/// frame, used by tests, perfbench's wire workloads, and the demo. It
+/// validates response frames with the same CutFrame discipline as the
+/// server (a hostile or corrupt *server* cannot crash a client either) and
+/// reports transport failure as FrameStatus::kTransportError, after which
+/// the connection is closed and every later call fails fast.
 class SyncClient {
  public:
   /// Takes ownership of a connected socket (socketpair end, TCP socket).
@@ -62,6 +62,9 @@ class SyncClient {
  private:
   FrameStatus Call(Opcode op, uint32_t count, std::string_view payload,
                    std::string* response_payload);
+  // A frame of `count` items answered by one status byte per item.
+  FrameStatus CallItems(Opcode op, size_t count, std::string_view payload,
+                        std::vector<uint8_t>* out);
   bool WriteAll(std::string_view bytes);
   bool ReadExactly(char* buf, size_t len);
   void Fail();

@@ -42,6 +42,13 @@ constexpr size_t kMaxHttpHeadBytes = 8 * 1024;
 /// scans and the drain flag are observed promptly even on idle loops.
 constexpr int kTickMs = 20;
 
+// Insert replies carry InsertOutcome's values as they are.
+static_assert(
+    static_cast<uint8_t>(InsertOutcome::kAccepted) == kInsertAccepted &&
+        static_cast<uint8_t>(InsertOutcome::kExpanded) == kInsertExpanded &&
+        static_cast<uint8_t>(InsertOutcome::kRejectedFull) == kInsertNacked,
+    "InsertOutcome values are the wire's kInsert* bytes");
+
 /// The drain flag installed by InstallDrainOnSignal. A signal handler may
 /// only touch lock-free state; storing one atomic flag that the loops
 /// poll every tick is exactly that.
@@ -105,6 +112,12 @@ struct Server::Worker {
   std::mutex adopt_mu;
   std::vector<int> adopt_queue;
   bool drain_seen = false;
+  // Per-loop scratch for key frames, reused so that serving one
+  // allocates nothing once the loop has seen a frame as large.
+  std::vector<uint64_t> raw;
+  std::vector<HashedKey> keys;
+  std::vector<InsertOutcome> outcomes;
+  std::string body;  // The reply payload.
 
   bool Init() {
     epoll_fd = epoll_create1(EPOLL_CLOEXEC);
@@ -290,100 +303,71 @@ struct Server::Worker {
                server_->config_.global_inflight_budget;
   }
 
-  /// Handles one validated frame. Returns the response frame.
-  std::string Dispatch(const FrameHeader& h, std::string_view payload) {
+  /// Serves one validated frame, appending its reply frame to `out`.
+  /// False means a malformed payload; nothing was appended.
+  bool Dispatch(const FrameHeader& h, std::string_view payload,
+                std::string* out) {
     Server& s = *server_;
     const Opcode op = static_cast<Opcode>(h.opcode);
-    if (s.filter_ == nullptr &&
-        (op == Opcode::kLookup || op == Opcode::kInsert ||
-         op == Opcode::kErase)) {
-      return EncodeFrame(op, FrameStatus::kUnsupported, 0, h.seq, "");
-    }
+    auto reply = [&](FrameStatus status, size_t count,
+                     std::string_view reply_payload) {
+      AppendFrame(out, op, status, static_cast<uint32_t>(count), h.seq,
+                  reply_payload);
+      return true;
+    };
     switch (op) {
       case Opcode::kPing:
-        return EncodeFrame(op, FrameStatus::kOk, 0, h.seq, "");
-      case Opcode::kLookup: {
-        std::vector<uint64_t> raw;
-        if (!DecodeKeysPayload(h, payload, &raw)) return std::string();
+        return reply(FrameStatus::kOk, 0, "");
+      case Opcode::kLookup:
+      case Opcode::kInsert:
+      case Opcode::kErase: {
+        if (s.filter_ == nullptr) {
+          return reply(FrameStatus::kUnsupported, 0, "");
+        }
+        if (!DecodeKeysPayload(h, payload, &raw)) return false;
         // Hash-once boundary: the server is the API boundary, clients
         // ship raw u64 keys, each mixed exactly once here.
-        std::vector<HashedKey> keys;
-        keys.reserve(raw.size());
-        for (uint64_t k : raw) keys.emplace_back(k);
-        std::vector<uint8_t> res(raw.size());
-        if (!keys.empty()) {
-          s.filter_->ContainsMany(std::span<const HashedKey>(keys),
-                                  res.data());
-        }
-        s.metrics_.keys_looked_up.Add(raw.size());
-        return EncodeFrame(op, FrameStatus::kOk,
-                           static_cast<uint32_t>(res.size()), h.seq,
-                           std::string(res.begin(), res.end()));
-      }
-      case Opcode::kInsert: {
-        std::vector<uint64_t> raw;
-        if (!DecodeKeysPayload(h, payload, &raw)) return std::string();
-        std::vector<HashedKey> keys;
-        keys.reserve(raw.size());
-        for (uint64_t k : raw) keys.emplace_back(k);
-        std::vector<InsertOutcome> outcomes(raw.size());
-        if (!keys.empty()) {
-          s.filter_->InsertManyWithStatus(std::span<const HashedKey>(keys),
-                                          outcomes.data());
-        }
-        std::string body(raw.size(), '\0');
-        uint64_t stored = 0;
-        uint64_t nacked = 0;
-        for (size_t i = 0; i < outcomes.size(); ++i) {
-          switch (outcomes[i]) {
-            case InsertOutcome::kAccepted:
-              body[i] = static_cast<char>(kInsertAccepted);
-              ++stored;
-              break;
-            case InsertOutcome::kExpanded:
-              body[i] = static_cast<char>(kInsertExpanded);
-              ++stored;
-              break;
-            case InsertOutcome::kRejectedFull:
-              // The saturation policy refused the key: an explicit
-              // per-key NACK, never a silent ack-then-drop.
-              body[i] = static_cast<char>(kInsertNacked);
-              ++nacked;
-              break;
+        const size_t n = raw.size();
+        keys.resize(n);
+        for (size_t i = 0; i < n; ++i) keys[i] = HashedKey(raw[i]);
+        // The filter writes its answer bytes straight into the reply.
+        body.resize(n);
+        auto* res = reinterpret_cast<uint8_t*>(body.data());
+        if (op == Opcode::kLookup) {
+          if (n > 0) s.filter_->ContainsMany(keys, res);
+          s.metrics_.keys_looked_up.Add(n);
+        } else if (op == Opcode::kInsert) {
+          outcomes.resize(n);
+          if (n > 0) s.filter_->InsertManyWithStatus(keys, outcomes.data());
+          // A refused key is an explicit per-key NACK, never a silent
+          // ack-then-drop.
+          uint64_t nacked = 0;
+          for (size_t i = 0; i < n; ++i) {
+            res[i] = static_cast<uint8_t>(outcomes[i]);
+            nacked += outcomes[i] == InsertOutcome::kRejectedFull;
+          }
+          s.metrics_.keys_inserted.Add(n - nacked);
+          s.metrics_.keys_insert_nacked.Add(nacked);
+        } else {
+          for (size_t i = 0; i < n; ++i) {
+            res[i] = s.filter_->Erase(keys[i]) ? kEraseDone : kEraseMiss;
           }
         }
-        s.metrics_.keys_inserted.Add(stored);
-        s.metrics_.keys_insert_nacked.Add(nacked);
-        return EncodeFrame(op, FrameStatus::kOk,
-                           static_cast<uint32_t>(body.size()), h.seq, body);
-      }
-      case Opcode::kErase: {
-        std::vector<uint64_t> raw;
-        if (!DecodeKeysPayload(h, payload, &raw)) return std::string();
-        std::string body(raw.size(), '\0');
-        for (size_t i = 0; i < raw.size(); ++i) {
-          body[i] = static_cast<char>(s.filter_->Erase(HashedKey(raw[i]))
-                                          ? kEraseDone
-                                          : kEraseMiss);
-        }
-        return EncodeFrame(op, FrameStatus::kOk,
-                           static_cast<uint32_t>(body.size()), h.seq, body);
+        return reply(FrameStatus::kOk, n, body);
       }
       case Opcode::kMetrics: {
-        std::string text = s.MetricsText();
-        if (text.size() > kMaxWirePayloadBytes) {
-          text.resize(kMaxWirePayloadBytes);
-        }
-        return EncodeFrame(op, FrameStatus::kOk, 0, h.seq, text);
+        const std::string text = s.MetricsText();
+        return reply(FrameStatus::kOk, 0,
+                     std::string_view(text).substr(0, kMaxWirePayloadBytes));
       }
       case Opcode::kBlockCheck:
       case Opcode::kReportFalseBlock: {
         if (s.blocklist_ == nullptr) {
-          return EncodeFrame(op, FrameStatus::kUnsupported, 0, h.seq, "");
+          return reply(FrameStatus::kUnsupported, 0, "");
         }
         std::vector<std::string_view> urls;
-        if (!DecodeStringsPayload(h, payload, &urls)) return std::string();
-        std::string body(urls.size(), '\0');
+        if (!DecodeStringsPayload(h, payload, &urls)) return false;
+        body.resize(urls.size());
         {
           // Blocklist implementations are not internally locked (and
           // ReportFalseBlock mutates); serialize across loops.
@@ -395,24 +379,20 @@ struct Server::Worker {
             body[i] = static_cast<char>(r ? 1 : 0);
           }
         }
-        return EncodeFrame(op, FrameStatus::kOk,
-                           static_cast<uint32_t>(body.size()), h.seq, body);
+        return reply(FrameStatus::kOk, urls.size(), body);
       }
       case Opcode::kTunerCtl: {
-        if (!s.tuner_control_) {
-          return EncodeFrame(op, FrameStatus::kUnsupported, 0, h.seq, "");
-        }
+        if (!s.tuner_control_) return reply(FrameStatus::kUnsupported, 0, "");
         // Exactly one command byte; anything else is a framing error.
-        if (payload.size() != 1 || h.count > 1) return std::string();
+        if (payload.size() != 1 || h.count > 1) return false;
         s.metrics_.tuner_ctl.Add();
-        std::string text = s.tuner_control_(static_cast<uint8_t>(payload[0]));
-        if (text.size() > kMaxWirePayloadBytes) {
-          text.resize(kMaxWirePayloadBytes);
-        }
-        return EncodeFrame(op, FrameStatus::kOk, 0, h.seq, text);
+        const std::string text =
+            s.tuner_control_(static_cast<uint8_t>(payload[0]));
+        return reply(FrameStatus::kOk, 0,
+                     std::string_view(text).substr(0, kMaxWirePayloadBytes));
       }
     }
-    return std::string();
+    return false;
   }
 
   /// Cuts and serves every complete frame buffered on `conn`. Returns
@@ -461,8 +441,8 @@ struct Server::Worker {
         continue;                // Budget freed: keep serving buffered frames.
       }
       conn.in_off += consumed;
-      std::string response = Dispatch(h, payload);
-      if (response.empty()) {
+      const size_t queued = conn.out.size();
+      if (!Dispatch(h, payload, &conn.out)) {
         // Structurally valid frame with a semantically malformed payload
         // (count/length mismatch, oversized string): same treatment as a
         // framing violation.
@@ -472,10 +452,11 @@ struct Server::Worker {
         CloseConn(conn.fd);
         return false;
       }
+      server_->global_pending_.fetch_add(conn.out.size() - queued,
+                                         std::memory_order_relaxed);
       server_->metrics_.frames_served.Add();
       if (drain_seen) server_->metrics_.drained_inflight.Add();
       conn.deadline_ms = 0;
-      AppendOut(conn, response);
       if (!TryFlush(conn)) return false;
       if (conn.paused || conn.closing) break;
     }

@@ -35,20 +35,25 @@ uint32_t GetU32(const char* p) {
 
 }  // namespace
 
+void AppendFrame(std::string* out, Opcode opcode, FrameStatus status,
+                 uint32_t count, uint64_t seq, std::string_view payload) {
+  out->reserve(out->size() + kWireHeaderBytes + payload.size());
+  PutU64(out, kWireMagic);
+  out->push_back(static_cast<char>(kWireVersion));
+  out->push_back(static_cast<char>(opcode));
+  out->push_back(static_cast<char>(status));
+  out->push_back('\0');  // flags
+  PutU32(out, count);
+  PutU64(out, seq);
+  PutU64(out, payload.size());
+  PutU64(out, HashBytes(payload.data(), payload.size(), kWireChecksumSeed));
+  out->append(payload);
+}
+
 std::string EncodeFrame(Opcode opcode, FrameStatus status, uint32_t count,
                         uint64_t seq, std::string_view payload) {
   std::string out;
-  out.reserve(kWireHeaderBytes + payload.size());
-  PutU64(&out, kWireMagic);
-  out.push_back(static_cast<char>(kWireVersion));
-  out.push_back(static_cast<char>(opcode));
-  out.push_back(static_cast<char>(status));
-  out.push_back('\0');  // flags
-  PutU32(&out, count);
-  PutU64(&out, seq);
-  PutU64(&out, payload.size());
-  PutU64(&out, HashBytes(payload.data(), payload.size(), kWireChecksumSeed));
-  out.append(payload);
+  AppendFrame(&out, opcode, status, count, seq, payload);
   return out;
 }
 
@@ -113,11 +118,10 @@ bool DecodeKeysPayload(const FrameHeader& h, std::string_view payload,
                        std::vector<uint64_t>* keys) {
   if (h.count > kMaxWireBatchCount) return false;
   if (payload.size() != static_cast<size_t>(h.count) * 8) return false;
-  std::vector<uint64_t> local(h.count);
+  keys->resize(h.count);
   for (uint32_t i = 0; i < h.count; ++i) {
-    local[i] = GetU64(payload.data() + static_cast<size_t>(i) * 8);
+    (*keys)[i] = GetU64(payload.data() + static_cast<size_t>(i) * 8);
   }
-  *keys = std::move(local);
   return true;
 }
 

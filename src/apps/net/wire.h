@@ -135,7 +135,11 @@ enum class HeaderCheck : uint8_t {
   kHostileLength,  // payload_len or count above the caps.
 };
 
-/// Serializes one complete frame (header + payload).
+/// Appends one complete frame (header + payload) to `out`.
+void AppendFrame(std::string* out, Opcode opcode, FrameStatus status,
+                 uint32_t count, uint64_t seq, std::string_view payload);
+
+/// AppendFrame into a fresh string.
 std::string EncodeFrame(Opcode opcode, FrameStatus status, uint32_t count,
                         uint64_t seq, std::string_view payload);
 
@@ -169,6 +173,7 @@ std::string EncodeKeysPayload(std::span<const uint64_t> keys);
 
 /// Strict inverse: requires payload_len == 8 * count with count within
 /// the batch cap. False on any mismatch; `keys` untouched on failure.
+/// Decodes into `keys`' own storage, so a reused vector stops allocating.
 bool DecodeKeysPayload(const FrameHeader& h, std::string_view payload,
                        std::vector<uint64_t>* keys);
 

@@ -37,7 +37,58 @@ uint64_t MonotonicNanos() {
           .count());
 }
 
+// Replays journal ops into `successor` in journal order. False when it
+// refuses an insert (an erase miss is not a failure).
+bool Replay(Filter& successor, std::span<const FilterJournalOp> ops) {
+  for (const FilterJournalOp& op : ops) {
+    const HashedKey key = HashedKey::FromMix(op.mix);
+    if (op.erase) {
+      successor.Erase(key);
+    } else if (!successor.Insert(key)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Stack scratch bounds for the grouped batch paths: batches up to
+// kStackKeys keys (and up to kStackShards-1 shards) run with zero heap
+// allocation, which is what makes grouping profitable for mid-size
+// batches that the old vector-of-vectors grouping lost money on.
+constexpr size_t kStackKeys = 1024;
+constexpr size_t kStackShards = 129;
+
 }  // namespace
+
+void GroupByShard(std::span<const HashedKey> keys, size_t num_shards,
+                  HashedKey* sorted, size_t* src, size_t* start) {
+  // The shard id of each key is stored, not recomputed — `% num_shards`
+  // is a 64-bit divide, and paying it twice per key was a measurable
+  // share of the old grouping cost.
+  constexpr size_t kStackIds = 4096;
+  uint32_t sid_stack[kStackIds];
+  std::vector<uint32_t> sid_heap;
+  uint32_t* sid = sid_stack;
+  if (keys.size() > kStackIds) {
+    sid_heap.resize(keys.size());
+    sid = sid_heap.data();
+  }
+  std::fill(start, start + num_shards + 1, 0);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    sid[i] = static_cast<uint32_t>(keys[i].value() % num_shards);
+    ++start[sid[i] + 1];
+  }
+  for (size_t s = 0; s < num_shards; ++s) start[s + 1] += start[s];
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const size_t pos = start[sid[i]]++;
+    sorted[pos] = keys[i];
+    src[pos] = i;
+  }
+  // The scatter advanced every cursor to its successor's offset; shift
+  // back in place instead of keeping a second cursor array.
+  for (size_t s = num_shards; s > 0; --s) start[s] = start[s - 1];
+  start[0] = 0;
+}
 
 int SaturationConfig::GenerationsForFprBudget(double per_generation_fpr,
                                               double fpr_budget) {
@@ -51,9 +102,7 @@ std::unique_ptr<ShardedFilter::Shard> ShardedFilter::MakeShard() const {
   // Quarantine rebuilds and snapshot loads create shards after a sink may
   // have been attached; keep them reporting.
   shard->gens.back()->AttachMetricsSink(sink_);
-  shard->newest_capacity = per_shard_capacity_;
-  shard->next_capacity = static_cast<uint64_t>(
-      std::max(1.0, per_shard_capacity_ * config_.growth));
+  SetNewestCapacity(*shard, per_shard_capacity_);
   // A freshly built shard is empty, so its (empty) journal is a complete
   // op history — quarantine rebuilds stay migratable.
   if (migration_enabled_) {
@@ -90,13 +139,17 @@ size_t ShardedFilter::ShardOf(HashedKey key) const {
   return static_cast<size_t>(key.value() % shards_.size());
 }
 
+void ShardedFilter::SetNewestCapacity(Shard& shard, uint64_t capacity) const {
+  shard.newest_capacity = capacity;
+  shard.next_capacity = static_cast<uint64_t>(
+      std::max(1.0, static_cast<double>(capacity) * config_.growth));
+}
+
 Filter& ShardedFilter::AddGenerationLocked(Shard& shard) {
   shard.gens.push_back(FactoryFor(shard)(shard.next_capacity));
   shard.gens.back()->AttachMetricsSink(sink_);
   if (sink_ != nullptr) sink_->OnExpansion();
-  shard.newest_capacity = shard.next_capacity;
-  shard.next_capacity = static_cast<uint64_t>(
-      std::max(1.0, shard.next_capacity * config_.growth));
+  SetNewestCapacity(shard, shard.next_capacity);
   return *shard.gens.back();
 }
 
@@ -111,21 +164,27 @@ void ShardedFilter::AttachMetricsSink(MetricsSink* sink) {
 InsertOutcome ShardedFilter::InsertIntoShardLocked(Shard& shard,
                                                    HashedKey key) {
   const InsertOutcome out = InsertPolicyLocked(shard, key);
-  if (Accepted(out)) {
-    if (shard.journal_valid && !shard.journal_broken) {
-      if (shard.journal.size() >= migration_config_.journal_cap) {
-        // Over the cap the journal can no longer claim to be the full
-        // history; serving continues, migration of this shard is refused.
-        shard.journal_broken = true;
-      } else {
-        shard.journal.push_back({key.value(), 0});
-      }
+  if (Accepted(out)) JournalLocked(shard, key, /*erase=*/false);
+  return out;
+}
+
+void ShardedFilter::JournalLocked(Shard& shard, HashedKey key, bool erase) {
+  if (shard.journal_valid && !shard.journal_broken) {
+    if (shard.journal.size() >= migration_config_.journal_cap) {
+      // Over the cap the journal can no longer claim to be the full
+      // history; serving continues, migration of this shard is refused.
+      shard.journal_broken = true;
+    } else {
+      shard.journal.push_back({key.value(), static_cast<uint8_t>(erase)});
     }
-    if (shard.fpr && ObservedFprEstimator::InDomain(key)) {
+  }
+  if (shard.fpr && ObservedFprEstimator::InDomain(key)) {
+    if (erase) {
+      shard.fpr->RecordErase(key);
+    } else {
       shard.fpr->RecordInsert(key);
     }
   }
-  return out;
 }
 
 InsertOutcome ShardedFilter::InsertPolicyLocked(Shard& shard, HashedKey key) {
@@ -200,61 +259,10 @@ bool ShardedFilter::Contains(HashedKey key) const {
   return hit;
 }
 
-void ShardedFilter::GroupByShard(std::span<const HashedKey> keys,
-                                 HashedKey* sorted, size_t* src,
-                                 size_t* start) const {
+template <typename Body>
+void ShardedFilter::ForEachShardBatch(std::span<const HashedKey> keys,
+                                      bool answers, Body&& body) const {
   const size_t num_shards = shards_.size();
-  // The shard id of each key is stored, not recomputed — `% num_shards`
-  // is a 64-bit divide, and paying it twice per key was a measurable
-  // share of the old grouping cost.
-  constexpr size_t kStackIds = 4096;
-  uint32_t sid_stack[kStackIds];
-  std::vector<uint32_t> sid_heap;
-  uint32_t* sid = sid_stack;
-  if (keys.size() > kStackIds) {
-    sid_heap.resize(keys.size());
-    sid = sid_heap.data();
-  }
-  std::fill(start, start + num_shards + 1, 0);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    sid[i] = static_cast<uint32_t>(keys[i].value() % num_shards);
-    ++start[sid[i] + 1];
-  }
-  for (size_t s = 0; s < num_shards; ++s) start[s + 1] += start[s];
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const size_t pos = start[sid[i]]++;
-    sorted[pos] = keys[i];
-    src[pos] = i;
-  }
-  // The scatter advanced every cursor to its successor's offset; shift
-  // back in place instead of keeping a second cursor array.
-  for (size_t s = num_shards; s > 0; --s) start[s] = start[s - 1];
-  start[0] = 0;
-}
-
-namespace {
-
-// Stack scratch bounds for the grouped batch paths: batches up to
-// kStackKeys keys (and up to kStackShards-1 shards) run with zero heap
-// allocation, which is what makes grouping profitable for mid-size
-// batches that the old vector-of-vectors grouping lost money on.
-constexpr size_t kStackKeys = 1024;
-constexpr size_t kStackShards = 129;
-
-}  // namespace
-
-void ShardedFilter::ContainsMany(std::span<const HashedKey> keys,
-                                 uint8_t* out) const {
-  const size_t num_shards = shards_.size();
-  // Passthrough: a batch shallower than ~2 keys per shard can't feed any
-  // shard's prefetch pipeline — grouping would add the sort and scatter
-  // for nothing — so it routes through per-key dispatch.
-  if (keys.size() < num_shards * 2) {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      out[i] = Contains(keys[i]) ? 1 : 0;
-    }
-    return;
-  }
   HashedKey sorted_stack[kStackKeys];
   size_t src_stack[kStackKeys];
   uint8_t res_stack[kStackKeys];
@@ -270,7 +278,9 @@ void ShardedFilter::ContainsMany(std::span<const HashedKey> keys,
   if (keys.size() > kStackKeys) {
     sorted_heap.resize(keys.size());
     src_heap.resize(keys.size());
-    res_heap.resize(keys.size());
+    // Insert batches need no answer bytes (their body gets null); a large
+    // one, such as a bulk preload, would otherwise pay a byte per key.
+    if (answers) res_heap.resize(keys.size());
     sorted = sorted_heap.data();
     src = src_heap.data();
     res = res_heap.data();
@@ -279,176 +289,129 @@ void ShardedFilter::ContainsMany(std::span<const HashedKey> keys,
     start_heap.resize(num_shards + 1);
     start = start_heap.data();
   }
-  GroupByShard(keys, sorted, src, start);
-  std::vector<uint8_t> gen_out;  // Only sized when a shard has chained.
+  GroupByShard(keys, num_shards, sorted, src, start);
   for (size_t s = 0; s < num_shards; ++s) {
     const size_t b = start[s];
     const size_t e = start[s + 1];
     if (b == e) continue;
-    const std::span<const HashedKey> sub(sorted + b, e - b);
-    std::shared_lock lock(shards_[s]->mutex);
-    const auto& gens = shards_[s]->gens;
-    // Single generation (the common case) writes results directly;
-    // chained shards OR the per-generation answers together.
-    gens.front()->ContainsMany(sub, res + b);
-    if (gens.size() > 1) {
-      gen_out.resize(sub.size());
-      for (size_t g = 1; g < gens.size(); ++g) {
-        gens[g]->ContainsMany(sub, gen_out.data());
-        for (size_t j = 0; j < sub.size(); ++j) res[b + j] |= gen_out[j];
-      }
+    body(*shards_[s], std::span<const HashedKey>(sorted + b, e - b), src + b,
+         answers ? res + b : nullptr);
+  }
+}
+
+void ShardedFilter::ContainsMany(std::span<const HashedKey> keys,
+                                 uint8_t* out) const {
+  // Passthrough, here and in both insert paths: a batch shallower than ~2
+  // keys per shard can't feed any shard's prefetch pipeline — grouping
+  // would add the sort and scatter for nothing — so it routes through
+  // per-key dispatch.
+  if (keys.size() < shards_.size() * 2) {
+    for (size_t i = 0; i < keys.size(); ++i) {
+      out[i] = Contains(keys[i]) ? 1 : 0;
     }
-    if (shards_[s]->fpr != nullptr) {
-      // Strided like InstrumentedFilter's batch path: scoring every
-      // in-domain key would funnel 1/64th of the batch through the
-      // estimator mutex while the shard lock is held.
-      for (size_t j = 0; j < sub.size(); j += 16) {
-        if (ObservedFprEstimator::InDomain(sub[j])) {
-          shards_[s]->fpr->RecordLookup(sub[j], res[b + j] != 0);
+    return;
+  }
+  std::vector<uint8_t> gen_out;  // Only sized when a shard has chained.
+  const auto probe = [&](Shard& shard, std::span<const HashedKey> sub,
+                         const size_t* src, uint8_t* res) {
+    {
+      std::shared_lock lock(shard.mutex);
+      // Single generation (the common case) writes results directly;
+      // chained shards OR the per-generation answers together.
+      shard.gens.front()->ContainsMany(sub, res);
+      if (shard.gens.size() > 1) {
+        gen_out.resize(sub.size());
+        for (size_t g = 1; g < shard.gens.size(); ++g) {
+          shard.gens[g]->ContainsMany(sub, gen_out.data());
+          for (size_t j = 0; j < sub.size(); ++j) res[j] |= gen_out[j];
+        }
+      }
+      if (shard.fpr != nullptr) {
+        // Strided like InstrumentedFilter's batch path: scoring every
+        // in-domain key would funnel 1/64th of the batch through the
+        // estimator mutex while the shard lock is held.
+        for (size_t j = 0; j < sub.size(); j += 16) {
+          if (ObservedFprEstimator::InDomain(sub[j])) {
+            shard.fpr->RecordLookup(sub[j], res[j] != 0);
+          }
         }
       }
     }
-  }
-  for (size_t p = 0; p < keys.size(); ++p) out[src[p]] = res[p];
+    for (size_t j = 0; j < sub.size(); ++j) out[src[j]] = res[j];
+  };
+  ForEachShardBatch(keys, /*answers=*/true, probe);
 }
 
 size_t ShardedFilter::InsertMany(std::span<const HashedKey> keys) {
-  const size_t num_shards = shards_.size();
-  if (keys.size() < num_shards * 2) {
-    size_t inserted = 0;
+  size_t inserted = 0;
+  if (keys.size() < shards_.size() * 2) {
     for (HashedKey key : keys) inserted += Insert(key);
     return inserted;
   }
-  HashedKey sorted_stack[kStackKeys];
-  size_t src_stack[kStackKeys];
-  size_t start_stack[kStackShards];
-  std::vector<HashedKey> sorted_heap;
-  std::vector<size_t> src_heap;
-  std::vector<size_t> start_heap;
-  HashedKey* sorted = sorted_stack;
-  size_t* src = src_stack;
-  size_t* start = start_stack;
-  if (keys.size() > kStackKeys) {
-    sorted_heap.resize(keys.size());
-    src_heap.resize(keys.size());
-    sorted = sorted_heap.data();
-    src = src_heap.data();
-  }
-  if (num_shards + 1 > kStackShards) {
-    start_heap.resize(num_shards + 1);
-    start = start_heap.data();
-  }
-  GroupByShard(keys, sorted, src, start);
-  size_t inserted = 0;
-  for (size_t s = 0; s < num_shards; ++s) {
-    const size_t b = start[s];
-    const size_t e = start[s + 1];
-    if (b == e) continue;
-    const std::span<const HashedKey> sub(sorted + b, e - b);
-    Shard& shard = *shards_[s];
+  const auto insert = [&](Shard& shard, std::span<const HashedKey> sub,
+                          const size_t*, uint8_t*) {
     std::unique_lock lock(shard.mutex);
     Filter& cur = *shard.gens.back();
-    // Journaling shards always take the per-key path: the count-only
-    // fast path cannot attribute a partial batch to keys, and a journal
-    // recording a key the family refused would replay a phantom insert.
-    if (shard.journal_valid || shard.fpr != nullptr) {
-      for (HashedKey key : sub) {
-        inserted += Accepted(InsertIntoShardLocked(shard, key));
-      }
-      continue;
-    }
     // Fast path: if the whole sub-batch fits under the threshold, hand it
     // to the newest generation's prefetch-pipelined InsertMany. The
     // headroom estimate is conservative (batch over built capacity), so
     // a family shouldn't hit its hard limit inside the batch; if it still
-    // refuses some keys the returned count stays truthful.
+    // refuses some keys the returned count stays truthful. Journaling
+    // shards never take it: the count-only fast path cannot attribute a
+    // partial batch to keys, and a journal recording a key the family
+    // refused would replay a phantom insert.
     const double headroom =
         config_.load_threshold - cur.LoadFactor() -
         static_cast<double>(sub.size()) / shard.newest_capacity;
-    if (headroom > 0) {
+    if (!shard.journal_valid && shard.fpr == nullptr && headroom > 0) {
       const size_t n = cur.InsertMany(sub);
       shard.accepted += n;
       shard.rejected += sub.size() - n;
       inserted += n;
-      continue;
+      return;
     }
-    // Near saturation: per-key policy path (chaining mid-batch is fine).
+    // Per-key policy path (chaining mid-batch is fine).
     for (HashedKey key : sub) {
       inserted += Accepted(InsertIntoShardLocked(shard, key));
     }
-  }
+  };
+  ForEachShardBatch(keys, /*answers=*/false, insert);
   return inserted;
 }
 
 void ShardedFilter::InsertManyWithStatus(std::span<const HashedKey> keys,
                                          InsertOutcome* out) {
-  const size_t num_shards = shards_.size();
-  if (keys.size() < num_shards * 2) {
+  if (keys.size() < shards_.size() * 2) {
     for (size_t i = 0; i < keys.size(); ++i) {
       out[i] = InsertWithStatus(keys[i]);
     }
     return;
   }
-  HashedKey sorted_stack[kStackKeys];
-  size_t src_stack[kStackKeys];
-  size_t start_stack[kStackShards];
-  std::vector<HashedKey> sorted_heap;
-  std::vector<size_t> src_heap;
-  std::vector<size_t> start_heap;
-  HashedKey* sorted = sorted_stack;
-  size_t* src = src_stack;
-  size_t* start = start_stack;
-  if (keys.size() > kStackKeys) {
-    sorted_heap.resize(keys.size());
-    src_heap.resize(keys.size());
-    sorted = sorted_heap.data();
-    src = src_heap.data();
-  }
-  if (num_shards + 1 > kStackShards) {
-    start_heap.resize(num_shards + 1);
-    start = start_heap.data();
-  }
-  GroupByShard(keys, sorted, src, start);
-  for (size_t s = 0; s < num_shards; ++s) {
-    const size_t b = start[s];
-    const size_t e = start[s + 1];
-    if (b == e) continue;
-    Shard& shard = *shards_[s];
+  const auto insert = [&](Shard& shard, std::span<const HashedKey> sub,
+                          const size_t* src, uint8_t*) {
     std::unique_lock lock(shard.mutex);
     // Always the per-key policy path: the InsertMany fast path returns
     // only a count, which cannot be attributed to keys when a family
     // refuses some of a sub-batch — and guessing would ack a key that
     // was never stored.
-    for (size_t p = b; p < e; ++p) {
-      out[src[p]] = InsertIntoShardLocked(shard, sorted[p]);
+    for (size_t j = 0; j < sub.size(); ++j) {
+      out[src[j]] = InsertIntoShardLocked(shard, sub[j]);
     }
-  }
+  };
+  ForEachShardBatch(keys, /*answers=*/false, insert);
 }
 
 bool ShardedFilter::Erase(HashedKey key) {
   Shard& shard = *shards_[ShardOf(key)];
   std::unique_lock lock(shard.mutex);
   // Newest first: recent inserts are the likeliest erase targets.
-  bool erased = false;
   for (auto it = shard.gens.rbegin(); it != shard.gens.rend(); ++it) {
     if ((*it)->Erase(key)) {
-      erased = true;
-      break;
+      JournalLocked(shard, key, /*erase=*/true);
+      return true;
     }
   }
-  if (erased) {
-    if (shard.journal_valid && !shard.journal_broken) {
-      if (shard.journal.size() >= migration_config_.journal_cap) {
-        shard.journal_broken = true;
-      } else {
-        shard.journal.push_back({key.value(), 1});
-      }
-    }
-    if (shard.fpr && ObservedFprEstimator::InDomain(key)) {
-      shard.fpr->RecordErase(key);
-    }
-  }
-  return erased;
+  return false;
 }
 
 uint64_t ShardedFilter::Count(HashedKey key) const {
@@ -616,15 +579,7 @@ ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
       [factory](std::span<const FilterJournalOp> ops,
                 uint64_t capacity) -> std::unique_ptr<Filter> {
         std::unique_ptr<Filter> successor = factory(capacity);
-        if (!successor) return nullptr;
-        for (const FilterJournalOp& op : ops) {
-          const HashedKey key = HashedKey::FromMix(op.mix);
-          if (op.erase) {
-            successor->Erase(key);
-          } else if (!successor->Insert(key)) {
-            return nullptr;
-          }
-        }
+        if (!successor || !Replay(*successor, ops)) return nullptr;
         return successor;
       },
       std::move(successor_factory));
@@ -681,18 +636,6 @@ ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
     return fail("successor build failed (builder refused a snapshot op)");
   }
 
-  auto replay = [&](std::span<const FilterJournalOp> ops) {
-    for (const FilterJournalOp& op : ops) {
-      const HashedKey key = HashedKey::FromMix(op.mix);
-      if (op.erase) {
-        successor->Erase(key);
-      } else if (!successor->Insert(key)) {
-        return false;
-      }
-    }
-    return true;
-  };
-
   // Phase C — catch-up rounds: drain the ops that landed during the
   // build, reading the tail under a shared lock, replaying unlocked.
   size_t cursor = snapshot_ops.size();
@@ -713,7 +656,9 @@ ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
                   shard.journal.end());
     }
     if (tail.size() <= kFinalDrainTarget) break;
-    if (!replay(tail)) return fail("successor rejected a replayed op");
+    if (!Replay(*successor, tail)) {
+      return fail("successor rejected a replayed op");
+    }
     cursor += tail.size();
     report.replayed_ops += tail.size();
   }
@@ -734,7 +679,7 @@ ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
     }
     const std::span<const FilterJournalOp> rest(
         shard.journal.data() + cursor, shard.journal.size() - cursor);
-    if (!replay(rest)) {
+    if (!Replay(*successor, rest)) {
       shard.migrating = false;
       report.error = "successor rejected a replayed op";
       return report;
@@ -744,9 +689,7 @@ ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
     report.to_family = std::string(successor->Name());
     shard.gens.clear();
     shard.gens.push_back(std::move(successor));
-    shard.newest_capacity = capacity;
-    shard.next_capacity = static_cast<uint64_t>(
-        std::max(1.0, static_cast<double>(capacity) * config_.growth));
+    SetNewestCapacity(shard, capacity);
     if (successor_factory) shard.factory = std::move(successor_factory);
     CompactJournalLocked(shard);
     if (shard.fpr != nullptr) shard.fpr->ResetObservations();

@@ -43,6 +43,16 @@ enum class SaturationPolicy : uint8_t {
   kExpandInPlace,
 };
 
+/// Flat counting sort of pre-hashed `keys` by shard, routed as
+/// ShardedFilter routes (value() % num_shards): on return,
+/// sorted[start[s]..start[s+1]) holds shard s's keys in batch order and
+/// src[p] is the batch position sorted[p] came from (for scattering
+/// results back). `sorted` and `src` hold keys.size() entries, `start`
+/// num_shards + 1. No per-shard vectors; the shard id is computed once
+/// per key, and batches up to 4,096 keys allocate nothing.
+void GroupByShard(std::span<const HashedKey> keys, size_t num_shards,
+                  HashedKey* sorted, size_t* src, size_t* start);
+
 /// Per-shard degradation knobs for ShardedFilter.
 struct SaturationConfig {
   SaturationPolicy policy = SaturationPolicy::kChain;
@@ -326,10 +336,23 @@ class ShardedFilter : public Filter {
   };
 
   size_t ShardOf(HashedKey key) const;
+  // Groups a batch by shard and calls body(shard, sub, src, res) once per
+  // shard that has keys: `sub` is the shard's keys in batch order, src[j]
+  // the batch position of sub[j], and res a scratch byte per key (null
+  // without `answers`). Scratch lives on the stack up to 1,024 keys and
+  // 128 shards.
+  template <typename Body>
+  void ForEachShardBatch(std::span<const HashedKey> keys, bool answers,
+                         Body&& body) const;
   // The policy-driven insert path; requires shard.mutex held exclusively.
   InsertOutcome InsertIntoShardLocked(Shard& shard, HashedKey key);
   // InsertIntoShardLocked without the journal/estimator bookkeeping.
   InsertOutcome InsertPolicyLocked(Shard& shard, HashedKey key);
+  // Records one acked insert or erase in the shard's journal and FPR
+  // estimator. Requires the lock.
+  void JournalLocked(Shard& shard, HashedKey key, bool erase);
+  // Makes `capacity` the newest generation's and grows the next one's.
+  void SetNewestCapacity(Shard& shard, uint64_t capacity) const;
   // Chains a fresh generation onto `shard` (kChain). Requires the lock.
   Filter& AddGenerationLocked(Shard& shard);
   std::unique_ptr<Shard> MakeShard() const;
@@ -341,16 +364,6 @@ class ShardedFilter : public Filter {
   // shard lock; called after a successful swap so journal length tracks
   // live keys, not op history.
   static void CompactJournalLocked(Shard& shard);
-
-  // Flat counting sort of pre-hashed `keys` by shard: on return,
-  // sorted[start[s]..start[s+1]) holds shard s's keys in batch order and
-  // src[p] is the batch position sorted[p] came from (for scattering
-  // results back). All outputs are caller-provided flat arrays of
-  // keys.size() entries (start: shards+1) — no per-shard vectors, no
-  // allocation. The shard id is computed once per key and reused for the
-  // scatter.
-  void GroupByShard(std::span<const HashedKey> keys, HashedKey* sorted,
-                    size_t* src, size_t* start) const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   ShardFactory factory_;          // Kept for chaining + quarantine rebuilds.

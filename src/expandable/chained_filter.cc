@@ -10,15 +10,15 @@ namespace bbf {
 ChainedQuotientFilter::ChainedQuotientFilter(int q_bits, int r_bits,
                                              uint64_t hash_seed)
     : r_bits_(r_bits), next_q_bits_(q_bits), hash_seed_(hash_seed) {
-  links_.push_back(std::make_unique<QuotientFilter>(
-      next_q_bits_, r_bits_, hash_seed_ + links_.size()));
+  links_.push_back(
+      std::make_unique<QuotientFilter>(next_q_bits_, r_bits_, hash_seed_));
   ++next_q_bits_;
 }
 
 bool ChainedQuotientFilter::Insert(HashedKey key) {
   if (!links_.back()->Insert(key)) {
-    links_.push_back(std::make_unique<QuotientFilter>(
-        next_q_bits_, r_bits_, hash_seed_ + links_.size()));
+    links_.push_back(
+        std::make_unique<QuotientFilter>(next_q_bits_, r_bits_, hash_seed_));
     ++next_q_bits_;
     if (sink_ != nullptr) sink_->OnExpansion();
     if (!links_.back()->Insert(key)) return false;
@@ -35,7 +35,11 @@ bool ChainedQuotientFilter::Contains(HashedKey key) const {
 }
 
 bool ChainedQuotientFilter::Erase(HashedKey key) {
-  // Newest first: recently inserted keys are most likely there.
+  // Newest first: recently inserted keys are most likely there. The match
+  // may be another key's entry, but every link fingerprints with the one
+  // seed, so an older link's (q + r)-bit fingerprint is the low bits of
+  // every newer link's: the erased key's own older entry stays behind and
+  // still covers the key whose entry went.
   for (auto it = links_.rbegin(); it != links_.rend(); ++it) {
     if ((*it)->Erase(key)) {
       --num_keys_;
@@ -83,7 +87,9 @@ bool ChainedQuotientFilter::LoadPayload(std::istream& is) {
   std::vector<std::unique_ptr<QuotientFilter>> links;
   links.reserve(num_links);
   for (uint64_t i = 0; i < num_links; ++i) {
-    auto link = std::make_unique<QuotientFilter>(6, r, seed + i);
+    // Each link's payload carries its own seed: chains saved when links
+    // were seeded hash_seed + i load with those seeds.
+    auto link = std::make_unique<QuotientFilter>(6, r, seed);
     if (!link->LoadPayload(is)) return false;
     links.push_back(std::move(link));
   }

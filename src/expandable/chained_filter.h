@@ -14,7 +14,9 @@ namespace bbf {
 /// filters of geometrically increasing capacity. Inserts go to the newest
 /// filter; a query probes *every* filter on the chain — the growing query
 /// cost the paper calls out as this strategy's weakness (experiment E4).
-/// Unlike the Bloom chain, deletes work: Erase tries each filter.
+/// Unlike the Bloom chain, deletes work: Erase tries each filter, newest
+/// first. Every link hashes with the chain's one seed, which is what makes
+/// that safe (see Erase).
 class ChainedQuotientFilter : public Filter {
  public:
   /// First link has 2^q_bits slots; every link uses r_bits remainders

@@ -30,6 +30,7 @@
 #include "quotient/quotient_filter.h"
 #include "scratch_path.h"
 #include "test_seed.h"
+#include "util/hash.h"
 #include "workload/generators.h"
 
 namespace bbf::net {
@@ -449,6 +450,76 @@ TEST(WireServer, MalformedFramesAreNackedAndConnectionClosed) {
   SyncClient client(RawConnect(server.port()));
   EXPECT_EQ(client.Ping(), FrameStatus::kOk);
   server.Shutdown();
+}
+
+TEST(WireServer, ReplyBytesArePinned) {
+  // One fixed stream through every reply path: a ping, an empty lookup,
+  // then insert, lookup and erase frames below the grouping cut-off (2
+  // keys per shard), between it and 1,024 keys, and above 1,024; a
+  // blocklist frame with no blocklist mounted (kUnsupported); and a
+  // lookup whose count disagrees with its payload (kMalformed, then
+  // close). Two generations per shard at most, so the insert replies
+  // hold accepted, expanded and NACKed bytes. The input is fixed (no
+  // TestSeed): a change to the request path must reproduce every byte.
+  SaturationConfig sat;
+  sat.max_generations = 2;
+  ShardedFilter filter(600, 4, QuotientFactory(0.01), sat);
+  ServerConfig config;
+  config.num_threads = 1;
+  Server server(&filter, config);
+  ASSERT_TRUE(server.Start());
+  int sp[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sp), 0);
+  timeval tv{};
+  tv.tv_sec = 5;
+  setsockopt(sp[0], SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  server.AdoptConnection(sp[1]);
+
+  const auto keys = GenerateDistinctKeys(6000, 0x91AE);
+  uint64_t seq = 0;
+  std::string stream = EncodeFrame(Opcode::kPing, FrameStatus::kOk, 0, ++seq,
+                                   "");
+  auto add = [&](Opcode op, size_t off, size_t n) {
+    stream += EncodeFrame(op, FrameStatus::kOk, static_cast<uint32_t>(n),
+                          ++seq, EncodeKeysPayload({keys.data() + off, n}));
+  };
+  add(Opcode::kLookup, 0, 0);
+  size_t off = 0;
+  for (size_t n : {5, 100, 1024, 1500, 1500}) {
+    add(Opcode::kInsert, off, n);
+    off += n;
+  }
+  // Lookups and erases straddle the inserted prefix [0, 4129).
+  add(Opcode::kLookup, 4000, 7);
+  add(Opcode::kLookup, 3900, 300);
+  add(Opcode::kLookup, 3500, 1024);
+  add(Opcode::kLookup, 2500, 2000);
+  add(Opcode::kErase, 4100, 6);
+  add(Opcode::kErase, 0, 200);
+  add(Opcode::kErase, 3500, 1100);
+  add(Opcode::kLookup, 0, 4600);
+  stream += EncodeFrame(Opcode::kBlockCheck, FrameStatus::kOk, 2, ++seq,
+                        EncodeStringsPayload({"a.example", "b.example"}));
+  stream += EncodeFrame(Opcode::kLookup, FrameStatus::kOk, 3, ++seq,
+                        EncodeKeysPayload({keys.data(), 2}));
+  ASSERT_TRUE(RawWrite(sp[0], stream));
+  const std::string replies = RawDrain(sp[0]);  // The server closes.
+  ::close(sp[0]);
+  server.Shutdown();
+
+  const auto frames = ParseFrames(replies);
+  ASSERT_EQ(frames.size(), seq);
+  EXPECT_EQ(frames[frames.size() - 2].header.status,
+            static_cast<uint8_t>(FrameStatus::kUnsupported));
+  EXPECT_EQ(frames.back().header.status,
+            static_cast<uint8_t>(FrameStatus::kMalformed));
+  std::set<char> insert_bytes;
+  for (size_t f = 2; f < 7; ++f) {
+    insert_bytes.insert(frames[f].payload.begin(), frames[f].payload.end());
+  }
+  EXPECT_EQ(insert_bytes.size(), 3u) << "accepted, expanded and NACKed";
+  EXPECT_EQ(replies.size(), 14046u);
+  EXPECT_EQ(HashBytes(replies), 0x49cc2d3d8bf69e5dull);
 }
 
 TEST(WireServer, HostileLengthIsRejectedBeforeBuffering) {

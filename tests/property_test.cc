@@ -314,6 +314,119 @@ TEST(BatchParity, CuckooFullFilterReturnPath) {
   for (uint64_t k : keys) ASSERT_EQ(batched.Contains(k), scalar.Contains(k));
 }
 
+// --- Sharded batch paths against a per-key twin ------------------------------
+
+// ShardedFilter's three batch paths share one grouping helper. Fed the
+// same keys, a filter driven through them and a twin driven key by key
+// must agree on every answer and outcome, on every shard's counters and
+// on every saved byte, whatever scratch the batch takes: the per-key
+// passthrough below 2 keys per shard, stack scratch up to 1,024 keys,
+// heap scratch beyond, and a heap start array past 128 shards. Shards
+// chain up to two generations, then refuse keys. With `armed`, migration
+// journaling and FPR tracking run as in a serving filter; without, the
+// InsertMany fast path runs while a sub-batch fits under the threshold.
+void CheckShardedBatchTwin(uint64_t expected, int num_shards, uint64_t n,
+                           const std::vector<size_t>& batches, bool armed,
+                           uint64_t default_seed) {
+  const uint64_t seed = TestSeed(default_seed);
+  BBF_ANNOUNCE_SEED(seed);
+  SaturationConfig sat;
+  sat.max_generations = 2;
+  auto make = [&] {
+    auto f = std::make_unique<ShardedFilter>(
+        expected, num_shards,
+        [](uint64_t cap) -> std::unique_ptr<Filter> {
+          return std::make_unique<QuotientFilter>(
+              QuotientFilter::ForCapacity(cap, 0.05));
+        },
+        sat);
+    if (armed) {
+      EXPECT_TRUE(f->EnableMigration());
+    }
+    return f;
+  };
+  const auto batched = make();
+  const auto twin = make();
+  std::vector<HashedKey> keys;
+  for (uint64_t k : GenerateDistinctKeys(n, seed)) keys.emplace_back(k);
+  std::vector<HashedKey> queries;
+  for (uint64_t k : GenerateNegativeKeys(GenerateDistinctKeys(n, seed), n,
+                                         seed + 1)) {
+    queries.emplace_back(k);
+  }
+  queries.insert(queries.end(), keys.begin(), keys.end());
+
+  // Inserts alternate between InsertManyWithStatus and InsertMany.
+  size_t b = 0;
+  for (size_t off = 0; off < keys.size(); ++b) {
+    const std::span<const HashedKey> batch(
+        keys.data() + off, std::min(batches[b % batches.size()],
+                                    keys.size() - off));
+    off += batch.size();
+    if (b % 2 == 0) {
+      std::vector<InsertOutcome> got(batch.size());
+      batched->InsertManyWithStatus(batch, got.data());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        ASSERT_EQ(got[i], twin->InsertWithStatus(batch[i]))
+            << "batch " << b << " key " << i;
+      }
+    } else {
+      size_t want = 0;
+      for (HashedKey key : batch) want += twin->Insert(key);
+      ASSERT_EQ(batched->InsertMany(batch), want) << "batch " << b;
+    }
+  }
+  for (size_t off = 0; off < queries.size(); ++b) {
+    const std::span<const HashedKey> batch(
+        queries.data() + off, std::min(batches[b % batches.size()],
+                                       queries.size() - off));
+    off += batch.size();
+    std::vector<uint8_t> got(batch.size(), 2);
+    batched->ContainsMany(batch, got.data());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_EQ(got[i], twin->Contains(batch[i]) ? 1 : 0)
+          << "batch " << b << " query " << i;
+    }
+  }
+
+  const auto got = batched->Stats();
+  const auto want = twin->Stats();
+  ASSERT_EQ(got.size(), want.size());
+  uint64_t expanded = 0;
+  uint64_t rejected = 0;
+  for (size_t s = 0; s < got.size(); ++s) {
+    EXPECT_EQ(got[s].accepted, want[s].accepted) << "shard " << s;
+    EXPECT_EQ(got[s].expanded, want[s].expanded) << "shard " << s;
+    EXPECT_EQ(got[s].rejected, want[s].rejected) << "shard " << s;
+    EXPECT_EQ(got[s].generations, want[s].generations) << "shard " << s;
+    expanded += got[s].expanded;
+    rejected += got[s].rejected;
+  }
+  EXPECT_GT(expanded, 0u) << "no shard chained a generation";
+  EXPECT_GT(rejected, 0u) << "no shard refused a key";
+  std::ostringstream got_bytes;
+  std::ostringstream want_bytes;
+  ASSERT_TRUE(batched->Save(got_bytes));
+  ASSERT_TRUE(twin->Save(want_bytes));
+  EXPECT_TRUE(got_bytes.str() == want_bytes.str()) << "saved bytes differ";
+}
+
+TEST(BatchParity, ShardedBatchPathsMatchPerKeyTwin) {
+  // 4 shards: passthrough below 8 keys, stack scratch to 1,024, heap past.
+  for (bool armed : {true, false}) {
+    SCOPED_TRACE(armed ? "migration armed" : "migration off");
+    CheckShardedBatchTwin(2000, 4, 12000,
+                          {1, 5, 7, 8, 100, 1024, 1025, 2000}, armed, 370);
+  }
+}
+
+TEST(BatchParity, ShardedBatchPathsMatchPerKeyTwinPast128Shards) {
+  // 200 shards: passthrough below 400 keys; every grouped batch puts its
+  // start array on the heap, and batches past 1,024 keys the rest too.
+  CheckShardedBatchTwin(20000, 200, 160000, {1, 399, 400, 1024, 1025, 3000},
+                        /*armed=*/true, 380);
+}
+
 // --- Quotient filter: full differential sweep at several loads ---------------
 
 class QfLoadSweep : public ::testing::TestWithParam<double> {};

@@ -10,8 +10,9 @@
 //
 // DeleteHazard is the duplicate-fingerprint delete property (insert A:X,
 // insert B:X, erase A — B must survive) over every erasing family on the
-// engines' erase paths, alone and sharded, sized so fingerprints collide
-// often.
+// engines' erase paths and the chained quotient filter, alone and
+// sharded, with the erases interleaved with the inserts or after them
+// all, sized so fingerprints collide often.
 
 #include <cstdint>
 #include <cstdio>
@@ -257,12 +258,14 @@ TEST(QuotientFamilyPin, ExpandingQuotientMaplet) {
 
 constexpr uint64_t kHazardKeys = 2000;
 
-// Inserts every key, erasing a seeded half of them along the way (one
-// erase after every second insert, the rest at the end). `insert(k)` and
-// `erase(k)` must succeed; returns the keys that stay.
+// Inserts every key and erases a seeded half of them: interleaved (one
+// erase after every second insert, the rest at the end) or all after the
+// inserts. `insert(k)` and `erase(k)` must succeed; returns the keys that
+// stay.
 template <typename Insert, typename Erase>
 std::vector<uint64_t> InsertAndEraseHalf(uint64_t seed, Insert&& insert,
-                                         Erase&& erase) {
+                                         Erase&& erase,
+                                         bool interleaved = true) {
   const std::vector<uint64_t> keys = GenerateDistinctKeys(kHazardKeys, seed);
   SplitMix64 rng(seed ^ 0xE7A5E);
   std::unordered_set<uint64_t> victims;
@@ -273,7 +276,7 @@ std::vector<uint64_t> InsertAndEraseHalf(uint64_t seed, Insert&& insert,
   for (size_t i = 0; i < keys.size(); ++i) {
     EXPECT_TRUE(insert(keys[i])) << "insert " << i;
     if (victims.contains(keys[i])) pending.push_back(keys[i]);
-    if (i % 2 == 1 && !pending.empty()) {
+    if (interleaved && i % 2 == 1 && !pending.empty()) {
       const size_t j = rng.NextBelow(pending.size());
       EXPECT_TRUE(erase(pending[j])) << "erase " << pending[j];
       pending[j] = pending.back();
@@ -291,7 +294,7 @@ std::vector<uint64_t> InsertAndEraseHalf(uint64_t seed, Insert&& insert,
 // ctest registers each case under a dump of GetParam()'s 24 raw bytes, so a
 // HazardCase holds no pointer (its bytes move with ASLR) and no padding: a
 // fixed family id stands in for the name. The ids keep the names the cases
-// were first registered under.
+// were first registered under; a family added later takes any unused id.
 struct HazardFamily {
   uint64_t id;
   const char* name;
@@ -301,6 +304,7 @@ constexpr HazardFamily kHazardFamilies[] = {
     {0x04, "counting-quotient"},
     {0xA016, "taffy"},
     {0x1C, "expanding-quotient"},
+    {0xC4, "chained-quotient"},
 };
 
 const char* HazardFamilyName(uint64_t id) {
@@ -317,25 +321,34 @@ struct HazardCase {
 };
 static_assert(sizeof(HazardCase) == 24, "no padding bytes in a case name");
 
-class DeleteHazard : public ::testing::TestWithParam<HazardCase> {};
+class DeleteHazard : public ::testing::TestWithParam<HazardCase> {
+ protected:
+  void ExpectNoKeptKeyLost(bool interleaved) {
+    const HazardCase& c = GetParam();
+    const uint64_t seed = TestSeed(0xDE1E7E);
+    BBF_ANNOUNCE_SEED(seed);
+    const char* family = HazardFamilyName(c.family_id);
+    ASSERT_NE(family, nullptr);
+    auto make = [&](uint64_t n) { return CreateFilter(family, n, c.fpr); };
+    std::unique_ptr<Filter> f =
+        c.sharded ? std::make_unique<ShardedFilter>(kHazardKeys, 4, make)
+                  : make(kHazardKeys);
+    ASSERT_NE(f, nullptr);
+    const std::vector<uint64_t> kept = InsertAndEraseHalf(
+        seed, [&](uint64_t k) { return f->Insert(k); },
+        [&](uint64_t k) { return f->Erase(k); }, interleaved);
+    uint64_t lost = 0;
+    for (uint64_t k : kept) lost += !f->Contains(k);
+    EXPECT_EQ(lost, 0u) << "of " << kept.size() << " remaining keys";
+  }
+};
 
 TEST_P(DeleteHazard, ErasingHalfLosesNoRemainingKey) {
-  const HazardCase& c = GetParam();
-  const uint64_t seed = TestSeed(0xDE1E7E);
-  BBF_ANNOUNCE_SEED(seed);
-  const char* family = HazardFamilyName(c.family_id);
-  ASSERT_NE(family, nullptr);
-  auto make = [&](uint64_t n) { return CreateFilter(family, n, c.fpr); };
-  std::unique_ptr<Filter> f =
-      c.sharded ? std::make_unique<ShardedFilter>(kHazardKeys, 4, make)
-                : make(kHazardKeys);
-  ASSERT_NE(f, nullptr);
-  const std::vector<uint64_t> kept = InsertAndEraseHalf(
-      seed, [&](uint64_t k) { return f->Insert(k); },
-      [&](uint64_t k) { return f->Erase(k); });
-  uint64_t lost = 0;
-  for (uint64_t k : kept) lost += !f->Contains(k);
-  EXPECT_EQ(lost, 0u) << "of " << kept.size() << " remaining keys";
+  ExpectNoKeptKeyLost(/*interleaved=*/true);
+}
+
+TEST_P(DeleteHazard, ErasingHalfAfterAllInsertsLosesNoRemainingKey) {
+  ExpectNoKeptKeyLost(/*interleaved=*/false);
 }
 
 std::vector<HazardCase> HazardCases() {

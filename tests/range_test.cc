@@ -214,7 +214,9 @@ TEST_P(RangeFilterProperty, InterleavedScheduleHasZeroFalseNegatives) {
     }
   }
   EXPECT_EQ(inserted.size(), keys.size());
-  if (dynamic) EXPECT_EQ(memento->NumKeys(), keys.size());
+  if (dynamic) {
+    EXPECT_EQ(memento->NumKeys(), keys.size());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
