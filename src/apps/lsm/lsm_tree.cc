@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -11,6 +12,54 @@
 #include "expandable/taffy_filter.h"
 
 namespace bbf::lsm {
+
+namespace {
+
+// The one merge of "the newest version wins, and a tombstone hides older
+// ones": one pass over key-sorted entry spans ordered newest to oldest.
+// Each key comes out once, from the newest span holding it, and
+// tombstones are dropped when `drop_tombstones` is set. With k spans and
+// n entries this costs O(n·k) key comparisons; a compaction merges one
+// level's runs and at most one more, and a scan the memtable and every
+// run, so k stays small.
+std::vector<Entry> MergeNewestFirst(
+    std::span<const std::span<const Entry>> sources, bool drop_tombstones) {
+  struct Cursor {
+    const Entry* at;
+    const Entry* end;
+  };
+  std::vector<Cursor> cursors;
+  cursors.reserve(sources.size());
+  size_t total = 0;
+  for (std::span<const Entry> e : sources) {
+    if (e.empty()) continue;
+    cursors.push_back({e.data(), e.data() + e.size()});
+    total += e.size();
+  }
+  std::vector<Entry> out;
+  out.reserve(total);
+  while (!cursors.empty()) {
+    // The smallest head key; on a tie the earlier (newer) cursor wins.
+    const Entry* winner = cursors.front().at;
+    for (const Cursor& c : cursors) {
+      if (c.at->key < winner->key) winner = c.at;
+    }
+    const uint64_t key = winner->key;
+    if (!(winner->tombstone && drop_tombstones)) out.push_back(*winner);
+    // Step past `key` in every span that holds it, dropping spent spans.
+    for (size_t i = 0; i < cursors.size();) {
+      Cursor& c = cursors[i];
+      if (c.at->key == key && ++c.at == c.end) {
+        cursors.erase(cursors.begin() + i);
+      } else {
+        ++i;
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 LsmTree::LsmTree(LsmOptions options, StorageEnv* env)
     : options_(std::move(options)), env_(env != nullptr ? env : RealEnv()) {
@@ -145,20 +194,12 @@ void LsmTree::ApplyWrite(const Entry& e) {
 }
 
 bool LsmTree::Put(uint64_t key, uint64_t value) {
-  const Entry e{key, value, false};
-  bool acked = true;
-  if (store_ != nullptr) {
-    acked = env_->AppendFile(store_->PathOf(kWalFileName), EncodeWalRecord(e));
-    if (!acked) ++wal_append_failures_total_;
-  }
-  ApplyWrite(e);
-  ++ingested_;
-  if (memtable_.size() >= options_.memtable_entries) FlushMemtable();
-  return acked;
+  return LogAndApply({key, value, false});
 }
 
-bool LsmTree::Delete(uint64_t key) {
-  const Entry e{key, 0, true};
+bool LsmTree::Delete(uint64_t key) { return LogAndApply({key, 0, true}); }
+
+bool LsmTree::LogAndApply(const Entry& e) {
   bool acked = true;
   if (store_ != nullptr) {
     acked = env_->AppendFile(store_->PathOf(kWalFileName), EncodeWalRecord(e));
@@ -196,27 +237,31 @@ std::optional<uint64_t> LsmTree::Get(uint64_t key) {
 std::vector<std::pair<uint64_t, uint64_t>> LsmTree::Scan(uint64_t lo,
                                                          uint64_t hi) {
   const uint64_t quarantined_before = io_.quarantined_reads;
-  // Collect matches per source, newest source first, then merge.
-  std::map<uint64_t, Entry> merged;  // Key -> newest version seen.
-  const auto absorb = [&merged](const Entry& e) {
-    merged.emplace(e.key, e);  // emplace keeps the first (newest) version.
-  };
+  // Each source's matches, newest source first: the memtable, then every
+  // run. `ends[i]` is where source i's entries end in `scanned`.
+  std::vector<Entry> scanned;
+  std::vector<size_t> ends;
   for (auto it = memtable_.lower_bound(lo);
        it != memtable_.end() && it->first <= hi; ++it) {
-    absorb(it->second);
+    scanned.push_back(it->second);
   }
-  std::vector<Entry> batch;
+  ends.push_back(scanned.size());
   for (const Level& level : levels_) {
     for (const auto& run : level.runs) {
-      batch.clear();
-      run->Scan(lo, hi, &batch, &io_);
-      for (const Entry& e : batch) absorb(e);
+      run->Scan(lo, hi, &scanned, &io_);
+      ends.push_back(scanned.size());
     }
   }
+  std::vector<std::span<const Entry>> sources;
+  sources.reserve(ends.size());
+  size_t begin = 0;
+  for (size_t end : ends) {
+    sources.emplace_back(scanned.data() + begin, end - begin);
+    begin = end;
+  }
   std::vector<std::pair<uint64_t, uint64_t>> out;
-  out.reserve(merged.size());
-  for (const auto& [k, e] : merged) {
-    if (!e.tombstone) out.emplace_back(k, e.value);
+  for (const Entry& e : MergeNewestFirst(sources, /*drop_tombstones=*/true)) {
+    out.emplace_back(e.key, e.value);
   }
   quarantined_reads_total_ += io_.quarantined_reads - quarantined_before;
   return out;
@@ -317,54 +362,6 @@ void LsmTree::FlushMemtable() {
   PersistGeneration();
 }
 
-namespace {
-
-// One pass over sorted runs ordered newest to oldest: each key comes out
-// once, from the newest run holding it, and tombstones are dropped when
-// `drop_tombstones` is set. With k runs and n entries this costs O(n·k)
-// key comparisons; a compaction merges one level's runs and at most one
-// more, so k stays near the size ratio.
-std::vector<Entry> MergeNewestFirst(
-    const std::vector<std::shared_ptr<SortedRun>>& runs,
-    bool drop_tombstones) {
-  struct Cursor {
-    const Entry* at;
-    const Entry* end;
-  };
-  std::vector<Cursor> cursors;
-  cursors.reserve(runs.size());
-  size_t total = 0;
-  for (const auto& run : runs) {
-    const std::vector<Entry>& e = run->entries();
-    if (e.empty()) continue;
-    cursors.push_back({e.data(), e.data() + e.size()});
-    total += e.size();
-  }
-  std::vector<Entry> out;
-  out.reserve(total);
-  while (!cursors.empty()) {
-    // The smallest head key; on a tie the earlier (newer) cursor wins.
-    const Entry* winner = cursors.front().at;
-    for (const Cursor& c : cursors) {
-      if (c.at->key < winner->key) winner = c.at;
-    }
-    const uint64_t key = winner->key;
-    if (!(winner->tombstone && drop_tombstones)) out.push_back(*winner);
-    // Step past `key` in every run that holds it, dropping spent runs.
-    for (size_t i = 0; i < cursors.size();) {
-      Cursor& c = cursors[i];
-      if (c.at->key == key && ++c.at == c.end) {
-        cursors.erase(cursors.begin() + i);
-      } else {
-        ++i;
-      }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 void LsmTree::MaybeCompact(size_t level_idx) {
   if (level_idx >= levels_.size()) return;
   uint64_t level_entries = 0;
@@ -398,7 +395,10 @@ void LsmTree::MaybeCompact(size_t level_idx) {
   const bool bottom_level =
       level_idx + 2 >= levels_.size() &&
       (!options_.tiering || levels_[level_idx + 1].runs.empty());
-  std::vector<Entry> entries = MergeNewestFirst(sources, bottom_level);
+  std::vector<std::span<const Entry>> spans;
+  spans.reserve(sources.size());
+  for (const auto& run : sources) spans.emplace_back(run->entries());
+  std::vector<Entry> entries = MergeNewestFirst(spans, bottom_level);
   compaction_writes_ += entries.size();
   if (!entries.empty()) {
     levels_[level_idx + 1].runs.insert(

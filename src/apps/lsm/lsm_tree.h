@@ -137,6 +137,8 @@ class LsmTree {
   bool RecoverOrInit();
   bool LoadGeneration(const ManifestData& m);
   void ReplayWal();
+  /// The write path shared by Put and Delete: WAL append, then apply.
+  bool LogAndApply(const Entry& e);
   void ApplyWrite(const Entry& e);
   void FlushMemtable();
   void MaybeCompact(size_t level_idx);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <sstream>
-#include <string>
 
 #include "util/serialize.h"
 
@@ -59,20 +57,13 @@ double Filter::LoadFactor() const { return 0.0; }
 uint64_t Filter::Count(HashedKey key) const { return Contains(key) ? 1 : 0; }
 
 bool Filter::Save(std::ostream& os) const {
-  // Buffer the payload so the frame can carry its exact length and
-  // checksum — the two fields the loader uses to detect torn writes.
-  std::ostringstream payload;
-  if (!SavePayload(payload) || !payload.good()) return false;
-  return WriteSnapshotFrame(os, Name(), payload.str());
+  return SaveFramed(os, Name(),
+                    [this](std::ostream& ps) { return SavePayload(ps); });
 }
 
 bool Filter::Load(std::istream& is) {
-  std::string tag;
-  std::string payload;
-  if (!ReadSnapshotFrame(is, &tag, &payload)) return false;
-  if (tag != Name()) return false;
-  std::istringstream ps(payload);
-  return LoadPayload(ps);
+  return LoadFramed(is, Name(),
+                    [this](std::istream& ps) { return LoadPayload(ps); });
 }
 
 bool Filter::SavePayload(std::ostream& /*os*/) const { return false; }

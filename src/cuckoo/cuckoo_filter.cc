@@ -2,36 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "core/metrics_sink.h"
-#include "util/bits.h"
-#include "util/hash.h"
-#include "util/serialize.h"
 
 namespace bbf {
-namespace {
-
-// Stash entries pack (bucket, fingerprint) so a stashed victim only
-// matches queries aimed at its own bucket pair.
-uint64_t PackStash(uint64_t bucket, uint64_t fp, int f_bits) {
-  return (bucket << f_bits) | fp;
-}
-
-}  // namespace
 
 CuckooFilter::CuckooFilter(uint64_t expected_keys, int fingerprint_bits,
                            uint64_t hash_seed)
-    : fingerprint_bits_(fingerprint_bits),
-      hash_seed_(hash_seed),
-      kick_rng_(hash_seed * 7919 + 1) {
-  const uint64_t cells =
-      std::max<uint64_t>(kSlotsPerBucket * 2,
-                         static_cast<uint64_t>(expected_keys / 0.95));
-  num_buckets_ = NextPow2((cells + kSlotsPerBucket - 1) / kSlotsPerBucket);
-  layout_ = simd::BucketLayout::Make(fingerprint_bits);
-  cells_ = CompactVector(num_buckets_ * kSlotsPerBucket, fingerprint_bits);
-}
+    : table_(expected_keys, fingerprint_bits, /*value_bits=*/0, hash_seed,
+             {7919, 1}) {}
 
 CuckooFilter CuckooFilter::ForFpr(uint64_t expected_keys, double fpr) {
   // FPR ~ 2 * slots-per-bucket / 2^f.
@@ -40,335 +19,42 @@ CuckooFilter CuckooFilter::ForFpr(uint64_t expected_keys, double fpr) {
   return CuckooFilter(expected_keys, f);
 }
 
-uint64_t CuckooFilter::FingerprintOf(HashedKey key) const {
-  const uint64_t fp =
-      key.Derive(hash_seed_ + 1) & LowMask(fingerprint_bits_);
-  return fp == 0 ? 1 : fp;  // 0 marks an empty cell.
-}
-
-uint64_t CuckooFilter::IndexOf(HashedKey key) const {
-  return key.Derive(hash_seed_) & (num_buckets_ - 1);
-}
-
-uint64_t CuckooFilter::AltIndex(uint64_t index, uint64_t fp) const {
-  // Partial-key cuckoo hashing: the pair relation is an involution.
-  return (index ^ Hash64(fp, hash_seed_ + 2)) & (num_buckets_ - 1);
-}
-
-bool CuckooFilter::TryPlace(uint64_t bucket, uint64_t fp) {
-  if (layout_.PackedEligible()) {
-    // match_mask(fp = 0) marks the empty slots; ctz picks the lowest one,
-    // matching the scalar loop's slot order exactly (kick-chain contents —
-    // and so snapshots — stay identical across kernels).
-    const uint32_t empty =
-        simd::ActiveCuckooKernel().match_mask(BucketBits(bucket), 0, layout_);
-    if (empty == 0) return false;
-    SetCell(bucket, CountTrailingZeros(empty), fp);
-    return true;
-  }
-  for (int s = 0; s < kSlotsPerBucket; ++s) {
-    if (CellAt(bucket, s) == 0) {
-      SetCell(bucket, s, fp);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool CuckooFilter::Insert(HashedKey key) {
-  const uint64_t fp = FingerprintOf(key);
-  const uint64_t i1 = IndexOf(key);
-  return InsertPrepared(fp, i1, AltIndex(i1, fp));
-}
-
-bool CuckooFilter::InsertPrepared(uint64_t fp, uint64_t i1, uint64_t i2) {
-  if (TryPlace(i1, fp) || TryPlace(i2, fp)) {
-    if (sink_ != nullptr) sink_->OnKickChain(0);
-    ++num_keys_;
-    return true;
-  }
-  // Kicking can leave a victim fingerprint homeless; the stash absorbs
-  // it. When the stash is already full the kick chain may still succeed
-  // without it, so record every displacement and, if the chain dead-ends,
-  // unwind it exactly — mutating the table and then dropping the last
-  // victim would manufacture a false negative for a previously-
-  // acknowledged key.
-  const bool may_need_unwind = stash_.size() >= kMaxStash;
-  std::vector<std::pair<uint64_t, int>> path;  // (bucket, slot) per kick.
-  if (may_need_unwind) path.reserve(kMaxKicks);
-  // Kick a random resident back and forth between its two buckets.
-  uint64_t bucket = kick_rng_.NextBelow(2) ? i1 : i2;
-  for (int kick = 0; kick < kMaxKicks; ++kick) {
-    const int victim_slot =
-        static_cast<int>(kick_rng_.NextBelow(kSlotsPerBucket));
-    const uint64_t victim = CellAt(bucket, victim_slot);
-    SetCell(bucket, victim_slot, fp);
-    if (may_need_unwind) path.emplace_back(bucket, victim_slot);
-    fp = victim;
-    bucket = AltIndex(bucket, fp);
-    if (TryPlace(bucket, fp)) {
-      if (sink_ != nullptr) sink_->OnKickChain(static_cast<uint64_t>(kick) + 1);
-      ++num_keys_;
-      return true;
-    }
-  }
-  // Chain dead-ended after the full budget; both the stash landing and
-  // the unwound failure walked kMaxKicks displacements.
-  if (sink_ != nullptr) sink_->OnKickChain(kMaxKicks);
-  if (may_need_unwind) {
-    // Walk the chain backwards: each touched cell currently holds the
-    // fingerprint placed into it, and must get back the victim it lost —
-    // which is exactly the fingerprint left homeless one step later.
-    for (size_t i = path.size(); i-- > 0;) {
-      const uint64_t placed = CellAt(path[i].first, path[i].second);
-      SetCell(path[i].first, path[i].second, fp);
-      fp = placed;
-    }
-    return false;  // Table bit-for-bit as before; the insert never happened.
-  }
-  stash_.push_back(PackStash(bucket, fp, fingerprint_bits_));
-  ++num_keys_;
-  return true;
-}
-
-bool CuckooFilter::Contains(HashedKey key) const {
-  const uint64_t fp = FingerprintOf(key);
-  const uint64_t i1 = IndexOf(key);
-  const uint64_t i2 = AltIndex(i1, fp);
-  if (layout_.PackedEligible()) {
-    if (simd::ActiveCuckooKernel().contains2(BucketBits(i1), BucketBits(i2),
-                                             fp, layout_)) {
-      return true;
-    }
-  } else {
-    for (int s = 0; s < kSlotsPerBucket; ++s) {
-      if (CellAt(i1, s) == fp || CellAt(i2, s) == fp) return true;
-    }
-  }
-  for (uint64_t packed : stash_) {
-    if (packed == PackStash(i1, fp, fingerprint_bits_) ||
-        packed == PackStash(i2, fp, fingerprint_bits_)) {
-      return true;
-    }
-  }
-  return false;
+bool CuckooFilter::Place(const CuckooTable::Probe& p) {
+  uint64_t kicks;
+  const bool placed = table_.Insert(p, /*value=*/0, &kicks);
+  if (sink_ != nullptr) sink_->OnKickChain(kicks);
+  return placed;
 }
 
 void CuckooFilter::ContainsMany(std::span<const HashedKey> keys,
                                 uint8_t* out) const {
-  constexpr size_t kTile = 32;
-  uint64_t fp[kTile];
-  uint64_t i1[kTile];
-  uint64_t i2[kTile];
-  if (layout_.PackedEligible()) {
-    const simd::CuckooKernel& kernel = simd::ActiveCuckooKernel();
-    uint64_t bit1[kTile];
-    uint64_t bit2[kTile];
-    for (size_t base = 0; base < keys.size(); base += kTile) {
-      const size_t n = std::min(kTile, keys.size() - base);
-      // Pass 1: hash, request both candidate buckets of every key, and
-      // precompute the packed-run bit offsets the kernel reads from.
-      for (size_t j = 0; j < n; ++j) {
-        fp[j] = FingerprintOf(keys[base + j]);
-        i1[j] = IndexOf(keys[base + j]);
-        i2[j] = AltIndex(i1[j], fp[j]);
-        cells_.Prefetch(i1[j] * kSlotsPerBucket, kSlotsPerBucket);
-        cells_.Prefetch(i2[j] * kSlotsPerBucket, kSlotsPerBucket);
-        bit1[j] = cells_.BitOffset(i1[j] * kSlotsPerBucket);
-        bit2[j] = cells_.BitOffset(i2[j] * kSlotsPerBucket);
-      }
-      // Pass 2: one kernel call scans both buckets of the whole tile.
-      kernel.contains_tile(cells_.Words(), bit1, bit2, fp, layout_, n,
-                           out + base);
-      // Stash fix-up only for misses, and only when a stash exists at all
-      // (it is empty until an insert dead-ends, i.e. almost always).
-      if (!stash_.empty()) {
-        for (size_t j = 0; j < n; ++j) {
-          if (out[base + j]) continue;
-          for (uint64_t packed : stash_) {
-            if (packed == PackStash(i1[j], fp[j], fingerprint_bits_) ||
-                packed == PackStash(i2[j], fp[j], fingerprint_bits_)) {
-              out[base + j] = 1;
-              break;
-            }
-          }
-        }
-      }
-    }
-    return;
-  }
-  for (size_t base = 0; base < keys.size(); base += kTile) {
-    const size_t n = std::min(kTile, keys.size() - base);
+  CuckooTable::Probe probes[CuckooTable::kTile];
+  for (size_t base = 0; base < keys.size(); base += CuckooTable::kTile) {
+    const size_t n = std::min(CuckooTable::kTile, keys.size() - base);
     // Pass 1: hash and request both candidate buckets of every key.
     for (size_t j = 0; j < n; ++j) {
-      fp[j] = FingerprintOf(keys[base + j]);
-      i1[j] = IndexOf(keys[base + j]);
-      i2[j] = AltIndex(i1[j], fp[j]);
-      cells_.Prefetch(i1[j] * kSlotsPerBucket, kSlotsPerBucket);
-      cells_.Prefetch(i2[j] * kSlotsPerBucket, kSlotsPerBucket);
+      probes[j] = table_.ProbeOf(keys[base + j]);
+      table_.Prefetch(probes[j]);
     }
     // Pass 2: probe the now-resident buckets (and the tiny stash).
-    for (size_t j = 0; j < n; ++j) {
-      uint8_t hit = 0;
-      for (int s = 0; s < kSlotsPerBucket; ++s) {
-        if (CellAt(i1[j], s) == fp[j] || CellAt(i2[j], s) == fp[j]) {
-          hit = 1;
-          break;
-        }
-      }
-      if (!hit) {
-        for (uint64_t packed : stash_) {
-          if (packed == PackStash(i1[j], fp[j], fingerprint_bits_) ||
-              packed == PackStash(i2[j], fp[j], fingerprint_bits_)) {
-            hit = 1;
-            break;
-          }
-        }
-      }
-      out[base + j] = hit;
-    }
+    table_.ContainsTile(probes, n, out + base);
   }
 }
 
 size_t CuckooFilter::InsertMany(std::span<const HashedKey> keys) {
-  constexpr size_t kTile = 32;
-  uint64_t fp[kTile];
-  uint64_t i1[kTile];
-  uint64_t i2[kTile];
+  CuckooTable::Probe probes[CuckooTable::kTile];
   size_t inserted = 0;
-  for (size_t base = 0; base < keys.size(); base += kTile) {
-    const size_t n = std::min(kTile, keys.size() - base);
+  for (size_t base = 0; base < keys.size(); base += CuckooTable::kTile) {
+    const size_t n = std::min(CuckooTable::kTile, keys.size() - base);
     for (size_t j = 0; j < n; ++j) {
-      fp[j] = FingerprintOf(keys[base + j]);
-      i1[j] = IndexOf(keys[base + j]);
-      i2[j] = AltIndex(i1[j], fp[j]);
-      cells_.Prefetch(i1[j] * kSlotsPerBucket, kSlotsPerBucket,
-                      /*for_write=*/true);
-      cells_.Prefetch(i2[j] * kSlotsPerBucket, kSlotsPerBucket,
-                      /*for_write=*/true);
+      probes[j] = table_.ProbeOf(keys[base + j]);
+      table_.Prefetch(probes[j], /*for_write=*/true);
     }
     // Placement stays sequential — kicking may touch arbitrary buckets —
     // but the common no-kick case lands in prefetched lines.
-    for (size_t j = 0; j < n; ++j) {
-      inserted += InsertPrepared(fp[j], i1[j], i2[j]);
-    }
+    for (size_t j = 0; j < n; ++j) inserted += Place(probes[j]);
   }
   return inserted;
-}
-
-uint64_t CuckooFilter::Count(HashedKey key) const {
-  const uint64_t fp = FingerprintOf(key);
-  const uint64_t i1 = IndexOf(key);
-  const uint64_t i2 = AltIndex(i1, fp);
-  uint64_t count = 0;
-  if (layout_.PackedEligible()) {
-    const simd::CuckooKernel& kernel = simd::ActiveCuckooKernel();
-    count += Popcount(kernel.match_mask(BucketBits(i1), fp, layout_));
-    if (i2 != i1) {
-      count += Popcount(kernel.match_mask(BucketBits(i2), fp, layout_));
-    }
-  } else {
-    for (int s = 0; s < kSlotsPerBucket; ++s) {
-      count += CellAt(i1, s) == fp;
-      if (i2 != i1) count += CellAt(i2, s) == fp;
-    }
-  }
-  for (uint64_t packed : stash_) {
-    count += packed == PackStash(i1, fp, fingerprint_bits_);
-    if (i2 != i1) count += packed == PackStash(i2, fp, fingerprint_bits_);
-  }
-  return count;
-}
-
-bool CuckooFilter::Erase(HashedKey key) {
-  const uint64_t fp = FingerprintOf(key);
-  const uint64_t i1 = IndexOf(key);
-  const uint64_t i2 = AltIndex(i1, fp);
-  if (layout_.PackedEligible()) {
-    const simd::CuckooKernel& kernel = simd::ActiveCuckooKernel();
-    const uint32_t m1 = kernel.match_mask(BucketBits(i1), fp, layout_);
-    const uint32_t m2 = kernel.match_mask(BucketBits(i2), fp, layout_);
-    if ((m1 | m2) != 0) {
-      // Reproduce the scalar loop's interleaved slot order (i1.s, i2.s,
-      // i1.s+1, ...) so every kernel erases the same physical copy.
-      const int s1 = m1 ? CountTrailingZeros(m1) : kSlotsPerBucket;
-      const int s2 = m2 ? CountTrailingZeros(m2) : kSlotsPerBucket;
-      if (s1 <= s2) {
-        SetCell(i1, s1, 0);
-      } else {
-        SetCell(i2, s2, 0);
-      }
-      --num_keys_;
-      return true;
-    }
-  } else {
-    for (int s = 0; s < kSlotsPerBucket; ++s) {
-      if (CellAt(i1, s) == fp) {
-        SetCell(i1, s, 0);
-        --num_keys_;
-        return true;
-      }
-      if (CellAt(i2, s) == fp) {
-        SetCell(i2, s, 0);
-        --num_keys_;
-        return true;
-      }
-    }
-  }
-  for (size_t i = 0; i < stash_.size(); ++i) {
-    if (stash_[i] == PackStash(i1, fp, fingerprint_bits_) ||
-        stash_[i] == PackStash(i2, fp, fingerprint_bits_)) {
-      stash_.erase(stash_.begin() + i);
-      --num_keys_;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool CuckooFilter::SavePayload(std::ostream& os) const {
-  WriteI32(os, fingerprint_bits_);
-  WriteU64(os, hash_seed_);
-  WriteU64(os, num_buckets_);
-  WriteU64(os, num_keys_);
-  cells_.Save(os);
-  WriteU64(os, stash_.size());
-  for (uint64_t s : stash_) WriteU64(os, s);
-  return os.good();
-}
-
-bool CuckooFilter::LoadPayload(std::istream& is) {
-  int32_t f;
-  uint64_t seed;
-  uint64_t buckets;
-  uint64_t n;
-  if (!ReadI32(is, &f) || f < 1 || f > 60 || !ReadU64(is, &seed) ||
-      !ReadU64Capped(is, &buckets, kMaxSnapshotElements / kSlotsPerBucket) ||
-      buckets == 0 || (buckets & (buckets - 1)) != 0 || !ReadU64(is, &n)) {
-    return false;
-  }
-  CompactVector cells;
-  if (!cells.Load(is) || cells.size() != buckets * kSlotsPerBucket ||
-      cells.width() != f) {
-    return false;
-  }
-  uint64_t stash_size;
-  if (!ReadU64Capped(is, &stash_size, kMaxStash)) return false;
-  std::vector<uint64_t> stash(stash_size);
-  for (uint64_t& s : stash) {
-    if (!ReadU64(is, &s)) return false;
-  }
-  fingerprint_bits_ = f;
-  hash_seed_ = seed;
-  num_buckets_ = buckets;
-  num_keys_ = n;
-  layout_ = simd::BucketLayout::Make(f);
-  cells_ = std::move(cells);
-  stash_ = std::move(stash);
-  // The kick RNG only drives future insert randomization; reseed it the
-  // way the constructor does.
-  kick_rng_ = SplitMix64(seed * 7919 + 1);
-  return true;
 }
 
 }  // namespace bbf

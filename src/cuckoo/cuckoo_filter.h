@@ -2,12 +2,9 @@
 #define BBF_CUCKOO_CUCKOO_FILTER_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "core/filter.h"
-#include "simd/kernels.h"
-#include "util/compact_vector.h"
-#include "util/random.h"
+#include "cuckoo/cuckoo_table.h"
 
 namespace bbf {
 
@@ -16,7 +13,8 @@ namespace bbf {
 /// buckets (the second derived by XORing the first with a hash of the
 /// fingerprint, so relocation never needs the original key); inserts kick
 /// resident fingerprints between their two buckets until something lands.
-/// Space is n lg(1/eps) + 3n bits at 95% load with 4-slot buckets.
+/// Space is n lg(1/eps) + 3n bits at 95% load with 4-slot buckets. The
+/// buckets, kicks and stash are the CuckooTable engine's.
 class CuckooFilter : public Filter {
  public:
   /// A table with >= `expected_keys` capacity at ~95% load and
@@ -33,8 +31,10 @@ class CuckooFilter : public Filter {
   using Filter::Insert;
   using Filter::InsertMany;
 
-  bool Insert(HashedKey key) override;
-  bool Contains(HashedKey key) const override;
+  bool Insert(HashedKey key) override { return Place(table_.ProbeOf(key)); }
+  bool Contains(HashedKey key) const override {
+    return table_.Contains(table_.ProbeOf(key));
+  }
   /// Batch paths: derive a tile of keys, prefetch both candidate buckets
   /// per key, then probe/place — one pipeline of independent cache misses
   /// instead of two dependent misses per key. Bucket scans go through the
@@ -44,57 +44,38 @@ class CuckooFilter : public Filter {
   void ContainsMany(std::span<const HashedKey> keys,
                     uint8_t* out) const override;
   size_t InsertMany(std::span<const HashedKey> keys) override;
-  bool Erase(HashedKey key) override;
-  uint64_t Count(HashedKey key) const override;
-  size_t SpaceBits() const override {
-    return cells_.size() * cells_.width() + stash_.size() * 64;
+  bool Erase(HashedKey key) override {
+    return table_.Erase(table_.ProbeOf(key));
   }
-  uint64_t NumKeys() const override { return num_keys_; }
+  uint64_t Count(HashedKey key) const override {
+    return table_.Count(table_.ProbeOf(key));
+  }
+  size_t SpaceBits() const override { return table_.SpaceBits(); }
+  uint64_t NumKeys() const override { return table_.num_keys(); }
   FilterClass Class() const override { return FilterClass::kDynamic; }
   std::string_view Name() const override { return "cuckoo"; }
 
   double LoadFactor() const override {
-    return static_cast<double>(num_keys_) / cells_.size();
+    return static_cast<double>(table_.num_keys()) / table_.num_cells();
   }
-  int fingerprint_bits() const { return fingerprint_bits_; }
-  size_t stash_size() const { return stash_.size(); }
+  int fingerprint_bits() const { return table_.fingerprint_bits(); }
+  size_t stash_size() const { return table_.stash_size(); }
 
-  static constexpr int kSlotsPerBucket = 4;
-  static constexpr int kMaxKicks = 500;
-  static constexpr size_t kMaxStash = 8;
+  static constexpr int kSlotsPerBucket = CuckooTable::kSlotsPerBucket;
+  static constexpr int kMaxKicks = CuckooTable::kMaxKicks;
+  static constexpr size_t kMaxStash = CuckooTable::kMaxStash;
 
-  bool SavePayload(std::ostream& os) const override;
-  bool LoadPayload(std::istream& is) override;
+  bool SavePayload(std::ostream& os) const override {
+    return table_.Save(os);
+  }
+  bool LoadPayload(std::istream& is) override { return table_.Load(is); }
 
  private:
-  uint64_t FingerprintOf(HashedKey key) const;
-  uint64_t IndexOf(HashedKey key) const;
-  uint64_t AltIndex(uint64_t index, uint64_t fp) const;
-  uint64_t CellAt(uint64_t bucket, int slot) const {
-    return cells_.Get(bucket * kSlotsPerBucket + slot);
-  }
-  void SetCell(uint64_t bucket, int slot, uint64_t fp) {
-    cells_.Set(bucket * kSlotsPerBucket + slot, fp);
-  }
-  /// The whole 4-slot bucket as one packed word, for the SWAR/SIMD match
-  /// kernels (src/simd). Only valid when layout_.PackedEligible().
-  uint64_t BucketBits(uint64_t bucket) const {
-    return cells_.GetRun4(bucket * kSlotsPerBucket);
-  }
-  bool TryPlace(uint64_t bucket, uint64_t fp);
-  // Insert body for a pre-hashed key; shared by Insert and InsertMany.
-  bool InsertPrepared(uint64_t fp, uint64_t i1, uint64_t i2);
+  // Insert body for a derived key, reporting its kick chain; shared by
+  // Insert and InsertMany.
+  bool Place(const CuckooTable::Probe& p);
 
-  uint64_t num_buckets_;
-  int fingerprint_bits_;
-  uint64_t hash_seed_;
-  // SWAR constants for kernel bucket scans; PackedEligible() is false for
-  // fingerprints wider than 16 bits, which keep the per-slot loops.
-  simd::BucketLayout layout_;
-  CompactVector cells_;  // num_buckets * 4 fingerprints; 0 = empty.
-  std::vector<uint64_t> stash_;  // Fingerprint-homeless victims (rare).
-  SplitMix64 kick_rng_;
-  uint64_t num_keys_ = 0;
+  CuckooTable table_;
 };
 
 }  // namespace bbf

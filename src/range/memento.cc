@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "core/metrics_sink.h"
@@ -126,21 +125,6 @@ bool MementoFilter::CheckInvariants() const {
     prev = v;
   });
   return sorted;
-}
-
-bool MementoFilter::Save(std::ostream& os) const {
-  std::ostringstream payload;
-  if (!SavePayload(payload) || !payload.good()) return false;
-  return WriteSnapshotFrame(os, Name(), std::move(payload).str());
-}
-
-bool MementoFilter::Load(std::istream& is) {
-  std::string tag;
-  std::string payload;
-  if (!ReadSnapshotFrame(is, &tag, &payload)) return false;
-  if (tag != Name()) return false;
-  std::istringstream ps(payload);
-  return LoadPayload(ps);
 }
 
 bool MementoFilter::SavePayload(std::ostream& os) const {

@@ -98,8 +98,8 @@ class MementoFilter : public Filter, public RangeFilter {
 
   size_t SpaceBits() const override { return table_.SpaceBits(); }
   std::string_view Name() const override { return "memento"; }
-  bool Save(std::ostream& os) const override;
-  bool Load(std::istream& is) override;
+  bool Save(std::ostream& os) const override { return Filter::Save(os); }
+  bool Load(std::istream& is) override { return Filter::Load(is); }
   bool SavePayload(std::ostream& os) const override;
   bool LoadPayload(std::istream& is) override;
 

@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
-#include <sstream>
-#include <string>
 #include <string_view>
 
 #include "util/serialize.h"
@@ -41,17 +39,12 @@ class RangeFilter {
   /// LoadPayload overrides report failure rather than writing partial
   /// frames.
   virtual bool Save(std::ostream& os) const {
-    std::ostringstream payload;
-    if (!SavePayload(payload) || !payload.good()) return false;
-    return WriteSnapshotFrame(os, Name(), std::move(payload).str());
+    return SaveFramed(os, Name(),
+                      [this](std::ostream& ps) { return SavePayload(ps); });
   }
   virtual bool Load(std::istream& is) {
-    std::string tag;
-    std::string payload;
-    if (!ReadSnapshotFrame(is, &tag, &payload)) return false;
-    if (tag != Name()) return false;
-    std::istringstream ps(payload);
-    return LoadPayload(ps);
+    return LoadFramed(is, Name(),
+                      [this](std::istream& ps) { return LoadPayload(ps); });
   }
   virtual bool SavePayload(std::ostream&) const { return false; }
   virtual bool LoadPayload(std::istream&) { return false; }

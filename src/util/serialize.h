@@ -6,8 +6,10 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "util/hash.h"
 
@@ -160,6 +162,31 @@ inline bool ReadSnapshotFrame(std::istream& is, std::string* tag,
   if (!ReadBytes(is, payload, payload_len)) return false;
   return HashBytes(payload->data(), payload->size(),
                    kSnapshotChecksumSeed) == checksum;
+}
+
+/// The one framed save: buffers what `save_payload(std::ostream&)` writes
+/// so the frame can carry its exact length and checksum — the two fields
+/// the loader uses to detect torn writes — then frames it under `tag`.
+template <typename SavePayload>
+bool SaveFramed(std::ostream& os, std::string_view tag,
+                SavePayload&& save_payload) {
+  std::ostringstream payload;
+  if (!save_payload(payload) || !payload.good()) return false;
+  return WriteSnapshotFrame(os, tag, std::move(payload).str());
+}
+
+/// The one framed load: reads and verifies one frame, requires its tag to
+/// be `tag`, and hands the payload to `load_payload(std::istream&)`.
+template <typename LoadPayload>
+bool LoadFramed(std::istream& is, std::string_view tag,
+                LoadPayload&& load_payload) {
+  std::string got_tag;
+  std::string payload;
+  if (!ReadSnapshotFrame(is, &got_tag, &payload) || got_tag != tag) {
+    return false;
+  }
+  std::istringstream ps(std::move(payload));
+  return load_payload(ps);
 }
 
 }  // namespace bbf

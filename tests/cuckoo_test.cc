@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <sstream>
 #include <unordered_map>
 #include <vector>
 
@@ -198,6 +199,28 @@ TEST(CuckooFilter, SaturatingInsertsNeverDropAckedKeys) {
   EXPECT_EQ(f.NumKeys(), acked.size());
   for (uint64_t k : acked) {
     ASSERT_TRUE(f.Contains(k)) << "acked key " << k << " went missing";
+  }
+}
+
+TEST(CuckooFilter, WideFingerprintStashSurvivesReload) {
+  // 60-bit fingerprints over 32 buckets: the one-word stash format
+  // (bucket << f | fp) keeps only a bucket's low 4 bits, so a stashed
+  // victim of bucket 16 or above must still match after a reload.
+  CuckooFilter f(64, 60);
+  const auto keys = GenerateDistinctKeys(4000, /*seed=*/80);
+  std::vector<uint64_t> acked;
+  for (uint64_t k : keys) {
+    if (f.Insert(k)) acked.push_back(k);
+  }
+  ASSERT_EQ(f.stash_size(), CuckooFilter::kMaxStash);
+  std::stringstream snapshot;
+  ASSERT_TRUE(f.Save(snapshot));
+  CuckooFilter reloaded(1, 8);
+  ASSERT_TRUE(reloaded.Load(snapshot));
+  EXPECT_EQ(reloaded.NumKeys(), acked.size());
+  for (uint64_t k : acked) {
+    ASSERT_TRUE(reloaded.Contains(k)) << "acked key " << k;
+    ASSERT_EQ(reloaded.Count(k), f.Count(k)) << "acked key " << k;
   }
 }
 

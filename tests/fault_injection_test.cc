@@ -4,6 +4,7 @@
 // no crash, no unbounded allocation, no false negatives afterwards — and
 // that ShardedFilter quarantines corrupt shards instead of dying.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -17,6 +18,8 @@
 #include "core/filter_io.h"
 #include "core/key.h"
 #include "core/sharded_filter.h"
+#include "cuckoo/cuckoo_filter.h"
+#include "cuckoo/cuckoo_maplet.h"
 #include "fault_injection.h"
 #include "quotient/quotient_filter.h"
 #include "quotient/rsqf.h"
@@ -246,6 +249,96 @@ TEST(FaultInjection, QuotientFrameWithEverySlotShiftedIsRejected) {
   ASSERT_FALSE(f.Load(is));
   EXPECT_EQ(SaveToString(f), before);
   for (uint64_t key : keys) ASSERT_TRUE(f.Contains(key)) << key;
+}
+
+// Cuckoo frames whose stash or key count contradicts the table: a stash
+// entry aimed past the last bucket or holding the empty fingerprint, or a
+// key count other than the occupied cells plus the stash entries. A
+// stash bucket past the table would send a probe out of range, and a
+// wrong count breaks NumKeys and LoadFactor.
+struct CuckooStashEntry {
+  uint64_t bucket;
+  uint64_t fp;
+};
+struct BadCuckooFrame {
+  const char* name;
+  uint64_t num_keys;
+  std::vector<CuckooStashEntry> stash;
+};
+constexpr int kCuckooFpBits = 12;
+constexpr uint64_t kCuckooBuckets = 64;
+const std::vector<BadCuckooFrame>& BadCuckooFrames() {
+  // Each frame has one occupied cell.
+  static const std::vector<BadCuckooFrame> frames = {
+      {"stash bucket past the table", 2, {{1000, 7}}},
+      {"empty stash fingerprint", 2, {{3, 0}}},
+      {"both, and a count of 5", 5, {{1000, 0}}},
+      {"count above cells plus stash", 5, {{3, 7}}},
+      {"count below cells plus stash", 1, {{3, 7}}},
+  };
+  return frames;
+}
+
+// Writes the table part shared by both payloads: header, then one
+// fingerprint in cell 0.
+void WriteCuckooTable(std::ostream& os, uint64_t num_keys) {
+  WriteI32(os, kCuckooFpBits);
+  WriteU64(os, 0xCF);
+  WriteU64(os, kCuckooBuckets);
+  WriteU64(os, num_keys);
+  CompactVector cells(kCuckooBuckets * 4, kCuckooFpBits);
+  cells.Set(0, 0x5A);
+  cells.Save(os);
+}
+
+TEST(FaultInjection, CuckooFrameWithBadStashOrCountIsRejected) {
+  CuckooFilter f(200, kCuckooFpBits);
+  const std::vector<uint64_t> keys = InsertSome(&f, 0xC0E0, 150);
+  const std::string before = SaveToString(f);
+  for (const BadCuckooFrame& bad : BadCuckooFrames()) {
+    SCOPED_TRACE(bad.name);
+    std::ostringstream payload;
+    WriteCuckooTable(payload, bad.num_keys);
+    WriteU64(payload, bad.stash.size());
+    for (const CuckooStashEntry& e : bad.stash) {
+      WriteU64(payload, (e.bucket << kCuckooFpBits) | e.fp);
+    }
+    std::istringstream is(Frame("cuckoo", payload));
+    EXPECT_FALSE(f.Load(is));
+    EXPECT_EQ(SaveToString(f), before);
+  }
+  for (uint64_t key : keys) ASSERT_TRUE(f.Contains(key)) << key;
+}
+
+TEST(FaultInjection, CuckooMapletFrameWithBadStashOrCountIsRejected) {
+  CuckooMaplet m(200, kCuckooFpBits, 8);
+  for (uint64_t k = 0; k < 150; ++k) ASSERT_TRUE(m.Insert(k, k & 255));
+  std::ostringstream before;
+  ASSERT_TRUE(m.SavePayload(before));
+  std::vector<BadCuckooFrame> frames = BadCuckooFrames();
+  frames.push_back({"stash fingerprint wider than f", 2, {{3, 1 << 12}}});
+  for (const BadCuckooFrame& bad : frames) {
+    SCOPED_TRACE(bad.name);
+    std::ostringstream payload;
+    WriteCuckooTable(payload, bad.num_keys);
+    CompactVector(kCuckooBuckets * 4, 8).Save(payload);  // Values.
+    WriteU64(payload, bad.stash.size());
+    for (const CuckooStashEntry& e : bad.stash) {
+      WriteU64(payload, e.bucket);
+      WriteU64(payload, e.fp);
+      WriteU64(payload, 9);  // Value.
+    }
+    std::istringstream is(payload.str());
+    EXPECT_FALSE(m.LoadPayload(is));
+    std::ostringstream after;
+    ASSERT_TRUE(m.SavePayload(after));
+    EXPECT_EQ(after.str(), before.str());
+  }
+  for (uint64_t k = 0; k < 150; ++k) {
+    const std::vector<uint64_t> values = m.Lookup(k);
+    ASSERT_NE(std::find(values.begin(), values.end(), k & 255), values.end())
+        << k;
+  }
 }
 
 TEST(FaultInjection, GarbageAndEmptyStreamsAreRejected) {

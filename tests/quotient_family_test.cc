@@ -1,5 +1,6 @@
-// Cross-family tests for the quotient slot engines (QuotientTable and
-// RsqfTable) and every family built on them.
+// Cross-family tests for the slot engines — the quotient engines
+// (QuotientTable and RsqfTable), the cuckoo bucket engine (CuckooTable) —
+// and every family built on them.
 //
 // QuotientFamilyPin replays one fixed op stream through each family and
 // compares the saved payload bytes, the query answers and the run-scan
@@ -8,11 +9,17 @@
 // payload bytes are what LSM manifests and sharded snapshots store, and
 // the probe lengths are what the obs layer exports.
 //
+// CuckooFamilyPin does the same for the cuckoo families: a stream that
+// saturates a small table — kick chains, a full stash, unwound inserts —
+// then erases, counts and looks up, pinning the saved frame, every answer
+// and, for the filter, the kick-chain lengths reported through
+// MetricsSink::OnKickChain.
+//
 // DeleteHazard is the duplicate-fingerprint delete property (insert A:X,
 // insert B:X, erase A — B must survive) over every erasing family on the
-// engines' erase paths and the chained quotient filter, alone and
-// sharded, with the erases interleaved with the inserts or after them
-// all, sized so fingerprints collide often.
+// engines' erase paths, the chained quotient filter and the two cuckoo
+// filters, alone and sharded, with the erases interleaved with the
+// inserts or after them all, sized so fingerprints collide often.
 
 #include <cstdint>
 #include <cstdio>
@@ -28,7 +35,10 @@
 #include "core/filter.h"
 #include "core/metrics_sink.h"
 #include "core/sharded_filter.h"
+#include "cuckoo/cuckoo_filter.h"
+#include "cuckoo/cuckoo_maplet.h"
 #include "expandable/taffy_filter.h"
+#include "maplet/maplet.h"
 #include "quotient/expanding_quotient_filter.h"
 #include "quotient/expanding_quotient_maplet.h"
 #include "quotient/quotient_filter.h"
@@ -46,11 +56,12 @@ namespace {
 // Sums the structural events a family reports.
 class CountingSink : public MetricsSink {
  public:
-  void OnKickChain(uint64_t) override {}
+  void OnKickChain(uint64_t k) override { kicks += k; }
   void OnProbeLength(uint64_t slots) override { probe_slots += slots; }
   void OnExpansion() override { ++expansions; }
   void OnAdapt() override {}
 
+  uint64_t kicks = 0;
   uint64_t probe_slots = 0;
   uint64_t expansions = 0;
 };
@@ -61,6 +72,7 @@ struct Pin {
   uint64_t answer_hash = 0;   // Fold of every query answer, in order.
   uint64_t probe_slots = 0;   // Sum of OnProbeLength over the queries.
   uint64_t expansions = 0;    // OnExpansion events over the whole replay.
+  uint64_t kicks = 0;         // Sum of OnKickChain over the whole replay.
 };
 
 uint64_t Fold(uint64_t acc, uint64_t v) { return Hash64(acc ^ v, 0x9E37); }
@@ -114,6 +126,7 @@ Pin ReplayFilter(Filter& f, const Stream& s, bool erase) {
   }
   pin.probe_slots = sink.probe_slots - probes_before_queries;
   pin.expansions = sink.expansions;
+  pin.kicks = sink.kicks;
   pin.payload_hash = PayloadHash(f);
   f.AttachMetricsSink(nullptr);
   return pin;
@@ -124,12 +137,14 @@ void ExpectPin(const char* name, const Pin& got, const Pin& want) {
   EXPECT_EQ(got.answer_hash, want.answer_hash) << name;
   EXPECT_EQ(got.probe_slots, want.probe_slots) << name;
   EXPECT_EQ(got.expansions, want.expansions) << name;
+  EXPECT_EQ(got.kicks, want.kicks) << name;
   if (::testing::Test::HasFailure()) {
-    std::printf("  {%s: 0x%016llxull, 0x%016llxull, %llu, %llu}\n", name,
-                static_cast<unsigned long long>(got.payload_hash),
+    std::printf("  {%s: 0x%016llxull, 0x%016llxull, %llu, %llu, %llu}\n",
+                name, static_cast<unsigned long long>(got.payload_hash),
                 static_cast<unsigned long long>(got.answer_hash),
                 static_cast<unsigned long long>(got.probe_slots),
-                static_cast<unsigned long long>(got.expansions));
+                static_cast<unsigned long long>(got.expansions),
+                static_cast<unsigned long long>(got.kicks));
   }
 }
 
@@ -253,6 +268,105 @@ TEST(QuotientFamilyPin, ExpandingQuotientMaplet) {
             {0x73999213f1330696ull, 0xce19458cfc9c1be8ull, 0, 3});
 }
 
+// The cuckoo pins overfill a 128-cell table (sized for 64 keys) with 300
+// keys, every third inserted twice: kick chains, a stash filled to its 8
+// entries, then inserts that dead-end and unwind. Every fifth key is then
+// erased, and the answers fold every insert and erase result, then each
+// query's Contains and Count, then the batch lookup.
+constexpr uint64_t kCuckooPinKeys = 300;
+
+Pin ReplayCuckooFilter(int fingerprint_bits) {
+  const Stream s(kCuckooPinKeys);
+  CuckooFilter f(64, fingerprint_bits);
+  CountingSink sink;
+  f.AttachMetricsSink(&sink);
+  Pin pin;
+  uint64_t rejected = 0;
+  const size_t half = s.keys.size() / 2;
+  for (size_t i = 0; i < half; ++i) {
+    const bool ok = f.Insert(s.keys[i]);
+    rejected += !ok;
+    pin.answer_hash = Fold(pin.answer_hash, ok);
+    if (i % 3 == 0) {
+      pin.answer_hash = Fold(pin.answer_hash, f.Insert(s.keys[i]));
+    }
+  }
+  // The rest through the batch path's tile pipeline.
+  const std::vector<uint64_t> rest(s.keys.begin() + half, s.keys.end());
+  const size_t placed = f.InsertMany(rest);
+  rejected += rest.size() - placed;
+  pin.answer_hash = Fold(pin.answer_hash, placed);
+  EXPECT_EQ(f.stash_size(), CuckooFilter::kMaxStash);
+  EXPECT_GT(rejected, 0u);
+  for (size_t i = 0; i < s.keys.size(); i += 5) {
+    pin.answer_hash = Fold(pin.answer_hash, f.Erase(s.keys[i]));
+  }
+  for (uint64_t q : s.queries) {
+    pin.answer_hash = Fold(pin.answer_hash, f.Contains(q));
+    pin.answer_hash = Fold(pin.answer_hash, f.Count(q));
+  }
+  std::vector<uint8_t> hits(s.queries.size());
+  f.ContainsMany(s.queries, hits.data());
+  for (uint8_t h : hits) pin.answer_hash = Fold(pin.answer_hash, h);
+  pin.answer_hash = Fold(pin.answer_hash, f.NumKeys());
+  f.AttachMetricsSink(nullptr);
+  pin.kicks = sink.kicks;
+  std::ostringstream os;
+  EXPECT_TRUE(f.Save(os));
+  pin.payload_hash = HashBytes(os.str());
+  return pin;
+}
+
+Pin ReplayCuckooMaplet(int fingerprint_bits) {
+  const Stream s(kCuckooPinKeys);
+  const std::unique_ptr<Maplet> m = MakeCuckooMaplet(64, fingerprint_bits, 6);
+  Pin pin;
+  uint64_t rejected = 0;
+  for (size_t i = 0; i < s.keys.size(); ++i) {
+    const bool ok = m->Insert(s.keys[i], i & 63);
+    rejected += !ok;
+    pin.answer_hash = Fold(pin.answer_hash, ok);
+    if (i % 3 == 0) {
+      pin.answer_hash =
+          Fold(pin.answer_hash, m->Insert(s.keys[i], (i + 7) & 63));
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  for (size_t i = 0; i < s.keys.size(); i += 5) {
+    pin.answer_hash = Fold(pin.answer_hash, m->Erase(s.keys[i], i & 63));
+  }
+  for (uint64_t q : s.queries) {
+    for (uint64_t v : m->Lookup(q)) pin.answer_hash = Fold(pin.answer_hash, v);
+    pin.answer_hash = Fold(pin.answer_hash, ~uint64_t{0});
+  }
+  std::ostringstream os;
+  EXPECT_TRUE(m->Save(os));
+  pin.payload_hash = HashBytes(os.str());
+  return pin;
+}
+
+// 12-bit fingerprints take the packed bucket kernel, 20-bit ones the
+// per-slot scan.
+TEST(CuckooFamilyPin, CuckooFilter12) {
+  ExpectPin("cuckoo-12", ReplayCuckooFilter(12),
+            {0x54e7a62ac3b79e36ull, 0xfe106defa3a0008cull, 0, 0, 112124});
+}
+
+TEST(CuckooFamilyPin, CuckooFilter20) {
+  ExpectPin("cuckoo-20", ReplayCuckooFilter(20),
+            {0x505edaa34a36416full, 0xc726d2f0c3b81fc0ull, 0, 0, 111635});
+}
+
+TEST(CuckooFamilyPin, CuckooMaplet12) {
+  ExpectPin("cuckoo-maplet-12", ReplayCuckooMaplet(12),
+            {0xa4c75f45cd6f3ed0ull, 0x65ff90d07d1048a8ull, 0, 0, 0});
+}
+
+TEST(CuckooFamilyPin, CuckooMaplet20) {
+  ExpectPin("cuckoo-maplet-20", ReplayCuckooMaplet(20),
+            {0xcbdc948a1aef49e5ull, 0xe34d5e667cf2b51cull, 0, 0, 0});
+}
+
 
 // --- Duplicate-fingerprint delete hazard ------------------------------------
 
@@ -305,6 +419,8 @@ constexpr HazardFamily kHazardFamilies[] = {
     {0xA016, "taffy"},
     {0x1C, "expanding-quotient"},
     {0xC4, "chained-quotient"},
+    {0xCF, "cuckoo"},
+    {0xAC, "adaptive-cuckoo"},
 };
 
 const char* HazardFamilyName(uint64_t id) {
@@ -410,6 +526,18 @@ TEST(DeleteHazardMaplet, ExpandingQuotientMapletErasesByKeyAndValue) {
     ExpandingQuotientMaplet m(8, final_r_bits + 3, 8);
     ExpectMapletKeepsTwins(m, seed);
     EXPECT_EQ(m.expansions(), 3);
+  }
+}
+
+TEST(DeleteHazardMaplet, CuckooMapletErasesByKeyAndValue) {
+  // 5- and 8-bit fingerprints take the packed bucket kernel, 20-bit ones
+  // the per-slot scan; at 5 bits twins share buckets and fingerprints often.
+  const uint64_t seed = TestSeed(0xDE1E81);
+  BBF_ANNOUNCE_SEED(seed);
+  for (int fingerprint_bits : {5, 8, 20}) {
+    SCOPED_TRACE(fingerprint_bits);
+    CuckooMaplet m(kHazardKeys, fingerprint_bits, 8);
+    ExpectMapletKeepsTwins(m, seed);
   }
 }
 
