@@ -9,7 +9,10 @@
 #include <utility>
 #include <vector>
 
+#include "cuckoo/cuckoo_maplet.h"
 #include "maplet/maplet.h"
+#include "quotient/quotient_maplet.h"
+#include "staticf/bloomier_filter.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
@@ -31,35 +34,35 @@ int main() {
               "bits/key", "dynamic");
 
   {
-    auto m = MakeQuotientMaplet(n, 1.0 / 256, value_bits);
-    for (const auto& [k, v] : entries) m->Insert(k, v);
-    const ResultSizes s = MeasureResultSizes(*m, keys, absent);
+    QuotientMaplet m = QuotientMaplet::ForCapacity(n, 1.0 / 256, value_bits);
+    for (const auto& [k, v] : entries) m.Insert(k, v);
+    const ResultSizes s = MeasureResultSizes(m, keys, absent);
     std::printf("%-18s %10.4f %10.4f %12.2f %10s\n", "quotient", s.prs,
-                s.nrs, static_cast<double>(m->SpaceBits()) / n, "yes");
+                s.nrs, static_cast<double>(m.SpaceBits()) / n, "yes");
   }
   {
-    auto m = MakeCuckooMaplet(n, 8, value_bits);
-    for (const auto& [k, v] : entries) m->Insert(k, v);
-    const ResultSizes s = MeasureResultSizes(*m, keys, absent);
+    CuckooMaplet m(n, 8, value_bits);
+    for (const auto& [k, v] : entries) m.Insert(k, v);
+    const ResultSizes s = MeasureResultSizes(m, keys, absent);
     std::printf("%-18s %10.4f %10.4f %12.2f %10s\n", "cuckoo", s.prs, s.nrs,
-                static_cast<double>(m->SpaceBits()) / n, "yes");
+                static_cast<double>(m.SpaceBits()) / n, "yes");
   }
   {
-    auto m = MakeBloomierMaplet(entries, value_bits);
-    const ResultSizes s = MeasureResultSizes(*m, keys, absent);
+    BloomierFilter m(entries, value_bits);
+    const ResultSizes s = MeasureResultSizes(m, keys, absent);
     std::printf("%-18s %10.4f %10.4f %12.2f %10s\n", "bloomier", s.prs,
-                s.nrs, static_cast<double>(m->SpaceBits()) / n,
+                s.nrs, static_cast<double>(m.SpaceBits()) / n,
                 "values only");
   }
 
   // Dynamic churn: the quotient maplet absorbs deletes + reinserts.
   {
-    auto m = MakeQuotientMaplet(n, 1.0 / 256, value_bits);
-    for (const auto& [k, v] : entries) m->Insert(k, v);
+    QuotientMaplet m = QuotientMaplet::ForCapacity(n, 1.0 / 256, value_bits);
+    for (const auto& [k, v] : entries) m.Insert(k, v);
     uint64_t ok = 0;
     for (size_t i = 0; i < 100000; ++i) {
-      ok += m->Erase(entries[i].first, entries[i].second);
-      ok += m->Insert(entries[i].first, (entries[i].second + 1) & 0xFF);
+      ok += m.Erase(entries[i].first, entries[i].second);
+      ok += m.Insert(entries[i].first, (entries[i].second + 1) & 0xFF);
     }
     std::printf("\nquotient maplet churn: %llu/200000 update ops succeeded\n",
                 static_cast<unsigned long long>(ok));

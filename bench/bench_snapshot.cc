@@ -17,8 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "core/factory.h"
 #include "core/filter_io.h"
+#include "core/registry.h"
 #include "core/sharded_filter.h"
 #include "harness.h"
 #include "staticf/xor_filter.h"

@@ -25,8 +25,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/registry.h"
 #include "harness.h"
-#include "core/factory.h"
 #include "core/fpr_estimator.h"
 #include "core/key.h"
 #include "core/sharded_filter.h"

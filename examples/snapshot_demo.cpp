@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "core/factory.h"
+#include "core/registry.h"
 #include "core/sharded_filter.h"
 #include "util/hash.h"
 #include "workload/generators.h"

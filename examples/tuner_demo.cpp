@@ -15,7 +15,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/factory.h"
+#include "core/registry.h"
 #include "core/sharded_filter.h"
 #include "obs/export.h"
 #include "obs/instrumented.h"

@@ -453,7 +453,7 @@ void LsmTree::PersistGeneration() {
       }
       if (run->point_filter() != nullptr && !run->point_filter_persisted()) {
         std::ostringstream os;
-        if (!SaveFilterSnapshot(*run->point_filter(), os) ||
+        if (!run->point_filter()->Save(os) ||
             !store_->WriteFileAtomic(PointFilterFileName(run->id()),
                                      std::move(os).str())) {
           ++persist_failures_total_;

@@ -210,7 +210,9 @@ std::optional<Entry> SortedRun::Get(uint64_t key, IoStats* io) const {
 
 void SortedRun::Scan(uint64_t lo, uint64_t hi, std::vector<Entry>* out,
                      IoStats* io) const {
-  if (entries_.empty() || hi < min_key() || lo > max_key()) return;
+  if (lo > hi || entries_.empty() || hi < min_key() || lo > max_key()) {
+    return;  // An empty interval, or one outside this run: no I/O.
+  }
   ++io->runs_consulted;
   if (range_filter_ != nullptr) {
     ++io->filter_probes;

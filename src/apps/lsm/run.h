@@ -91,7 +91,8 @@ class SortedRun {
   std::optional<Entry> Get(uint64_t key, IoStats* io) const;
 
   /// Appends every live entry in [lo, hi] to `out`, charging page reads.
-  /// Consults the range filter first.
+  /// Consults the range filter first. An empty interval (lo > hi) appends
+  /// nothing and charges nothing.
   void Scan(uint64_t lo, uint64_t hi, std::vector<Entry>* out,
             IoStats* io) const;
 

@@ -40,13 +40,19 @@ class IntegratedBlocklist : public Blocklist {
                       const std::vector<std::string>& benign_no_list,
                       int fingerprint_bits)
       : fingerprint_bits_(fingerprint_bits) {
+    // Two copies of one key share all three slots, so the peeler could
+    // never free either: each key enters once, and a URL on both lists
+    // stays a yes key.
     std::vector<uint64_t> keys;
+    std::unordered_set<uint64_t> yes_keys;
     std::unordered_set<uint64_t> no_keys;
-    for (const auto& url : malicious) keys.push_back(UrlKey(url).value());
+    for (const auto& url : malicious) {
+      const uint64_t k = UrlKey(url).value();
+      if (yes_keys.insert(k).second) keys.push_back(k);
+    }
     for (const auto& url : benign_no_list) {
       const uint64_t k = UrlKey(url).value();
-      keys.push_back(k);
-      no_keys.insert(k);
+      if (!yes_keys.contains(k) && no_keys.insert(k).second) keys.push_back(k);
     }
     const uint32_t capacity = XorPeeler::CapacityFor(keys.size());
     segment_len_ = capacity / 3;

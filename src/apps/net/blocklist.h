@@ -45,7 +45,9 @@ std::unique_ptr<Blocklist> MakeBloomBlocklist(
 /// Static yes/no list via the Integrated-Filter idea [Reviriego et al.;
 /// Chazelle et al.]: an XOR/Bloomier table over yes ∪ no keys where no-list
 /// keys are written with a deliberately mismatched fingerprint, so they are
-/// *guaranteed* to pass while unknown URLs see the usual 2^-f FPR.
+/// *guaranteed* to pass while unknown URLs see the usual 2^-f FPR. A URL
+/// given twice counts once, and a URL on both lists is blocked: the yes
+/// list wins.
 std::unique_ptr<Blocklist> MakeIntegratedBlocklist(
     const std::vector<std::string>& malicious,
     const std::vector<std::string>& benign_no_list, int fingerprint_bits);

@@ -18,7 +18,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "core/filter_io.h"
 #include "obs/export.h"
 
 namespace bbf::net {
@@ -764,7 +763,7 @@ bool Server::WriteDrainSnapshot() const {
   if (config_.drain_snapshot_path.empty() || filter_ == nullptr) return true;
   std::ofstream os(config_.drain_snapshot_path,
                    std::ios::binary | std::ios::trunc);
-  return os.good() && SaveFilterSnapshot(*filter_, os) && os.good();
+  return os.good() && filter_->Save(os) && os.good();
 }
 
 void Server::Shutdown() {

@@ -50,7 +50,8 @@ struct ServerConfig {
   size_t max_connections = 4096;
 
   /// When non-empty, a graceful drain finishes by writing the filter's
-  /// snapshot (core/filter_io.h frame) to this path.
+  /// framed snapshot (Filter::Save; LoadFilterSnapshot reads it back) to
+  /// this path.
   std::string drain_snapshot_path;
 };
 

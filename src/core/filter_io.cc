@@ -11,13 +11,9 @@
 
 namespace bbf {
 
-bool SaveFilterSnapshot(const Filter& f, std::ostream& os) {
-  return f.Save(os);
-}
-
 std::unique_ptr<Filter> CreateFilterForTag(std::string_view tag,
                                            uint64_t expected_keys) {
-  // Snapshot tags and factory names share one registry; tag dispatch
+  // Snapshot tags and factory names share one family table; tag dispatch
   // additionally accepts the snapshot-only entries (static filters, whose
   // empty build stands in until Load replaces it).
   const FilterEntry* entry = FindFilterEntry(tag);

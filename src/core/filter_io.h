@@ -4,17 +4,11 @@
 #include <cstdint>
 #include <istream>
 #include <memory>
-#include <ostream>
 #include <string_view>
 
 #include "core/filter.h"
 
 namespace bbf {
-
-/// Writes `f`'s framed snapshot (DESIGN.md §8) to `os`. Thin veneer over
-/// Filter::Save so callers pairing with LoadFilterSnapshot read
-/// symmetrically.
-bool SaveFilterSnapshot(const Filter& f, std::ostream& os);
 
 /// An empty instance of the filter family whose frame tag is `tag`, sized
 /// for roughly `expected_keys`. Covers every family with snapshot support

@@ -1,10 +1,8 @@
 #include "core/registry.h"
 
 #include <algorithm>
-#include <map>
-#include <string>
+#include <iterator>
 #include <utility>
-#include <vector>
 
 #include "adaptive/adaptive_quotient_filter.h"
 #include "bloom/bloom_filter.h"
@@ -29,83 +27,9 @@
 namespace bbf {
 namespace {
 
-struct AliasTarget {
-  std::string tag;
-};
-
-struct Registry {
-  // Transparent comparator so string_view lookups avoid a temporary.
-  std::map<std::string, FilterEntry, std::less<>> entries;
-  std::map<std::string, AliasTarget, std::less<>> aliases;
-};
-
-Registry& GlobalRegistry() {
-  static Registry registry;
-  return registry;
-}
-
-}  // namespace
-
-void RegisterFilter(std::string_view tag, FilterBuilder make,
-                    bool in_factory, FilterCaps caps) {
-  Registry& r = GlobalRegistry();
-  auto [it, inserted] = r.entries.insert_or_assign(
-      std::string(tag), FilterEntry{{}, std::move(make), in_factory, caps});
-  (void)inserted;
-  it->second.tag = it->first;  // Point at the stable map-owned string.
-}
-
-void RegisterFilterAlias(std::string_view alias, std::string_view tag) {
-  GlobalRegistry().aliases.insert_or_assign(std::string(alias),
-                                            AliasTarget{std::string(tag)});
-}
-
-const FilterEntry* FindFilterEntry(std::string_view name_or_alias) {
-  Registry& r = GlobalRegistry();
-  auto it = r.entries.find(name_or_alias);
-  if (it != r.entries.end()) return &it->second;
-  auto alias = r.aliases.find(name_or_alias);
-  if (alias == r.aliases.end()) return nullptr;
-  it = r.entries.find(alias->second.tag);
-  return it == r.entries.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string_view> RegisteredFilterTags() {
-  std::vector<std::string_view> tags;
-  for (const auto& [tag, entry] : GlobalRegistry().entries) {
-    tags.push_back(entry.tag);
-  }
-  return tags;  // std::map iteration is already sorted.
-}
-
-std::vector<std::string_view> FactoryFilterNames() {
-  Registry& r = GlobalRegistry();
-  std::vector<std::string_view> names;
-  for (const auto& [tag, entry] : r.entries) {
-    if (entry.in_factory) names.push_back(entry.tag);
-  }
-  for (const auto& [alias, target] : r.aliases) {
-    auto it = r.entries.find(target.tag);
-    if (it != r.entries.end() && it->second.in_factory) {
-      names.push_back(alias);
-    }
-  }
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-// ----- Builtin families. These registrars live in the registry's own
-// translation unit on purpose: with per-subsystem static libraries, a
-// registrar parked in a family's TU would be dead-stripped from any
-// binary that only references the factory. Anything that links the
-// registry gets every builtin.
-
-namespace {
-
-// Capability rows for the builtins (FilterCaps in registry.h). The
-// declared bits are verified against behavior for every registered tag in
-// registry_test, so a new family with a wrong row fails CI, not a
-// migration.
+// Capability rows (FilterCaps in registry.h). The declared bits are
+// verified against behavior for every tag in registry_test, so a new
+// family with a wrong row fails CI, not a migration.
 constexpr FilterCaps kBitSet{false, false, BuildCostClass::kCheap};
 constexpr FilterCaps kCountingCheap{true, false, BuildCostClass::kCheap};
 constexpr FilterCaps kSlotted{true, false, BuildCostClass::kModerate};
@@ -113,145 +37,183 @@ constexpr FilterCaps kSlottedNoErase{false, false, BuildCostClass::kModerate};
 constexpr FilterCaps kAdaptiveCaps{true, true, BuildCostClass::kExpensive};
 constexpr FilterCaps kStaticBuild{false, false, BuildCostClass::kExpensive};
 
-std::unique_ptr<Filter> MakeSharedBloom(uint64_t n, double fpr) {
+std::unique_ptr<Filter> MakeAdaptiveCuckoo(uint64_t n, double fpr) {
+  return std::make_unique<AdaptiveCuckooFilter>(n,
+                                                FingerprintBitsFor(fpr, 8.0));
+}
+
+std::unique_ptr<Filter> MakeAdaptiveQuotient(uint64_t n, double fpr) {
+  return std::make_unique<AdaptiveQuotientFilter>(
+      AdaptiveQuotientFilter::ForCapacity(n, fpr));
+}
+
+std::unique_ptr<Filter> MakeBlockedBloom(uint64_t n, double fpr) {
+  return std::make_unique<BlockedBloomFilter>(n, BloomBitsFor(fpr) + 2);
+}
+
+std::unique_ptr<Filter> MakeBloom(uint64_t n, double fpr) {
   return std::make_unique<BloomFilter>(n, BloomBitsFor(fpr));
 }
 
-const FilterRegistrar kBloom("bloom", MakeSharedBloom,
-                             /*in_factory=*/true, kBitSet);
-const FilterRegistrar kBlockedBloom(
-    "blocked-bloom", [](uint64_t n, double fpr) -> std::unique_ptr<Filter> {
-      return std::make_unique<BlockedBloomFilter>(n, BloomBitsFor(fpr) + 2);
-    },
-    /*in_factory=*/true, kBitSet);
-const FilterRegistrar kCountingBloom(
-    "counting-bloom", [](uint64_t n, double fpr) -> std::unique_ptr<Filter> {
-      return std::make_unique<CountingBloomFilter>(n, 4 * BloomBitsFor(fpr));
-    },
-    /*in_factory=*/true, kCountingCheap);
-// Spectral's parameter is a bits-per-key budget, not an fpr target, so it
-// is snapshot-only: the tag must load, but CreateFilter rejects it.
-const FilterRegistrar kSpectralBloom(
-    "spectral-bloom",
-    [](uint64_t n, double /*fpr*/) -> std::unique_ptr<Filter> {
-      return std::make_unique<SpectralBloomFilter>(n, 8.0);
-    },
-    // Spectral counts occurrences but exposes no Erase (count estimates
-    // only decay via its own sketch semantics).
-    /*in_factory=*/false, kBitSet);
-const FilterRegistrar kDleft(
-    "dleft-counting", [](uint64_t n, double fpr) -> std::unique_ptr<Filter> {
-      // A lookup scans all d=4 subtables x 8 cells; at the ~75% design
-      // load that is ~24 occupied candidates, each a 2^-f collision.
-      return std::make_unique<DleftCountingFilter>(
-          n, 4, 8, FingerprintBitsFor(fpr, 24.0));
-    },
-    /*in_factory=*/true, kSlotted);
-// Historical factory name for the d-left family.
-const FilterRegistrar kDleftAlias("dleft", std::string_view("dleft-counting"));
-const FilterRegistrar kScalableBloom(
-    "scalable-bloom", [](uint64_t n, double fpr) -> std::unique_ptr<Filter> {
-      return std::make_unique<ScalableBloomFilter>(std::max<uint64_t>(n, 64),
-                                                   fpr);
-    },
-    /*in_factory=*/true, kBitSet);
-const FilterRegistrar kQuotient(
-    "quotient", [](uint64_t n, double fpr) -> std::unique_ptr<Filter> {
-      return std::make_unique<QuotientFilter>(
-          QuotientFilter::ForCapacity(n, fpr));
-    },
-    /*in_factory=*/true, kSlotted);
-const FilterRegistrar kCountingQuotient(
-    "counting-quotient",
-    [](uint64_t n, double fpr) -> std::unique_ptr<Filter> {
-      return std::make_unique<CountingQuotientFilter>(
-          CountingQuotientFilter::ForCapacity(n, fpr));
-    },
-    /*in_factory=*/true, kSlotted);
-const FilterRegistrar kRsqf(
-    "rsqf", [](uint64_t n, double fpr) -> std::unique_ptr<Filter> {
-      return std::make_unique<Rsqf>(Rsqf::ForCapacity(n, fpr));
-    },
-    /*in_factory=*/true, kSlottedNoErase);
+std::unique_ptr<Filter> MakeChainedQuotient(uint64_t /*n*/, double fpr) {
+  return std::make_unique<ChainedQuotientFilter>(
+      10, FingerprintBitsFor(fpr, 1.0) + 3);
+}
+
+std::unique_ptr<Filter> MakeCountingBloom(uint64_t n, double fpr) {
+  return std::make_unique<CountingBloomFilter>(n, 4 * BloomBitsFor(fpr));
+}
+
+std::unique_ptr<Filter> MakeCountingQuotient(uint64_t n, double fpr) {
+  return std::make_unique<CountingQuotientFilter>(
+      CountingQuotientFilter::ForCapacity(n, fpr));
+}
+
+std::unique_ptr<Filter> MakeCuckoo(uint64_t n, double fpr) {
+  return std::make_unique<CuckooFilter>(CuckooFilter::ForFpr(n, fpr));
+}
+
+std::unique_ptr<Filter> MakeDleftCounting(uint64_t n, double fpr) {
+  // A lookup scans all d=4 subtables x 8 cells; at the ~75% design load
+  // that is ~24 occupied candidates, each a 2^-f collision.
+  return std::make_unique<DleftCountingFilter>(n, 4, 8,
+                                               FingerprintBitsFor(fpr, 24.0));
+}
+
+std::unique_ptr<Filter> MakeExpandingQuotient(uint64_t /*n*/, double fpr) {
+  return std::make_unique<ExpandingQuotientFilter>(
+      10, FingerprintBitsFor(fpr, 1.0) + 4);
+}
+
 // The dynamic range filter (DESIGN.md §16). Its point surface is a full
 // Filter — online inserts on the RSQF substrate, expansion by doubling —
-// so it rides the registry, factory, and snapshot dispatcher like any
-// point family; the RangeFilter surface is reached through the same
-// object (LSM adoption in apps/lsm/run.cc).
-const FilterRegistrar kMemento(
-    "memento", [](uint64_t n, double fpr) -> std::unique_ptr<Filter> {
-      return std::make_unique<MementoFilter>(
-          MementoFilter::ForCapacity(n, fpr));
-    },
-    /*in_factory=*/true, kSlottedNoErase);
-const FilterRegistrar kVectorQuotient(
-    "vector-quotient", [](uint64_t n, double fpr) -> std::unique_ptr<Filter> {
-      return std::make_unique<VectorQuotientFilter>(
-          n, FingerprintBitsFor(fpr, 2.2));
-    },
-    /*in_factory=*/true, kSlotted);
-const FilterRegistrar kPrefix(
-    "prefix", [](uint64_t n, double fpr) -> std::unique_ptr<Filter> {
-      return std::make_unique<PrefixFilter>(n, FingerprintBitsFor(fpr, 24.0));
-    },
-    /*in_factory=*/true, kSlottedNoErase);
-const FilterRegistrar kCuckoo(
-    "cuckoo", [](uint64_t n, double fpr) -> std::unique_ptr<Filter> {
-      return std::make_unique<CuckooFilter>(CuckooFilter::ForFpr(n, fpr));
-    },
-    /*in_factory=*/true, kSlotted);
-const FilterRegistrar kAdaptiveCuckoo(
-    "adaptive-cuckoo", [](uint64_t n, double fpr) -> std::unique_ptr<Filter> {
-      return std::make_unique<AdaptiveCuckooFilter>(
-          n, FingerprintBitsFor(fpr, 8.0));
-    },
-    /*in_factory=*/true, kAdaptiveCaps);
-const FilterRegistrar kAdaptiveQuotient(
-    "adaptive-quotient",
-    [](uint64_t n, double fpr) -> std::unique_ptr<Filter> {
-      return std::make_unique<AdaptiveQuotientFilter>(
-          AdaptiveQuotientFilter::ForCapacity(n, fpr));
-    },
-    /*in_factory=*/true, kAdaptiveCaps);
-const FilterRegistrar kTaffy(
-    "taffy", [](uint64_t /*n*/, double fpr) -> std::unique_ptr<Filter> {
-      return std::make_unique<TaffyFilter>(10,
-                                           FingerprintBitsFor(fpr, 1.0) + 4);
-    },
-    /*in_factory=*/true, kSlotted);
-const FilterRegistrar kChainedQuotient(
-    "chained-quotient",
-    [](uint64_t /*n*/, double fpr) -> std::unique_ptr<Filter> {
-      return std::make_unique<ChainedQuotientFilter>(
-          10, FingerprintBitsFor(fpr, 1.0) + 3);
-    },
-    /*in_factory=*/true, kSlotted);
-const FilterRegistrar kExpandingQuotient(
-    "expanding-quotient",
-    [](uint64_t /*n*/, double fpr) -> std::unique_ptr<Filter> {
-      return std::make_unique<ExpandingQuotientFilter>(
-          10, FingerprintBitsFor(fpr, 1.0) + 4);
-    },
-    /*in_factory=*/true, kSlotted);
-const FilterRegistrar kRing(
-    "ring", [](uint64_t /*n*/, double fpr) -> std::unique_ptr<Filter> {
-      return std::make_unique<RingFilter>(
-          std::min(16, FingerprintBitsFor(fpr, 4.0)));
-    },
-    /*in_factory=*/true, kSlotted);
+// so it rides the factory and the snapshot dispatcher like any point
+// family; the RangeFilter surface is reached through the same object (LSM
+// adoption in apps/lsm/run.cc).
+std::unique_ptr<Filter> MakeMemento(uint64_t n, double fpr) {
+  return std::make_unique<MementoFilter>(MementoFilter::ForCapacity(n, fpr));
+}
+
+std::unique_ptr<Filter> MakePrefix(uint64_t n, double fpr) {
+  return std::make_unique<PrefixFilter>(n, FingerprintBitsFor(fpr, 24.0));
+}
+
+std::unique_ptr<Filter> MakeQuotient(uint64_t n, double fpr) {
+  return std::make_unique<QuotientFilter>(QuotientFilter::ForCapacity(n, fpr));
+}
+
 // Static filters want the key set up front; an empty build stands in
-// until LoadPayload replaces it — snapshot-only, like spectral.
-const FilterRegistrar kXor(
-    "xor", [](uint64_t /*n*/, double /*fpr*/) -> std::unique_ptr<Filter> {
-      return std::make_unique<XorFilter>(std::vector<uint64_t>{}, 8);
-    },
-    /*in_factory=*/false, kStaticBuild);
-const FilterRegistrar kRibbon(
-    "ribbon", [](uint64_t /*n*/, double /*fpr*/) -> std::unique_ptr<Filter> {
-      return std::make_unique<RibbonFilter>(std::vector<uint64_t>{}, 8);
-    },
-    /*in_factory=*/false, kStaticBuild);
+// until LoadPayload replaces it.
+std::unique_ptr<Filter> MakeRibbon(uint64_t /*n*/, double /*fpr*/) {
+  return std::make_unique<RibbonFilter>(std::vector<uint64_t>{}, 8);
+}
+
+std::unique_ptr<Filter> MakeRing(uint64_t /*n*/, double fpr) {
+  return std::make_unique<RingFilter>(
+      std::min(16, FingerprintBitsFor(fpr, 4.0)));
+}
+
+std::unique_ptr<Filter> MakeRsqf(uint64_t n, double fpr) {
+  return std::make_unique<Rsqf>(Rsqf::ForCapacity(n, fpr));
+}
+
+std::unique_ptr<Filter> MakeScalableBloom(uint64_t n, double fpr) {
+  return std::make_unique<ScalableBloomFilter>(std::max<uint64_t>(n, 64),
+                                               fpr);
+}
+
+// Spectral's parameter is a bits-per-key budget, not an fpr target.
+std::unique_ptr<Filter> MakeSpectralBloom(uint64_t n, double /*fpr*/) {
+  return std::make_unique<SpectralBloomFilter>(n, 8.0);
+}
+
+std::unique_ptr<Filter> MakeTaffy(uint64_t /*n*/, double fpr) {
+  return std::make_unique<TaffyFilter>(10, FingerprintBitsFor(fpr, 1.0) + 4);
+}
+
+std::unique_ptr<Filter> MakeVectorQuotient(uint64_t n, double fpr) {
+  return std::make_unique<VectorQuotientFilter>(n,
+                                                FingerprintBitsFor(fpr, 2.2));
+}
+
+std::unique_ptr<Filter> MakeXor(uint64_t /*n*/, double /*fpr*/) {
+  return std::make_unique<XorFilter>(std::vector<uint64_t>{}, 8);
+}
+
+// The family table, sorted by tag. Snapshot-only rows (in_factory false)
+// load from frames but CreateFilter rejects them: spectral-bloom takes a
+// bits budget, not an fpr, and counts occurrences without exposing Erase.
+constexpr FilterEntry kFamilies[] = {
+    {"adaptive-cuckoo", MakeAdaptiveCuckoo, true, kAdaptiveCaps},
+    {"adaptive-quotient", MakeAdaptiveQuotient, true, kAdaptiveCaps},
+    {"blocked-bloom", MakeBlockedBloom, true, kBitSet},
+    {"bloom", MakeBloom, true, kBitSet},
+    {"chained-quotient", MakeChainedQuotient, true, kSlotted},
+    {"counting-bloom", MakeCountingBloom, true, kCountingCheap},
+    {"counting-quotient", MakeCountingQuotient, true, kSlotted},
+    {"cuckoo", MakeCuckoo, true, kSlotted},
+    {"dleft-counting", MakeDleftCounting, true, kSlotted},
+    {"expanding-quotient", MakeExpandingQuotient, true, kSlotted},
+    {"memento", MakeMemento, true, kSlottedNoErase},
+    {"prefix", MakePrefix, true, kSlottedNoErase},
+    {"quotient", MakeQuotient, true, kSlotted},
+    {"ribbon", MakeRibbon, false, kStaticBuild},
+    {"ring", MakeRing, true, kSlotted},
+    {"rsqf", MakeRsqf, true, kSlottedNoErase},
+    {"scalable-bloom", MakeScalableBloom, true, kBitSet},
+    {"spectral-bloom", MakeSpectralBloom, false, kBitSet},
+    {"taffy", MakeTaffy, true, kSlotted},
+    {"vector-quotient", MakeVectorQuotient, true, kSlotted},
+    {"xor", MakeXor, false, kStaticBuild},
+};
+static_assert(std::adjacent_find(std::begin(kFamilies), std::end(kFamilies),
+                                 [](const FilterEntry& a,
+                                    const FilterEntry& b) {
+                                   return a.tag >= b.tag;
+                                 }) == std::end(kFamilies),
+              "kFamilies must be sorted by tag, without duplicates");
+
+// Factory-visible alternate names: alias, canonical tag. "dleft" is the
+// d-left family's historical factory name.
+constexpr std::pair<std::string_view, std::string_view> kAliases[] = {
+    {"dleft", "dleft-counting"},
+};
 
 }  // namespace
+
+const FilterEntry* FindFilterEntry(std::string_view name_or_alias) {
+  for (const auto& [alias, tag] : kAliases) {
+    if (name_or_alias == alias) name_or_alias = tag;
+  }
+  for (const FilterEntry& entry : kFamilies) {
+    if (entry.tag == name_or_alias) return &entry;
+  }
+  return nullptr;
+}
+
+std::vector<std::string_view> RegisteredFilterTags() {
+  std::vector<std::string_view> tags;
+  for (const FilterEntry& entry : kFamilies) tags.push_back(entry.tag);
+  return tags;
+}
+
+std::vector<std::string_view> KnownFilterNames() {
+  std::vector<std::string_view> names;
+  for (const FilterEntry& entry : kFamilies) {
+    if (entry.in_factory) names.push_back(entry.tag);
+  }
+  for (const auto& [alias, tag] : kAliases) {
+    if (FindFilterEntry(tag)->in_factory) names.push_back(alias);
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+std::unique_ptr<Filter> CreateFilter(std::string_view name,
+                                     uint64_t expected_keys, double fpr) {
+  const FilterEntry* entry = FindFilterEntry(name);
+  if (entry == nullptr || !entry->in_factory) return nullptr;
+  return entry->make(expected_keys == 0 ? 1 : expected_keys, fpr);
+}
 
 }  // namespace bbf

@@ -2,7 +2,6 @@
 #define BBF_CORE_REGISTRY_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -12,10 +11,10 @@
 namespace bbf {
 
 /// Builds an empty filter of one family, sized for `expected_keys` at
-/// roughly `fpr`. Builders registered for snapshot-only tags (static
-/// filters, spectral-bloom) may ignore `fpr`.
-using FilterBuilder =
-    std::function<std::unique_ptr<Filter>(uint64_t expected_keys, double fpr)>;
+/// roughly `fpr`. Builders of snapshot-only tags (static filters,
+/// spectral-bloom) may ignore `fpr`.
+using FilterBuilder = std::unique_ptr<Filter> (*)(uint64_t expected_keys,
+                                                  double fpr);
 
 /// Relative cost of rebuilding a family from a key set (snapshot-drain-
 /// replay migration, compaction-time rebuilds). Drives the Tuner's
@@ -30,7 +29,7 @@ enum class BuildCostClass : uint8_t {
 
 /// Capability metadata for one family — what the registry knows about a
 /// tag beyond how to build it. The declared bits are contract, verified
-/// against behavior for every registered family in registry_test.
+/// against behavior for every family in registry_test.
 struct FilterCaps {
   /// Erase(key) removes a previously inserted key (counting/slot-moving
   /// families). False for plain bit-setting families, where Erase is a
@@ -43,10 +42,10 @@ struct FilterCaps {
   BuildCostClass build_cost = BuildCostClass::kModerate;
 };
 
-/// One row of the filter registry — the single source of truth consulted
-/// by CreateFilter (factory construction), CreateFilterForTag (snapshot
-/// tag dispatch), sharded snapshot recovery, and the Tuner's migration
-/// decision table.
+/// One row of the family table in registry.cc — the single source of
+/// truth consulted by CreateFilter (factory construction),
+/// CreateFilterForTag (snapshot tag dispatch), sharded snapshot recovery,
+/// and the Tuner's migration decision table.
 struct FilterEntry {
   /// The stable snapshot tag: must equal Name() of every filter `make`
   /// produces, because LoadFilterSnapshot routes frames by it.
@@ -59,45 +58,26 @@ struct FilterEntry {
   FilterCaps caps;
 };
 
-/// Registers a family under its stable Name() tag. Later registrations of
-/// the same tag win, so tests can shadow a builtin. Thread-compatible:
-/// registration is expected at static-init or test-setup time, not
-/// concurrently with lookups.
-void RegisterFilter(std::string_view tag, FilterBuilder make,
-                    bool in_factory = true, FilterCaps caps = {});
-
-/// Registers `alias` as an alternate factory-visible name for `tag`
-/// ("dleft" builds the "dleft-counting" family). The alias participates
-/// in CreateFilter and KnownFilterNames; snapshot frames always carry the
-/// canonical tag.
-void RegisterFilterAlias(std::string_view alias, std::string_view tag);
-
-/// Looks up a name or alias. Returns nullptr when unknown.
+/// Looks up a tag or an alias ("dleft" names the "dleft-counting" row;
+/// snapshot frames always carry the canonical tag). Returns nullptr when
+/// unknown.
 const FilterEntry* FindFilterEntry(std::string_view name_or_alias);
 
-/// Every canonical tag with a registered builder (no aliases), sorted.
+/// Every canonical tag in the table (no aliases), sorted.
 std::vector<std::string_view> RegisteredFilterTags();
 
 /// Every name CreateFilter accepts (factory-visible tags plus aliases),
 /// sorted.
-std::vector<std::string_view> FactoryFilterNames();
+std::vector<std::string_view> KnownFilterNames();
 
-/// RAII registrar for namespace-scope self-registration:
-///   static const FilterRegistrar kReg("mine", [](uint64_t n, double fpr) {
-///     return std::make_unique<MyFilter>(n, fpr);
-///   });
-/// The builtin families register exactly this way inside registry.cc —
-/// deliberately in the same translation unit as the registry storage, so
-/// static-lib dead-stripping can never drop a builtin.
-struct FilterRegistrar {
-  FilterRegistrar(std::string_view tag, FilterBuilder make,
-                  bool in_factory = true, FilterCaps caps = {}) {
-    RegisterFilter(tag, std::move(make), in_factory, caps);
-  }
-  FilterRegistrar(std::string_view alias, std::string_view tag) {
-    RegisterFilterAlias(alias, tag);
-  }
-};
+/// Creates a point filter by name, sized for `expected_keys` at roughly
+/// `fpr` — the tutorial's "modern filter API" as a one-liner, and the
+/// mechanism behind pluggable-filter configuration in the applications.
+/// Returns nullptr for unknown names and for snapshot-only tags: static
+/// filters (xor/ribbon) need the key set up front, so construct them
+/// directly (their tags still load from snapshots).
+std::unique_ptr<Filter> CreateFilter(std::string_view name,
+                                     uint64_t expected_keys, double fpr);
 
 }  // namespace bbf
 

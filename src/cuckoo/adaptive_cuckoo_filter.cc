@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/metrics_sink.h"
 #include "util/bits.h"
@@ -271,19 +272,52 @@ bool AdaptiveCuckooFilter::LoadPayload(std::istream& is) {
   for (uint64_t& k : stash) {
     if (!ReadU64(is, &k)) return false;
   }
-  fingerprint_bits_ = f;
+  // Swap the frame's state in to check it with this filter's own hashes,
+  // and back out if it breaks an invariant.
+  const auto swap_state = [&] {
+    std::swap(fingerprint_bits_, f);
+    std::swap(hash_seed_, seed);
+    std::swap(num_buckets_, buckets);
+    std::swap(num_keys_, n);
+    std::swap(fingerprints_, fingerprints);
+    std::swap(selectors_, selectors);
+    std::swap(remote_keys_, remote);
+    std::swap(stash_, stash);
+  };
+  swap_state();
+  if (!HoldsInvariants()) {
+    swap_state();
+    return false;
+  }
   selector_bits_ = sel;
-  hash_seed_ = seed;
-  num_buckets_ = buckets;
-  num_keys_ = n;
   adaptations_ = adaptations;
-  layout_ = simd::BucketLayout::Make(f);
-  fingerprints_ = std::move(fingerprints);
-  selectors_ = std::move(selectors);
-  remote_keys_ = std::move(remote);
-  stash_ = std::move(stash);
-  kick_rng_ = SplitMix64(seed * 31337 + 5);
+  layout_ = simd::BucketLayout::Make(fingerprint_bits_);
+  kick_rng_ = SplitMix64(hash_seed_ * 31337 + 5);
   return true;
+}
+
+bool AdaptiveCuckooFilter::HoldsInvariants() const {
+  uint64_t occupied = 0;
+  for (uint64_t bucket = 0; bucket < num_buckets_; ++bucket) {
+    for (int s = 0; s < kSlotsPerBucket; ++s) {
+      const uint64_t idx = CellIndex(bucket, s);
+      const uint64_t fp = fingerprints_.Get(idx);
+      if (fp == 0) {
+        if (selectors_.Get(idx) != 0 || remote_keys_[idx] != 0) return false;
+        continue;
+      }
+      ++occupied;
+      // A lookup of the cell's key probes its two buckets and matches the
+      // fingerprint under the cell's selector; anything else is a false
+      // negative.
+      const HashedKey key = HashedKey::FromMix(remote_keys_[idx]);
+      if (fp != FingerprintOf(key, selectors_.Get(idx)) ||
+          (bucket != Index1(key) && bucket != Index2(key))) {
+        return false;
+      }
+    }
+  }
+  return num_keys_ == occupied + stash_.size();
 }
 
 }  // namespace bbf

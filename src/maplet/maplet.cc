@@ -1,100 +1,6 @@
 #include "maplet/maplet.h"
 
 namespace bbf {
-namespace {
-
-class QuotientMapletAdapter : public Maplet {
- public:
-  QuotientMapletAdapter(uint64_t capacity, double fpr, int value_bits)
-      : impl_(QuotientMaplet::ForCapacity(capacity, fpr, value_bits)) {}
-
-  bool Insert(HashedKey key, uint64_t value) override {
-    return impl_.Insert(key, value);
-  }
-  std::vector<uint64_t> Lookup(HashedKey key) const override {
-    return impl_.Lookup(key);
-  }
-  bool Erase(HashedKey key, uint64_t value) override {
-    return impl_.Erase(key, value);
-  }
-  size_t SpaceBits() const override { return impl_.SpaceBits(); }
-  std::string_view Name() const override { return "quotient-maplet"; }
-  bool SavePayload(std::ostream& os) const override {
-    return impl_.SavePayload(os);
-  }
-  bool LoadPayload(std::istream& is) override {
-    return impl_.LoadPayload(is);
-  }
-
- private:
-  QuotientMaplet impl_;
-};
-
-class CuckooMapletAdapter : public Maplet {
- public:
-  CuckooMapletAdapter(uint64_t capacity, int fingerprint_bits, int value_bits)
-      : impl_(capacity, fingerprint_bits, value_bits) {}
-
-  bool Insert(HashedKey key, uint64_t value) override {
-    return impl_.Insert(key, value);
-  }
-  std::vector<uint64_t> Lookup(HashedKey key) const override {
-    return impl_.Lookup(key);
-  }
-  bool Erase(HashedKey key, uint64_t value) override {
-    return impl_.Erase(key, value);
-  }
-  size_t SpaceBits() const override { return impl_.SpaceBits(); }
-  std::string_view Name() const override { return "cuckoo-maplet"; }
-  bool SavePayload(std::ostream& os) const override {
-    return impl_.SavePayload(os);
-  }
-  bool LoadPayload(std::istream& is) override {
-    return impl_.LoadPayload(is);
-  }
-
- private:
-  CuckooMaplet impl_;
-};
-
-class BloomierMapletAdapter : public Maplet {
- public:
-  BloomierMapletAdapter(
-      const std::vector<std::pair<uint64_t, uint64_t>>& entries,
-      int value_bits)
-      : impl_(entries, value_bits) {}
-
-  bool Insert(HashedKey, uint64_t) override { return false; }  // Static.
-  std::vector<uint64_t> Lookup(HashedKey key) const override {
-    return {impl_.Get(key)};  // PRS = NRS = 1 by construction.
-  }
-  bool Erase(HashedKey, uint64_t) override { return false; }
-  size_t SpaceBits() const override { return impl_.SpaceBits(); }
-  std::string_view Name() const override { return "bloomier"; }
-
- private:
-  BloomierFilter impl_;
-};
-
-}  // namespace
-
-std::unique_ptr<Maplet> MakeQuotientMaplet(uint64_t capacity, double fpr,
-                                           int value_bits) {
-  return std::make_unique<QuotientMapletAdapter>(capacity, fpr, value_bits);
-}
-
-std::unique_ptr<Maplet> MakeCuckooMaplet(uint64_t capacity,
-                                         int fingerprint_bits,
-                                         int value_bits) {
-  return std::make_unique<CuckooMapletAdapter>(capacity, fingerprint_bits,
-                                               value_bits);
-}
-
-std::unique_ptr<Maplet> MakeBloomierMaplet(
-    const std::vector<std::pair<uint64_t, uint64_t>>& entries,
-    int value_bits) {
-  return std::make_unique<BloomierMapletAdapter>(entries, value_bits);
-}
 
 ResultSizes MeasureResultSizes(const Maplet& maplet,
                                const std::vector<uint64_t>& present,

@@ -3,16 +3,11 @@
 
 #include <cstdint>
 #include <istream>
-#include <memory>
 #include <ostream>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/key.h"
-#include "cuckoo/cuckoo_maplet.h"
-#include "quotient/quotient_maplet.h"
-#include "staticf/bloomier_filter.h"
 #include "util/serialize.h"
 
 namespace bbf {
@@ -21,6 +16,7 @@ namespace bbf {
 /// target key's value plus possibly a few arbitrary extras (positive
 /// result size, PRS) and may return arbitrary values for absent keys
 /// (negative result size, NRS); the application deals with the noise.
+/// QuotientMaplet, CuckooMaplet and BloomierFilter implement it.
 class Maplet {
  public:
   virtual ~Maplet() = default;
@@ -62,17 +58,6 @@ class Maplet {
   virtual bool SavePayload(std::ostream&) const { return false; }
   virtual bool LoadPayload(std::istream&) { return false; }
 };
-
-/// Adapters over the concrete maplets, for generic benchmarking (E8).
-std::unique_ptr<Maplet> MakeQuotientMaplet(uint64_t capacity, double fpr,
-                                           int value_bits);
-std::unique_ptr<Maplet> MakeCuckooMaplet(uint64_t capacity,
-                                         int fingerprint_bits,
-                                         int value_bits);
-/// Bloomier: static; built up-front from all entries, Insert/Erase fail.
-std::unique_ptr<Maplet> MakeBloomierMaplet(
-    const std::vector<std::pair<uint64_t, uint64_t>>& entries,
-    int value_bits);
 
 /// Measured expected positive / negative result sizes of a maplet.
 struct ResultSizes {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/key.h"
+#include "maplet/maplet.h"
 #include "quotient/quotient_table.h"
 
 namespace bbf {
@@ -18,49 +19,40 @@ namespace bbf {
 ///
 /// Multiple inserts of the same key accumulate multiple values (Mantis
 /// maps each k-mer to a *collection* of experiments this way).
-class QuotientMaplet {
+class QuotientMaplet final : public Maplet {
  public:
   QuotientMaplet(int q_bits, int r_bits, int value_bits,
                  uint64_t hash_seed = 0xBD);
 
   static QuotientMaplet ForCapacity(uint64_t n, double fpr, int value_bits);
 
+  using Maplet::Erase;
+  using Maplet::Insert;
+  using Maplet::Lookup;
+
   /// Associates `value` (low value_bits) with `key`.
   /// Returns false when full.
-  bool Insert(HashedKey key, uint64_t value);
-  bool Insert(uint64_t key, uint64_t value) {
-    return Insert(HashedKey(key), value);
-  }
+  bool Insert(HashedKey key, uint64_t value) override;
 
   /// All values whose fingerprints match `key` (possibly empty).
-  std::vector<uint64_t> Lookup(HashedKey key) const;
-  std::vector<uint64_t> Lookup(uint64_t key) const {
-    return Lookup(HashedKey(key));
-  }
-
-  bool Contains(HashedKey key) const { return !Lookup(key).empty(); }
-  bool Contains(uint64_t key) const { return Contains(HashedKey(key)); }
+  std::vector<uint64_t> Lookup(HashedKey key) const override;
 
   /// Removes one (key, value) association; value must match exactly.
-  bool Erase(HashedKey key, uint64_t value);
-  bool Erase(uint64_t key, uint64_t value) {
-    return Erase(HashedKey(key), value);
-  }
+  bool Erase(HashedKey key, uint64_t value) override;
 
   /// Bit-sacrifice doubling of the table (QuotientTable::Double); values
   /// ride along. False once remainders are down to one bit.
   bool DoubleTable() { return table_.Double(); }
 
-  size_t SpaceBits() const { return table_.SpaceBits(); }
+  size_t SpaceBits() const override { return table_.SpaceBits(); }
+  std::string_view Name() const override { return "quotient-maplet"; }
   uint64_t NumEntries() const { return num_entries_; }
   double LoadFactor() const { return table_.LoadFactor(); }
   int value_bits() const { return table_.value_bits(); }
   int r_bits() const { return table_.r_bits(); }
 
-  /// Raw snapshot payload (framing is the caller's job; the Maplet
-  /// adapters wrap these in checksummed frames).
-  bool SavePayload(std::ostream& os) const;
-  bool LoadPayload(std::istream& is);
+  bool SavePayload(std::ostream& os) const override;
+  bool LoadPayload(std::istream& is) override;
 
  private:
   void Fingerprint(HashedKey key, uint64_t* fq, uint64_t* fr) const;

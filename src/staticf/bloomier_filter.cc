@@ -1,5 +1,7 @@
 #include "staticf/bloomier_filter.h"
 
+#include <unordered_set>
+
 #include "staticf/peeling.h"
 #include "util/bits.h"
 
@@ -7,13 +9,18 @@ namespace bbf {
 
 BloomierFilter::BloomierFilter(
     const std::vector<std::pair<uint64_t, uint64_t>>& entries,
-    int value_bits)
-    : num_keys_(entries.size()) {
+    int value_bits) {
   // Hash-once boundary: mix each raw key here; the peeler and every
-  // probe work on canonical values.
+  // probe work on canonical values. Two copies of one key share all three
+  // slots, so the peeler could never free either: keep the first copy.
   std::vector<uint64_t> keys;
   keys.reserve(entries.size());
-  for (const auto& [k, v] : entries) keys.push_back(HashedKey(k).value());
+  std::unordered_set<uint64_t> seen;
+  for (const auto& [k, v] : entries) {
+    const uint64_t key = HashedKey(k).value();
+    if (seen.insert(key).second) keys.push_back(key);
+  }
+  num_keys_ = keys.size();
 
   const uint32_t capacity = XorPeeler::CapacityFor(keys.size());
   segment_len_ = capacity / 3;
@@ -40,7 +47,8 @@ BloomierFilter::BloomierFilter(
     }
     tau_table_.Set(it->slot, tau ^ acc);
   }
-  // Owned slots form a perfect matching: write values directly.
+  // Owned slots form a perfect matching: write values directly, in entry
+  // order, so a repeated key keeps its last value.
   for (const auto& [k, v] : entries) {
     value_table_.Set(OwnedSlot(HashedKey(k)), v & LowMask(value_bits));
   }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/key.h"
+#include "maplet/maplet.h"
 #include "util/compact_vector.h"
 
 namespace bbf {
@@ -22,10 +23,15 @@ namespace bbf {
 /// disturbing any other key — but the key *set* is immutable, exactly the
 /// "supports updates to values ... does not support insertions of new
 /// data entries" contract in §2.4.
-class BloomierFilter {
+///
+/// As a Maplet, Lookup returns the one stored value (PRS = NRS = 1), and
+/// Insert and Erase fail: the key set is fixed at build time. There is no
+/// snapshot payload, so Save reports failure.
+class BloomierFilter final : public Maplet {
  public:
-  /// Builds over (key, value) pairs with distinct keys; values are
-  /// truncated to `value_bits`.
+  /// Builds over (key, value) pairs; values are truncated to `value_bits`.
+  /// A key given more than once keeps its last value, as a later Update
+  /// would leave it.
   BloomierFilter(const std::vector<std::pair<uint64_t, uint64_t>>& entries,
                  int value_bits);
 
@@ -41,10 +47,21 @@ class BloomierFilter {
     Update(HashedKey(key), new_value);
   }
 
-  size_t SpaceBits() const {
+  using Maplet::Erase;
+  using Maplet::Insert;
+  using Maplet::Lookup;
+
+  bool Insert(HashedKey, uint64_t) override { return false; }
+  std::vector<uint64_t> Lookup(HashedKey key) const override {
+    return {Get(key)};
+  }
+  bool Erase(HashedKey, uint64_t) override { return false; }
+
+  size_t SpaceBits() const override {
     return tau_table_.size() * tau_table_.width() +
            value_table_.size() * value_table_.width();
   }
+  std::string_view Name() const override { return "bloomier"; }
   uint64_t NumKeys() const { return num_keys_; }
   int value_bits() const { return value_table_.width(); }
 

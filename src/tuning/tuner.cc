@@ -4,7 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/factory.h"
 #include "core/filter_io.h"
 #include "core/registry.h"
 

@@ -14,7 +14,7 @@
 #include "bloom/counting_bloom.h"
 #include "bloom/dleft_filter.h"
 #include "bloom/scalable_bloom.h"
-#include "core/factory.h"
+#include "core/registry.h"
 #include "core/sizing.h"
 #include "workload/generators.h"
 #include "workload/zipf.h"

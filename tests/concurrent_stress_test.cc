@@ -19,7 +19,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/factory.h"
+#include "core/registry.h"
 #include "core/sharded_filter.h"
 #include "cuckoo/cuckoo_filter.h"
 #include "obs/instrumented.h"

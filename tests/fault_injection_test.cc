@@ -14,10 +14,11 @@
 #include <gtest/gtest.h>
 
 #include "apps/lsm/run.h"
-#include "core/factory.h"
 #include "core/filter_io.h"
 #include "core/key.h"
+#include "core/registry.h"
 #include "core/sharded_filter.h"
+#include "cuckoo/adaptive_cuckoo_filter.h"
 #include "cuckoo/cuckoo_filter.h"
 #include "cuckoo/cuckoo_maplet.h"
 #include "fault_injection.h"
@@ -339,6 +340,131 @@ TEST(FaultInjection, CuckooMapletFrameWithBadStashOrCountIsRejected) {
     ASSERT_NE(std::find(values.begin(), values.end(), k & 255), values.end())
         << k;
   }
+}
+
+// An adaptive-cuckoo payload's fields, in SavePayload's order.
+struct AdaptiveCuckooFields {
+  int32_t fingerprint_bits = 0;
+  int32_t selector_bits = 0;
+  uint64_t seed = 0;
+  uint64_t buckets = 0;
+  uint64_t num_keys = 0;
+  uint64_t adaptations = 0;
+  CompactVector fingerprints;
+  CompactVector selectors;
+  std::vector<uint64_t> remote;
+  std::vector<uint64_t> stash;
+
+  explicit AdaptiveCuckooFields(const AdaptiveCuckooFilter& f) {
+    std::ostringstream os;
+    EXPECT_TRUE(f.SavePayload(os));
+    std::istringstream is(os.str());
+    EXPECT_TRUE(ReadI32(is, &fingerprint_bits) &&
+                ReadI32(is, &selector_bits) && ReadU64(is, &seed) &&
+                ReadU64(is, &buckets) && ReadU64(is, &num_keys) &&
+                ReadU64(is, &adaptations) && fingerprints.Load(is) &&
+                selectors.Load(is));
+    remote.resize(fingerprints.size());
+    for (uint64_t& k : remote) EXPECT_TRUE(ReadU64(is, &k));
+    uint64_t stash_size = 0;
+    EXPECT_TRUE(ReadU64(is, &stash_size));
+    stash.resize(stash_size);
+    for (uint64_t& k : stash) EXPECT_TRUE(ReadU64(is, &k));
+  }
+
+  std::string ToFrame() const {
+    std::ostringstream payload;
+    WriteI32(payload, fingerprint_bits);
+    WriteI32(payload, selector_bits);
+    WriteU64(payload, seed);
+    WriteU64(payload, buckets);
+    WriteU64(payload, num_keys);
+    WriteU64(payload, adaptations);
+    fingerprints.Save(payload);
+    selectors.Save(payload);
+    for (uint64_t k : remote) WriteU64(payload, k);
+    WriteU64(payload, stash.size());
+    for (uint64_t k : stash) WriteU64(payload, k);
+    return Frame("adaptive-cuckoo", payload);
+  }
+
+  // Moves cell `from` (fingerprint, selector, key) into the empty `to`.
+  void MoveCell(uint64_t from, uint64_t to) {
+    fingerprints.Set(to, fingerprints.Get(from));
+    selectors.Set(to, selectors.Get(from));
+    remote[to] = remote[from];
+    fingerprints.Set(from, 0);
+    selectors.Set(from, 0);
+    remote[from] = 0;
+  }
+};
+
+// Adaptive-cuckoo frames that break what Insert, the kicks, Erase and
+// ReportFalsePositive keep. A cell whose fingerprint is not its key's, or
+// that sits outside its key's two buckets, is a false negative for that
+// key; a wrong count breaks NumKeys and LoadFactor.
+TEST(FaultInjection, AdaptiveCuckooFrameBreakingItsInvariantsIsRejected) {
+  constexpr uint64_t kKey = 0xACF;
+  constexpr int kSlots = AdaptiveCuckooFilter::kSlotsPerBucket;
+  AdaptiveCuckooFilter one(200, 12);
+  ASSERT_TRUE(one.Insert(kKey));
+  const AdaptiveCuckooFields base(one);
+  uint64_t cell = 0;
+  while (base.fingerprints.Get(cell) == 0) ++cell;
+  const uint64_t empty = (cell + 1) % base.fingerprints.size();
+  // Five copies of the key fill its first bucket and spill one copy into
+  // its second, so the cells they occupy mark both of its buckets.
+  AdaptiveCuckooFilter five(200, 12);
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(five.Insert(kKey));
+  const AdaptiveCuckooFields spread(five);
+  const auto bucket_is_empty = [&](uint64_t first_cell) {
+    for (int s = 0; s < kSlots; ++s) {
+      if (spread.fingerprints.Get(first_cell + s) != 0) return false;
+    }
+    return true;
+  };
+  uint64_t outside = 0;  // First cell of a bucket the key never uses.
+  while (!bucket_is_empty(outside)) outside += kSlots;
+  {
+    // The helper re-frames an intact payload that loads.
+    AdaptiveCuckooFilter probe(200, 12);
+    std::istringstream is(base.ToFrame());
+    ASSERT_TRUE(probe.Load(is));
+    EXPECT_TRUE(probe.Contains(kKey));
+  }
+
+  struct Bad {
+    const char* name;
+    AdaptiveCuckooFields fields;
+  };
+  std::vector<Bad> frames(7, Bad{"", base});
+  frames[0].name = "count 5 for one cell";
+  frames[0].fields.num_keys = 5;
+  frames[1].name = "count 0 for one cell";
+  frames[1].fields.num_keys = 0;
+  frames[2].name = "fingerprint not the key's";
+  frames[2].fields.fingerprints.Set(
+      cell, base.fingerprints.Get(cell) == 1 ? 2 : 1);
+  frames[3].name = "selector bumped without its fingerprint";
+  frames[3].fields.selectors.Set(cell, 1);
+  frames[4].name = "cell outside its key's buckets";
+  frames[4].fields.MoveCell(cell, outside);
+  frames[5].name = "empty cell with a selector";
+  frames[5].fields.selectors.Set(empty, 1);
+  frames[6].name = "empty cell with a key";
+  frames[6].fields.remote[empty] = 42;
+
+  AdaptiveCuckooFilter f(200, 12);
+  const std::vector<uint64_t> keys = InsertSome(&f, 0xAC0E, 150);
+  const std::string before = SaveToString(f);
+  for (const Bad& bad : frames) {
+    SCOPED_TRACE(bad.name);
+    std::istringstream is(bad.fields.ToFrame());
+    EXPECT_FALSE(f.Load(is));
+    EXPECT_EQ(SaveToString(f), before);
+  }
+  EXPECT_EQ(f.NumKeys(), keys.size());
+  for (uint64_t key : keys) ASSERT_TRUE(f.Contains(key)) << key;
 }
 
 TEST(FaultInjection, GarbageAndEmptyStreamsAreRejected) {

@@ -26,7 +26,6 @@
 #include <gtest/gtest.h>
 
 #include "bloom/bloom_filter.h"
-#include "core/factory.h"
 #include "core/registry.h"
 #include "range/grafite.h"
 #include "range/memento.h"

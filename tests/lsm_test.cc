@@ -165,6 +165,29 @@ TEST(LsmTree, ScanMatchesReference) {
   }
 }
 
+TEST(LsmTree, ReversedScanRangeIsEmptyAndChargesNothing) {
+  // lo > hi with both ends inside every run's key range: each run's own
+  // key-range check passes, so the run must reject the empty interval.
+  for (RangeFilterKind kind :
+       {RangeFilterKind::kNone, RangeFilterKind::kGrafite}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    LsmOptions o;
+    o.memtable_entries = 64;
+    o.memtable_filter = MemtableFilterKind::kNone;
+    o.range_filter = kind;
+    LsmTree db(o);
+    for (uint64_t k = 0; k < 1000; ++k) db.Put(k, k);
+    db.ResetIo();
+    EXPECT_TRUE(db.Scan(500, 100).empty());
+    EXPECT_EQ(db.io().data_reads, 0u);
+    EXPECT_EQ(db.io().filter_probes, 0u);
+    EXPECT_EQ(db.io().runs_consulted, 0u);
+    EXPECT_EQ(db.io().false_probes, 0u);
+    EXPECT_EQ(db.io().quarantined_reads, 0u);
+    EXPECT_EQ(db.Scan(100, 500).size(), 401u);
+  }
+}
+
 TEST(LsmTree, FiltersCutNegativeLookupIos) {
   LsmOptions with;
   with.memtable_entries = 1024;

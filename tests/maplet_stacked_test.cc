@@ -3,13 +3,17 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cuckoo/cuckoo_maplet.h"
 #include "maplet/maplet.h"
+#include "quotient/quotient_maplet.h"
 #include "stacked/stacked_filter.h"
+#include "staticf/bloomier_filter.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
@@ -30,8 +34,9 @@ TEST(Maplet, DynamicMapletsHavePrsOnePlusEpsAndNrsEps) {
   const auto absent = GenerateNegativeKeys(keys, 20000);
   const auto entries = MakeEntries(keys);
 
-  for (auto& maplet :
-       {MakeQuotientMaplet(20000, 0.01, 8), MakeCuckooMaplet(20000, 12, 8)}) {
+  QuotientMaplet quotient = QuotientMaplet::ForCapacity(20000, 0.01, 8);
+  CuckooMaplet cuckoo(20000, 12, 8);
+  for (Maplet* maplet : std::initializer_list<Maplet*>{&quotient, &cuckoo}) {
     for (const auto& [k, v] : entries) ASSERT_TRUE(maplet->Insert(k, v));
     const ResultSizes sizes = MeasureResultSizes(*maplet, keys, absent);
     EXPECT_GT(sizes.prs, 0.999) << maplet->Name();
@@ -45,22 +50,23 @@ TEST(Maplet, BloomierHasPrsAndNrsExactlyOne) {
   const auto keys = GenerateDistinctKeys(10000);
   const auto absent = GenerateNegativeKeys(keys, 10000);
   const auto entries = MakeEntries(keys);
-  const auto maplet = MakeBloomierMaplet(entries, 8);
-  const ResultSizes sizes = MeasureResultSizes(*maplet, keys, absent);
+  BloomierFilter maplet(entries, 8);
+  const ResultSizes sizes = MeasureResultSizes(maplet, keys, absent);
   EXPECT_DOUBLE_EQ(sizes.prs, 1.0);
   EXPECT_DOUBLE_EQ(sizes.nrs, 1.0);
   // And the single returned value is exact for members.
   for (const auto& [k, v] : entries) {
-    ASSERT_EQ(maplet->Lookup(k)[0], v);
+    ASSERT_EQ(maplet.Lookup(k)[0], v);
   }
-  EXPECT_FALSE(maplet->Insert(1, 1));  // Static: no new keys.
+  EXPECT_FALSE(maplet.Insert(1, 1));  // Static: no new keys.
 }
 
 TEST(Maplet, TrueValueAlwaysPresentInLookup) {
   const auto keys = GenerateDistinctKeys(5000);
   const auto entries = MakeEntries(keys);
-  for (auto& maplet :
-       {MakeQuotientMaplet(5000, 0.01, 8), MakeCuckooMaplet(5000, 12, 8)}) {
+  QuotientMaplet quotient = QuotientMaplet::ForCapacity(5000, 0.01, 8);
+  CuckooMaplet cuckoo(5000, 12, 8);
+  for (Maplet* maplet : std::initializer_list<Maplet*>{&quotient, &cuckoo}) {
     for (const auto& [k, v] : entries) ASSERT_TRUE(maplet->Insert(k, v));
     for (const auto& [k, v] : entries) {
       const auto vals = maplet->Lookup(k);

@@ -118,6 +118,26 @@ TEST(Blocklist, AdaptiveStopsBlockingAfterOneReport) {
   }
 }
 
+TEST(Blocklist, IntegratedBuildsOverRepeatedUrls) {
+  // A URL given twice would share all three slots with its copy, and the
+  // peeler can never free either: the build must count it once.
+  const auto repeated = MakeIntegratedBlocklist(
+      {"http://a", "http://b", "http://a"}, {"http://c", "http://c"}, 8);
+  EXPECT_TRUE(repeated->IsBlocked("http://a"));
+  EXPECT_TRUE(repeated->IsBlocked("http://b"));
+  EXPECT_FALSE(repeated->IsBlocked("http://c"));
+}
+
+TEST(Blocklist, IntegratedUrlOnBothListsStaysBlocked) {
+  // The same peeling hazard: one URL on both lists is one key given twice.
+  // The yes list wins.
+  const auto both = MakeIntegratedBlocklist({"http://a", "http://b"},
+                                            {"http://a", "http://c"}, 8);
+  EXPECT_TRUE(both->IsBlocked("http://a"));
+  EXPECT_TRUE(both->IsBlocked("http://b"));
+  EXPECT_FALSE(both->IsBlocked("http://c"));
+}
+
 // --- Wire front end ---------------------------------------------------------
 
 ShardedFilter::ShardFactory QuotientFactory(double fpr) {

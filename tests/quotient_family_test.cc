@@ -31,14 +31,14 @@
 
 #include <gtest/gtest.h>
 
-#include "core/factory.h"
 #include "core/filter.h"
+#include "core/filter_io.h"
 #include "core/metrics_sink.h"
+#include "core/registry.h"
 #include "core/sharded_filter.h"
 #include "cuckoo/cuckoo_filter.h"
 #include "cuckoo/cuckoo_maplet.h"
 #include "expandable/taffy_filter.h"
-#include "maplet/maplet.h"
 #include "quotient/expanding_quotient_filter.h"
 #include "quotient/expanding_quotient_maplet.h"
 #include "quotient/quotient_filter.h"
@@ -319,28 +319,28 @@ Pin ReplayCuckooFilter(int fingerprint_bits) {
 
 Pin ReplayCuckooMaplet(int fingerprint_bits) {
   const Stream s(kCuckooPinKeys);
-  const std::unique_ptr<Maplet> m = MakeCuckooMaplet(64, fingerprint_bits, 6);
+  CuckooMaplet m(64, fingerprint_bits, 6);
   Pin pin;
   uint64_t rejected = 0;
   for (size_t i = 0; i < s.keys.size(); ++i) {
-    const bool ok = m->Insert(s.keys[i], i & 63);
+    const bool ok = m.Insert(s.keys[i], i & 63);
     rejected += !ok;
     pin.answer_hash = Fold(pin.answer_hash, ok);
     if (i % 3 == 0) {
       pin.answer_hash =
-          Fold(pin.answer_hash, m->Insert(s.keys[i], (i + 7) & 63));
+          Fold(pin.answer_hash, m.Insert(s.keys[i], (i + 7) & 63));
     }
   }
   EXPECT_GT(rejected, 0u);
   for (size_t i = 0; i < s.keys.size(); i += 5) {
-    pin.answer_hash = Fold(pin.answer_hash, m->Erase(s.keys[i], i & 63));
+    pin.answer_hash = Fold(pin.answer_hash, m.Erase(s.keys[i], i & 63));
   }
   for (uint64_t q : s.queries) {
-    for (uint64_t v : m->Lookup(q)) pin.answer_hash = Fold(pin.answer_hash, v);
+    for (uint64_t v : m.Lookup(q)) pin.answer_hash = Fold(pin.answer_hash, v);
     pin.answer_hash = Fold(pin.answer_hash, ~uint64_t{0});
   }
   std::ostringstream os;
-  EXPECT_TRUE(m->Save(os));
+  EXPECT_TRUE(m.Save(os));
   pin.payload_hash = HashBytes(os.str());
   return pin;
 }
@@ -365,6 +365,96 @@ TEST(CuckooFamilyPin, CuckooMaplet12) {
 TEST(CuckooFamilyPin, CuckooMaplet20) {
   ExpectPin("cuckoo-maplet-20", ReplayCuckooMaplet(20),
             {0xcbdc948a1aef49e5ull, 0xe34d5e667cf2b51cull, 0, 0, 0});
+}
+
+// FamilyTablePin pins what each row of the family table builds: a mistyped
+// geometry or seed in one row changes that row's saved frame. Each filter
+// takes a fixed key set where the family accepts inserts, then answers
+// every query; the pin holds the insert and Contains answers and the
+// framed snapshot bytes.
+constexpr uint64_t kFamilyPinKeys = 8000;
+
+Pin ReplayBuiltFilter(Filter& f) {
+  const Stream s(kFamilyPinKeys);
+  Pin pin;
+  for (uint64_t k : s.keys) pin.answer_hash = Fold(pin.answer_hash, f.Insert(k));
+  for (uint64_t q : s.queries) {
+    pin.answer_hash = Fold(pin.answer_hash, f.Contains(q));
+  }
+  std::ostringstream os;
+  EXPECT_TRUE(f.Save(os));
+  pin.payload_hash = HashBytes(os.str());
+  return pin;
+}
+
+struct FamilyPinRow {
+  const char* name;
+  uint64_t payload_hash;
+  uint64_t answer_hash;
+};
+
+TEST(FamilyTablePin, EveryFactoryName) {
+  static constexpr FamilyPinRow kRows[] = {
+      {"adaptive-cuckoo", 0xb7144f3a92e39b65ull, 0xb427fce76696cd64ull},
+      {"adaptive-quotient", 0x48ad2da7fa86c4f8ull, 0x213172a23bd2a441ull},
+      {"blocked-bloom", 0xcbc89d2b2cbcbfecull, 0x4bbf8ff9a9a5c6fcull},
+      {"bloom", 0x66c8e6c8b48fe83full, 0x89eb1fbea0b1b7c8ull},
+      {"chained-quotient", 0xa125fe2a29187749ull, 0xaf272b3e83afe191ull},
+      {"counting-bloom", 0xa1efd00f923c4503ull, 0x087cbcf0e4186a4bull},
+      {"counting-quotient", 0x4df54e7cef892dc2ull, 0x556c6ae153a0edd4ull},
+      {"cuckoo", 0xdc2dd2e7dc03828aull, 0x1c50c55b39a6c136ull},
+      {"dleft", 0x48c561e267aeefe2ull, 0xbc971cd5f890fe15ull},
+      {"dleft-counting", 0x48c561e267aeefe2ull, 0xbc971cd5f890fe15ull},
+      {"expanding-quotient", 0xa4604d250aac94d9ull, 0x00945b36fa208fa9ull},
+      {"memento", 0x932578597cfc4c6full, 0x67fc21ba32893589ull},
+      {"prefix", 0x7ae1c03e14b5c117ull, 0xc163c7b1db295df2ull},
+      {"quotient", 0x6f1de28f46bc3022ull, 0xcca851b79cfd0df8ull},
+      {"ring", 0x2c03b9a6f1cc3a63ull, 0x67fc21ba32893589ull},
+      {"rsqf", 0xdc0426d09ce67a21ull, 0xe32c6dab34e8a988ull},
+      {"scalable-bloom", 0x350a2fd87e16fc1cull, 0x53d7d5ccf9b9af71ull},
+      {"taffy", 0xfdcbc4f073535fd5ull, 0x99ccd914e61b9576ull},
+      {"vector-quotient", 0xfc095baa2ea9bedeull, 0x734fba1b4fdf9f92ull},
+  };
+  ASSERT_EQ(KnownFilterNames().size(), std::size(kRows));
+  for (const FamilyPinRow& row : kRows) {
+    const std::unique_ptr<Filter> f = CreateFilter(row.name, 10'000, 0.01);
+    ASSERT_NE(f, nullptr) << row.name;
+    ExpectPin(row.name, ReplayBuiltFilter(*f),
+              {row.payload_hash, row.answer_hash});
+  }
+}
+
+TEST(FamilyTablePin, EveryTag) {
+  static constexpr FamilyPinRow kRows[] = {
+      {"adaptive-cuckoo", 0xb7144f3a92e39b65ull, 0xb427fce76696cd64ull},
+      {"adaptive-quotient", 0x48ad2da7fa86c4f8ull, 0x213172a23bd2a441ull},
+      {"blocked-bloom", 0xcbc89d2b2cbcbfecull, 0x4bbf8ff9a9a5c6fcull},
+      {"bloom", 0x66c8e6c8b48fe83full, 0x89eb1fbea0b1b7c8ull},
+      {"chained-quotient", 0xa125fe2a29187749ull, 0xaf272b3e83afe191ull},
+      {"counting-bloom", 0xa1efd00f923c4503ull, 0x087cbcf0e4186a4bull},
+      {"counting-quotient", 0x4df54e7cef892dc2ull, 0x556c6ae153a0edd4ull},
+      {"cuckoo", 0xdc2dd2e7dc03828aull, 0x1c50c55b39a6c136ull},
+      {"dleft-counting", 0x48c561e267aeefe2ull, 0xbc971cd5f890fe15ull},
+      {"expanding-quotient", 0xa4604d250aac94d9ull, 0x00945b36fa208fa9ull},
+      {"memento", 0x932578597cfc4c6full, 0x67fc21ba32893589ull},
+      {"prefix", 0x7ae1c03e14b5c117ull, 0xc163c7b1db295df2ull},
+      {"quotient", 0x6f1de28f46bc3022ull, 0xcca851b79cfd0df8ull},
+      {"ribbon", 0x94326c9150e282adull, 0xf580530c6f8ca9a4ull},
+      {"ring", 0x2c03b9a6f1cc3a63ull, 0x67fc21ba32893589ull},
+      {"rsqf", 0xdc0426d09ce67a21ull, 0xe32c6dab34e8a988ull},
+      {"scalable-bloom", 0x350a2fd87e16fc1cull, 0x53d7d5ccf9b9af71ull},
+      {"spectral-bloom", 0xc07778263c8f9d3bull, 0xd5cb23482325c7a7ull},
+      {"taffy", 0xfdcbc4f073535fd5ull, 0x99ccd914e61b9576ull},
+      {"vector-quotient", 0xfc095baa2ea9bedeull, 0x734fba1b4fdf9f92ull},
+      {"xor", 0x118ddd388a3cb9ebull, 0xe252d9adf54842efull},
+  };
+  ASSERT_EQ(RegisteredFilterTags().size(), std::size(kRows));
+  for (const FamilyPinRow& row : kRows) {
+    const std::unique_ptr<Filter> f = CreateFilterForTag(row.name, 10'000);
+    ASSERT_NE(f, nullptr) << row.name;
+    ExpectPin(row.name, ReplayBuiltFilter(*f),
+              {row.payload_hash, row.answer_hash});
+  }
 }
 
 

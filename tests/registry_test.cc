@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/factory.h"
 #include "core/filter_io.h"
 #include "core/registry.h"
 
@@ -66,7 +65,7 @@ TEST(Registry, EveryTagRoundTripsThroughSnapshotIo) {
     // everyone else takes the keys. Either way the frame must round-trip.
     for (uint64_t k = 1; k <= 64; ++k) f->Insert(k);
     std::ostringstream os;
-    ASSERT_TRUE(SaveFilterSnapshot(*f, os)) << tag;
+    ASSERT_TRUE(f->Save(os)) << tag;
     std::istringstream is(os.str());
     const auto loaded = LoadFilterSnapshot(is);
     ASSERT_NE(loaded, nullptr) << tag;
@@ -223,7 +222,7 @@ TEST(Registry, FactoryFiltersSurviveFactoryToSnapshotToLoadToQuery) {
     ASSERT_NE(f, nullptr) << name;
     for (uint64_t k = 1; k <= 200; ++k) ASSERT_TRUE(f->Insert(k)) << name;
     std::ostringstream os;
-    ASSERT_TRUE(SaveFilterSnapshot(*f, os)) << name;
+    ASSERT_TRUE(f->Save(os)) << name;
     std::istringstream is(os.str());
     const auto loaded = LoadFilterSnapshot(is);
     ASSERT_NE(loaded, nullptr) << name;

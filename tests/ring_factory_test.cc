@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/factory.h"
+#include "core/registry.h"
 #include "expandable/ring_filter.h"
 #include "util/random.h"
 #include "workload/generators.h"

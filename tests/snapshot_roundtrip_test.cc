@@ -11,12 +11,15 @@
 
 #include <gtest/gtest.h>
 
-#include "core/factory.h"
 #include "core/filter_io.h"
+#include "core/registry.h"
+#include "cuckoo/cuckoo_maplet.h"
 #include "maplet/maplet.h"
+#include "quotient/quotient_maplet.h"
 #include "range/memento.h"
 #include "range/prefix_bloom_range.h"
 #include "range/range_filter.h"
+#include "staticf/bloomier_filter.h"
 #include "staticf/ribbon_filter.h"
 #include "staticf/xor_filter.h"
 #include "util/random.h"
@@ -199,8 +202,12 @@ TEST(SnapshotRoundtrip, MapletsRoundTrip) {
     std::unique_ptr<Maplet> reloaded;
   };
   Case cases[] = {
-      {MakeQuotientMaplet(2000, 0.01, 8), MakeQuotientMaplet(16, 0.5, 4)},
-      {MakeCuckooMaplet(2000, 12, 8), MakeCuckooMaplet(16, 4, 4)},
+      {std::make_unique<QuotientMaplet>(
+           QuotientMaplet::ForCapacity(2000, 0.01, 8)),
+       std::make_unique<QuotientMaplet>(
+           QuotientMaplet::ForCapacity(16, 0.5, 4))},
+      {std::make_unique<CuckooMaplet>(2000, 12, 8),
+       std::make_unique<CuckooMaplet>(16, 4, 4)},
   };
   for (Case& c : cases) {
     SCOPED_TRACE(std::string(c.original->Name()));
@@ -226,19 +233,19 @@ TEST(SnapshotRoundtrip, MapletsRoundTrip) {
 }
 
 TEST(SnapshotRoundtrip, MapletRejectsWrongFamily) {
-  auto qm = MakeQuotientMaplet(100, 0.01, 8);
-  qm->Insert(1, 2);
+  QuotientMaplet qm = QuotientMaplet::ForCapacity(100, 0.01, 8);
+  qm.Insert(1, 2);
   std::ostringstream ss;
-  ASSERT_TRUE(qm->Save(ss));
-  auto cm = MakeCuckooMaplet(100, 12, 8);
+  ASSERT_TRUE(qm.Save(ss));
+  CuckooMaplet cm(100, 12, 8);
   std::istringstream is(std::move(ss).str());
-  EXPECT_FALSE(cm->Load(is));
+  EXPECT_FALSE(cm.Load(is));
 }
 
 TEST(SnapshotRoundtrip, BloomierMapletReportsUnsupported) {
-  auto bloomier = MakeBloomierMaplet({{1, 2}, {3, 4}}, 8);
+  BloomierFilter bloomier({{1, 2}, {3, 4}}, 8);
   std::ostringstream ss;
-  EXPECT_FALSE(bloomier->Save(ss));
+  EXPECT_FALSE(bloomier.Save(ss));
   EXPECT_TRUE(ss.str().empty());  // No partial frame written.
 }
 

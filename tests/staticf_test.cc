@@ -123,6 +123,16 @@ TEST(BloomierFilter, UpdateChangesOnlyTargetKey) {
   }
 }
 
+TEST(BloomierFilter, RepeatedKeyKeepsItsLastValue) {
+  // Two copies of a key share all three slots, so the peeler can never
+  // free either: the build must drop the repeat, and the key ends with
+  // the value a later Update would leave.
+  BloomierFilter f({{1, 2}, {3, 4}, {1, 5}}, 8);
+  EXPECT_EQ(f.NumKeys(), 2u);
+  EXPECT_EQ(f.Get(uint64_t{1}), 5u);
+  EXPECT_EQ(f.Get(uint64_t{3}), 4u);
+}
+
 TEST(BloomierFilter, SpaceProportionalToValueBits) {
   std::vector<std::pair<uint64_t, uint64_t>> entries;
   for (uint64_t k : GenerateDistinctKeys(10000)) entries.emplace_back(k, 1);

@@ -21,7 +21,6 @@
 #include "apps/net/client.h"
 #include "apps/net/server.h"
 #include "apps/net/wire.h"
-#include "core/factory.h"
 #include "core/filter_io.h"
 #include "core/key.h"
 #include "core/registry.h"

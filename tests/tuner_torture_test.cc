@@ -14,7 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/factory.h"
+#include "core/registry.h"
 #include "core/sharded_filter.h"
 #include "obs/instrumented.h"
 #include "tuning/tuner.h"
