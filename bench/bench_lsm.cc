@@ -3,10 +3,13 @@
 //
 // Paper claims: per-file filters let point lookups skip files; Monkey
 // drops the expected negative-lookup cost from O(eps * #levels) to
-// O(eps); range filters avert the I/O of empty range scans. The
-// lifecycle section measures what the persistent manifest buys: opening
-// a tree from committed filter snapshots vs. rebuilding the same tree by
-// re-ingesting every key.
+// O(eps); range filters avert the I/O of empty range scans. lsm_test
+// asserts these (LsmTree.MonkeyAllocationBeatsUniformOnNegativeLookups,
+// RangeFilterCutsEmptyScanIos, TieringWritesLessThanLeveling); the rows
+// here report the counts and rates, ungated. The lifecycle section
+// measures what the persistent manifest buys: opening a tree from
+// committed filter snapshots vs. rebuilding the same tree by re-ingesting
+// every key.
 //
 // Usage: bench_lsm [--quick] [--json=PATH]
 //   --quick      smaller tree (200k keys; default 1M).
@@ -212,11 +215,6 @@ int main(int argc, char** argv) {
     o.range_filter = RangeFilterKind::kSnarf;
     RunConfig(h, "bloom + snarf", o, keys, negatives);
   }
-
-  std::printf(
-      "\nexpected shape (paper §3.1/[32]): uniform bloom leaves ~eps*levels\n"
-      "I/Os per negative get; monkey ~eps; tiering trades lookup cost for\n"
-      "write-amp; range filters collapse the empty-scan column.\n");
 
   RunLifecycle(h, keys);
   return h.Finish();

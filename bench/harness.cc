@@ -189,8 +189,11 @@ int Harness::Finish() {
     std::fprintf(stderr, "cannot open %s\n", json_path_.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"bench\": %s,\n  \"host\": %s,\n  \"reps\": %d,\n",
-               JsonString(bench_).c_str(), HostJson().c_str(), reps_);
+  std::fprintf(f,
+               "{\n  \"bench\": %s,\n  \"host\": %s,\n  \"reps\": %d,\n"
+               "  \"quick\": %s,\n",
+               JsonString(bench_).c_str(), HostJson().c_str(), reps_,
+               quick_ ? "true" : "false");
   std::fprintf(f, "  \"results\": [");
   for (size_t i = 0; i < rows_.size(); ++i) {
     std::fprintf(f, "%s\n    %s", i == 0 ? "" : ",", rows_[i].json().c_str());

@@ -1,18 +1,18 @@
 #ifndef BBF_BENCH_HARNESS_H_
 #define BBF_BENCH_HARNESS_H_
 
-// The experiment harness (DESIGN.md §4). Each bench binary regenerates one
-// experiment's table; EXPERIMENTS.md records the paper-claim vs measured
-// comparison. A binary that writes a BENCH file builds one `Harness`,
-// which parses its flags, repeats its timed cells, evaluates its answer
-// checks and gates, and writes the file:
+// The bench harness (DESIGN.md §4). The timed claims of DESIGN.md §4 live
+// here; the deterministic ones are test assertions. Every bench binary
+// builds one `Harness`, which parses its flags, repeats its timed cells,
+// evaluates its answer checks and gates, and writes the file:
 //
-//   {"bench": NAME, "host": {...}, "reps": N, "results": [...],
+//   {"bench": NAME, "host": {...}, "reps": N, "quick": Q, "results": [...],
 //    "gates": [{"name", "value", "op", "bound", "pass"}, ...]}
 //
 // The host block uses perfbench's field names (nproc, cpu, simd_kernel,
-// build_type, commit). A repeated cell is an object {median, p10, p90}
-// over `reps` runs, by nearest rank.
+// build_type, commit). `quick` is true for a --quick run, which skips the
+// large sizes and the gates that read them. A repeated cell is an object
+// {median, p10, p90} over `reps` runs, by nearest rank.
 
 #include <chrono>
 #include <cstdint>
@@ -21,17 +21,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/filter.h"
-
 namespace bbf::bench {
-
-/// Measured false-positive rate of a point filter over `negatives`.
-inline double MeasureFpr(const Filter& f,
-                         const std::vector<uint64_t>& negatives) {
-  uint64_t fp = 0;
-  for (uint64_t k : negatives) fp += f.Contains(k);
-  return static_cast<double>(fp) / negatives.size();
-}
 
 /// Wall-clock seconds of `fn()`.
 template <typename Fn>

@@ -6,7 +6,8 @@
 #
 # Usage: bench/run_bench.sh [--quick] [BUILD_DIR]
 #   --quick    smaller key counts (CI smoke run; skips the out-of-LLC
-#              sizes, so also the E22 gate).
+#              sizes, so also the E22 gate and the 16M gates of
+#              bench_batch). Each file records it as "quick": true.
 #   BUILD_DIR  existing CMake build tree (default: build).
 set -euo pipefail
 
@@ -21,7 +22,7 @@ for arg in "$@"; do
   esac
 done
 
-BENCHES="batch concurrent hash obs lsm tuner range snapshot"
+BENCHES="batch concurrent hash obs lsm tuner range snapshot seqsearch"
 cmake -B "$BUILD_DIR" -S . >/dev/null
 # shellcheck disable=SC2046
 cmake --build "$BUILD_DIR" --target $(printf 'bench_%s ' $BENCHES) \

@@ -33,14 +33,10 @@ bool QuotientFilter::Insert(HashedKey key) {
 
 bool QuotientFilter::InsertSorted(uint64_t fq, uint64_t fr) {
   // Runs stay sorted; a duplicate lands in front of its equals.
-  if (table_.LoadFactor() >= kMaxLoadFactor ||
-      !table_.InsertIntoRun(fq, fr, [&](uint64_t s) {
-        return table_.remainder(s) >= fr;
-      })) {
-    return false;
-  }
-  ++num_keys_;
-  return true;
+  return table_.LoadFactor() < kMaxLoadFactor &&
+         table_.InsertIntoRun(fq, fr, [&](uint64_t s) {
+           return table_.remainder(s) >= fr;
+         });
 }
 
 bool QuotientFilter::Contains(HashedKey key) const {
@@ -131,7 +127,6 @@ bool QuotientFilter::Erase(HashedKey key) {
   });
   if (!found) return false;
   table_.EraseFromRun(fq, slot);
-  --num_keys_;
   return true;
 }
 
@@ -140,7 +135,10 @@ namespace {
 // Shared payload shape of the plain and counting quotient filters: seed,
 // key count, full table state. The table loads into a local and is only
 // committed on success, so a corrupt payload cannot leave a half-written
-// filter behind.
+// filter behind. A null `num_keys` means the count is the table's used
+// slots (the plain filter stores one slot per key), so a frame whose count
+// says otherwise is rejected; the counting filter's digits take slots too,
+// so it keeps its own count.
 void SaveQfPayload(std::ostream& os, uint64_t hash_seed, uint64_t num_keys,
                    const QuotientTable& table) {
   WriteU64(os, hash_seed);
@@ -158,11 +156,12 @@ bool LoadQfPayload(std::istream& is, uint64_t* hash_seed, uint64_t* num_keys,
   }
   // The table must match this variant's geometry (the counting variant
   // needs the tag plane; the plain one must not carry values).
-  if (fresh.value_bits() != want_value_bits || fresh.has_tag() != want_tag) {
+  if (fresh.value_bits() != want_value_bits || fresh.has_tag() != want_tag ||
+      (num_keys == nullptr && n != fresh.num_used_slots())) {
     return false;
   }
   *hash_seed = seed;
-  *num_keys = n;
+  if (num_keys != nullptr) *num_keys = n;
   *table = std::move(fresh);
   return true;
 }
@@ -170,12 +169,12 @@ bool LoadQfPayload(std::istream& is, uint64_t* hash_seed, uint64_t* num_keys,
 }  // namespace
 
 bool QuotientFilter::SavePayload(std::ostream& os) const {
-  SaveQfPayload(os, hash_seed_, num_keys_, table_);
+  SaveQfPayload(os, hash_seed_, NumKeys(), table_);
   return os.good();
 }
 
 bool QuotientFilter::LoadPayload(std::istream& is) {
-  return LoadQfPayload(is, &hash_seed_, &num_keys_, &table_,
+  return LoadQfPayload(is, &hash_seed_, /*num_keys=*/nullptr, &table_,
                        /*want_tag=*/false, /*want_value_bits=*/0);
 }
 

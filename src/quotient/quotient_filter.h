@@ -43,7 +43,8 @@ class QuotientFilter : public Filter {
   bool Erase(HashedKey key) override;
   uint64_t Count(HashedKey key) const override;
   size_t SpaceBits() const override { return table_.SpaceBits(); }
-  uint64_t NumKeys() const override { return num_keys_; }
+  /// One slot per key, so the table's used slots are the key count.
+  uint64_t NumKeys() const override { return table_.num_used_slots(); }
   FilterClass Class() const override { return FilterClass::kDynamic; }
   std::string_view Name() const override { return "quotient"; }
 
@@ -76,7 +77,6 @@ class QuotientFilter : public Filter {
 
   QuotientTable table_;
   uint64_t hash_seed_;
-  uint64_t num_keys_ = 0;
 };
 
 /// Counting quotient filter (§2.6): multiset counts embedded *inside* the

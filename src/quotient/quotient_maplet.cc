@@ -33,13 +33,9 @@ bool QuotientMaplet::Insert(HashedKey key, uint64_t value) {
   uint64_t fr;
   Fingerprint(key, &fq, &fr);
   // Runs stay sorted by remainder; a new entry lands in front of its equals.
-  if (!table_.InsertIntoRun(
-          fq, fr, [&](uint64_t s) { return table_.remainder(s) >= fr; },
-          /*tag=*/false, value)) {
-    return false;
-  }
-  ++num_entries_;
-  return true;
+  return table_.InsertIntoRun(
+      fq, fr, [&](uint64_t s) { return table_.remainder(s) >= fr; },
+      /*tag=*/false, value);
 }
 
 std::vector<uint64_t> QuotientMaplet::Lookup(HashedKey key) const {
@@ -69,13 +65,12 @@ bool QuotientMaplet::Erase(HashedKey key, uint64_t value) {
   });
   if (!found) return false;
   table_.EraseFromRun(fq, slot);
-  --num_entries_;
   return true;
 }
 
 bool QuotientMaplet::SavePayload(std::ostream& os) const {
   WriteU64(os, hash_seed_);
-  WriteU64(os, num_entries_);
+  WriteU64(os, NumEntries());
   table_.Save(os);
   return os.good();
 }
@@ -85,12 +80,13 @@ bool QuotientMaplet::LoadPayload(std::istream& is) {
   uint64_t n;
   if (!ReadU64(is, &seed) || !ReadU64(is, &n)) return false;
   QuotientTable table;
-  // A maplet table always carries values, never run-compaction tags.
-  if (!table.Load(is) || table.value_bits() == 0 || table.has_tag()) {
+  // A maplet table always carries values, never run-compaction tags, and
+  // its entry count is its used slots.
+  if (!table.Load(is) || table.value_bits() == 0 || table.has_tag() ||
+      n != table.num_used_slots()) {
     return false;
   }
   hash_seed_ = seed;
-  num_entries_ = n;
   table_ = std::move(table);
   return true;
 }

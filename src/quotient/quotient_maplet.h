@@ -46,7 +46,8 @@ class QuotientMaplet final : public Maplet {
 
   size_t SpaceBits() const override { return table_.SpaceBits(); }
   std::string_view Name() const override { return "quotient-maplet"; }
-  uint64_t NumEntries() const { return num_entries_; }
+  /// One slot per entry, so the table's used slots are the entry count.
+  uint64_t NumEntries() const { return table_.num_used_slots(); }
   double LoadFactor() const { return table_.LoadFactor(); }
   int value_bits() const { return table_.value_bits(); }
   int r_bits() const { return table_.r_bits(); }
@@ -59,7 +60,6 @@ class QuotientMaplet final : public Maplet {
 
   QuotientTable table_;
   uint64_t hash_seed_;
-  uint64_t num_entries_ = 0;
 };
 
 }  // namespace bbf

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
+
+#include "scratch_path.h"
 
 namespace bbf::bench {
 namespace {
@@ -71,6 +76,24 @@ TEST(BenchHarness, BelowGateFailsAtItsBound) {
   Harness h = NoArgs("below");
   EXPECT_FALSE(h.Gate("fpr", 0.01, Cmp::kBelow, 0.01));
   EXPECT_NE(h.Finish(), 0);
+}
+
+TEST(BenchHarness, FileRecordsWhetherTheRunWasQuick) {
+  for (const bool quick : {false, true}) {
+    const std::string path = ScratchPath(quick ? "quick.json" : "full.json");
+    std::string json = "--json=" + path;
+    static char name[] = "bench_harness_test";
+    static char quick_flag[] = "--quick";
+    char* argv[] = {name, json.data(), quick_flag, nullptr};
+    EXPECT_EQ(Harness("size", 1, quick ? 3 : 2, argv).Finish(), 0);
+    std::ifstream in(path);
+    const std::string file{std::istreambuf_iterator<char>(in), {}};
+    EXPECT_NE(file.find(std::string("\"reps\": 1,\n  \"quick\": ") +
+                        (quick ? "true" : "false")),
+              std::string::npos)
+        << file;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(BenchHarness, UnknownArgumentExitsTwo) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <numbers>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -113,6 +114,16 @@ TEST(BloomFilter, ForFprHitsTarget) {
   }
 }
 
+TEST(BloomFilter, SpaceIsOnePointFourFourLgInverseFpr) {
+  // §2: a Bloom filter spends 1.44 lg(1/eps) bits per key at every eps,
+  // 1/ln 2 times the lg(1/eps) lower bound.
+  for (const int lg : {8, 16}) {
+    const BloomFilter f = BloomFilter::ForFpr(kN, std::ldexp(1.0, -lg));
+    EXPECT_NEAR(static_cast<double>(f.SpaceBits()) / kN / lg, 1.44, 0.01)
+        << "eps 2^-" << lg;
+  }
+}
+
 TEST(BloomFilter, SpaceAccounting) {
   BloomFilter f(1000, 8.0);
   EXPECT_GE(f.SpaceBits(), 8000u);
@@ -212,6 +223,26 @@ TEST(DleftCounting, ExactCountsAtModerateLoad) {
   }
   EXPECT_GT(static_cast<double>(exact) / truth.size(), 0.95);
   EXPECT_EQ(f.NumKeys(), stream.size());
+}
+
+TEST(DleftCounting, SmallerThanCountingBloomOnZipfStreams) {
+  // §2.6 credits d-left with about half a counting Bloom filter's space.
+  // Under skew the counters that outgrow their 4 bits spill into the exact
+  // side map, which SpaceBits charges, so what holds here is smaller at
+  // theta 0.99 and at least 1.5x smaller at theta 1.5.
+  constexpr uint64_t kUniverse = 50000;
+  for (const auto& [theta, factor] : {std::pair{0.99, 1.0}, {1.5, 1.5}}) {
+    const auto stream = GenerateZipfStream(kUniverse, theta, 20 * kUniverse);
+    CountingBloomFilter cbf(kUniverse, 40.0, /*counter_bits=*/4);
+    DleftCountingFilter dleft(kUniverse);
+    for (uint64_t k : stream) {
+      cbf.Insert(k);
+      dleft.Insert(k);
+    }
+    EXPECT_GT(static_cast<double>(cbf.SpaceBits()),
+              factor * static_cast<double>(dleft.SpaceBits()))
+        << "theta " << theta;
+  }
 }
 
 TEST(DleftCounting, EraseRestores) {

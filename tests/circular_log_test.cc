@@ -1,6 +1,7 @@
 // Tests for the circular-log storage engine (§3.1): correctness against a
 // reference model, maplet expansion vs rebuild strategies, GC.
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -125,6 +126,29 @@ TEST(CircularLog, GcCompactsDeadRecords) {
   EXPECT_LT(db.log_records(), 25000u / 2);  // Far fewer than 25k appends.
   for (uint64_t k = 1; k <= 500; ++k) {
     ASSERT_EQ(db.Get(k), std::optional<uint64_t>(49));
+  }
+}
+
+TEST(CircularLog, WastedReadsFallAsFingerprintsGrow) {
+  // §3.1: the maplet's false positives are wasted page reads, so every two
+  // more fingerprint bits must cut a negative lookup's reads, which stay
+  // under the 2^-f false-positive bound.
+  const auto keys = bbf::GenerateDistinctKeys(20000, 71);
+  const auto ghosts = bbf::GenerateNegativeKeys(keys, 100000, 72);
+  uint64_t previous = ~uint64_t{0};
+  for (const int f : {6, 8, 10, 12}) {
+    CircularLog::Options o;
+    o.fingerprint_bits = f;
+    o.initial_q_bits = 15;  // Pre-sized: no expansion sheds a bit.
+    CircularLog db(o);
+    for (uint64_t k : keys) db.Put(k, k);
+    db.ResetIo();
+    for (uint64_t g : ghosts) ASSERT_FALSE(db.Get(g).has_value());
+    const uint64_t reads = db.io().data_reads;
+    EXPECT_LT(reads, previous) << f << " fingerprint bits";
+    EXPECT_LE(reads, ghosts.size() * std::ldexp(1.0, -f))
+        << f << " fingerprint bits";
+    previous = reads;
   }
 }
 

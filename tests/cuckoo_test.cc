@@ -1,6 +1,7 @@
 // Tests for the cuckoo-filter family: base filter, maplet, adaptive.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <unordered_map>
@@ -56,6 +57,23 @@ TEST(CuckooFilter, ForFprSizing) {
   uint64_t fp = 0;
   for (uint64_t k : negatives) fp += f.Contains(k);
   EXPECT_LT(static_cast<double>(fp) / negatives.size(), 0.02);
+}
+
+TEST(CuckooFilter, SpaceIsLgInverseFprPlusAdditiveOverhead) {
+  // §2: lg(1/eps) + 3 bits per key (4-slot buckets cost lg 8 fingerprint
+  // bits, at 94% load), so the overhead barely moves from eps = 2^-8 to
+  // 2^-16, where Bloom's 1.44 factor adds 3.5 bits.
+  constexpr uint64_t kKeys = 15400;
+  double overhead[2];
+  for (const int i : {0, 1}) {
+    const int lg = 8 << i;
+    CuckooFilter f = CuckooFilter::ForFpr(kKeys, std::ldexp(1.0, -lg));
+    for (uint64_t k : GenerateDistinctKeys(kKeys)) ASSERT_TRUE(f.Insert(k));
+    overhead[i] = f.BitsPerKey() - lg;
+  }
+  EXPECT_GE(overhead[0], 3.0);
+  EXPECT_LE(overhead[1], 4.5);
+  EXPECT_LT(overhead[1] - overhead[0], 1.0);
 }
 
 TEST(CuckooFilter, DuplicatesCountedUpToBucketCapacity) {

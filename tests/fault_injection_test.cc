@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "adaptive/adaptive_quotient_filter.h"
 #include "apps/lsm/run.h"
 #include "core/filter_io.h"
 #include "core/key.h"
@@ -22,7 +23,9 @@
 #include "cuckoo/cuckoo_filter.h"
 #include "cuckoo/cuckoo_maplet.h"
 #include "fault_injection.h"
+#include "quotient/expanding_quotient_filter.h"
 #include "quotient/quotient_filter.h"
+#include "quotient/quotient_maplet.h"
 #include "quotient/rsqf.h"
 #include "range/memento.h"
 #include "staticf/ribbon_filter.h"
@@ -465,6 +468,67 @@ TEST(FaultInjection, AdaptiveCuckooFrameBreakingItsInvariantsIsRejected) {
   }
   EXPECT_EQ(f.NumKeys(), keys.size());
   for (uint64_t key : keys) ASSERT_TRUE(f.Contains(key)) << key;
+}
+
+// Quotient-family payloads holding one key, with the key count (the 8-byte
+// word at `count_at`) rewritten to 5. These families count their table's
+// used slots, so the load must fail and leave `target` as it was; the
+// intact payload then loads, so the count alone was at fault.
+template <typename F>
+void ExpectWrongCountRejected(const F& one, F* target, size_t count_at) {
+  const auto saved = [](const F& f) {
+    std::ostringstream ss;
+    EXPECT_TRUE(f.Save(ss));
+    return std::move(ss).str();
+  };
+  std::ostringstream payload;
+  ASSERT_TRUE(one.SavePayload(payload));
+  std::string bad = std::move(payload).str();
+  ASSERT_EQ(ReadLittleU64(bad, count_at), 1u);
+  bad[count_at] = 5;
+  std::ostringstream frame;
+  ASSERT_TRUE(WriteSnapshotFrame(frame, one.Name(), bad));
+  const std::string before = saved(*target);
+  std::istringstream is(std::move(frame).str());
+  EXPECT_FALSE(target->Load(is));
+  EXPECT_EQ(saved(*target), before);
+  std::istringstream intact(saved(one));
+  ASSERT_TRUE(target->Load(intact));
+  EXPECT_EQ(saved(*target), saved(one));
+}
+
+TEST(FaultInjection, QuotientFrameWithWrongKeyCountIsRejected) {
+  QuotientFilter one(8, 8);
+  ASSERT_TRUE(one.Insert(0xC01));
+  QuotientFilter f(8, 8);
+  InsertSome(&f, 0xC0E1, 150);
+  ExpectWrongCountRejected(one, &f, /*count_at=*/8);
+}
+
+TEST(FaultInjection, ExpandingQuotientFrameWithWrongKeyCountIsRejected) {
+  ExpandingQuotientFilter one(8, 8);
+  ASSERT_TRUE(one.Insert(0xC02));
+  ExpandingQuotientFilter f(8, 8);
+  InsertSome(&f, 0xC0E2, 150);
+  // Seed and expansion count, then the quotient filter's payload.
+  ExpectWrongCountRejected(one, &f, /*count_at=*/8 + 8 + 8);
+}
+
+TEST(FaultInjection, AdaptiveQuotientFrameWithWrongKeyCountIsRejected) {
+  AdaptiveQuotientFilter one(8, 8);
+  ASSERT_TRUE(one.Insert(0xC03));
+  AdaptiveQuotientFilter f(8, 8);
+  InsertSome(&f, 0xC0E3, 150);
+  // Seed and adaptation count, then the quotient filter's payload.
+  ExpectWrongCountRejected(one, &f, /*count_at=*/8 + 8 + 8);
+}
+
+TEST(FaultInjection, QuotientMapletFrameWithWrongEntryCountIsRejected) {
+  QuotientMaplet one(8, 8, 8);
+  ASSERT_TRUE(one.Insert(0xC04, 7));
+  QuotientMaplet m(8, 8, 8);
+  for (uint64_t k = 0; k < 150; ++k) ASSERT_TRUE(m.Insert(k, k & 255));
+  ExpectWrongCountRejected(one, &m, /*count_at=*/8);
 }
 
 TEST(FaultInjection, GarbageAndEmptyStreamsAreRejected) {

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -71,6 +72,14 @@ uint64_t MeasureFalsePositives(Filter& filter,
   return fp;
 }
 
+// The parameter p names family p % F (F factory families) at target
+// kTargets[p / F]: AllFactoryFamilies runs every family at kEpsilon, and
+// EpsilonSweep runs them again at the other targets, since §1's "absent
+// with probability >= 1 - eps" holds for any eps.
+constexpr double kTargets[] = {kEpsilon, 0.1, 0.001, 0.0001};
+constexpr const char* kTargetSuffixes[] = {"", "_eps_0_1", "_eps_0_001",
+                                           "_eps_0_0001"};
+
 class FprRegression : public ::testing::TestWithParam<size_t> {
  public:
   static std::vector<std::string> Families() {
@@ -83,15 +92,26 @@ class FprRegression : public ::testing::TestWithParam<size_t> {
     }
     return families;
   }
+
+  static std::string ParamName(const ::testing::TestParamInfo<size_t>& info) {
+    const size_t families = Families().size();
+    std::string name = Families()[info.param % families];
+    for (char& c : name) {
+      if (c == '-') c = '_';
+    }
+    return name + kTargetSuffixes[info.param / families];
+  }
 };
 
 TEST_P(FprRegression, MeasuredFprWithinConfiguredBudget) {
-  const std::string family = Families()[GetParam()];
+  const size_t families = Families().size();
+  const std::string family = Families()[GetParam() % families];
+  const double epsilon = kTargets[GetParam() / families];
   const uint64_t seed = TestSeed(4242);
   BBF_ANNOUNCE_SEED(seed);
   SCOPED_TRACE(family);
 
-  auto filter = CreateFilter(family, kN, kEpsilon);
+  auto filter = CreateFilter(family, kN, epsilon);
   ASSERT_NE(filter, nullptr) << family;
 
   const auto keys = GenerateDistinctKeys(kN, seed);
@@ -102,10 +122,10 @@ TEST_P(FprRegression, MeasuredFprWithinConfiguredBudget) {
   ASSERT_GE(admitted, kN * 9 / 10)
       << family << " refused too many inserts at its design point";
 
-  const double bound = BinomialUpperBound(kNegatives, kSlack * kEpsilon);
+  const double bound = BinomialUpperBound(kNegatives, kSlack * epsilon);
   EXPECT_LE(static_cast<double>(fp), bound)
       << family << ": measured fpr "
-      << static_cast<double>(fp) / kNegatives << " vs configured " << kEpsilon
+      << static_cast<double>(fp) / kNegatives << " vs configured " << epsilon
       << " (allowed " << kSlack << "x + 3 sigma = " << bound / kNegatives
       << ")";
 }
@@ -113,13 +133,13 @@ TEST_P(FprRegression, MeasuredFprWithinConfiguredBudget) {
 INSTANTIATE_TEST_SUITE_P(
     AllFactoryFamilies, FprRegression,
     ::testing::Range<size_t>(0, FprRegression::Families().size()),
-    [](const ::testing::TestParamInfo<size_t>& info) {
-      std::string name = FprRegression::Families()[info.param];
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+    FprRegression::ParamName);
+INSTANTIATE_TEST_SUITE_P(
+    EpsilonSweep, FprRegression,
+    ::testing::Range<size_t>(FprRegression::Families().size(),
+                             std::size(kTargets) *
+                                 FprRegression::Families().size()),
+    FprRegression::ParamName);
 
 // --- Range-family FPR regression (§2.5 / DESIGN.md §16) -------------------
 //

@@ -269,6 +269,10 @@ struct SweepConfig {
   RangeFilterKind range_filter;
 };
 
+// Without this, gtest prints the parameter as its raw bytes, pointer and
+// padding included, and the ctest names change from one run to the next.
+void PrintTo(const SweepConfig& cfg, std::ostream* os) { *os << cfg.name; }
+
 class LsmCrashSweep : public ::testing::TestWithParam<SweepConfig> {};
 
 /// Runs the workload against `db`, maintaining the acked reference model:

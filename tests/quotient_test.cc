@@ -3,6 +3,7 @@
 // variant, and bit-sacrifice expansion. The randomized model tests compare
 // every operation against a std::unordered_multiset reference.
 
+#include <cmath>
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
@@ -63,6 +64,42 @@ TEST(QuotientFilter, FprNearTwoToMinusR) {
   // Expect ~ load * 2^-10 ~ 8.3e-4; allow generous slack.
   EXPECT_LT(fpr, 0.004);
   EXPECT_GT(fpr, 0.0);
+}
+
+TEST(QuotientFilter, SpaceIsLgInverseFprPlusAdditiveOverhead) {
+  // §2: lg(1/eps) bits per key plus an additive term (3 metadata bits per
+  // slot, at 94% load), so the overhead barely moves from eps = 2^-8 to
+  // 2^-16, where Bloom's 1.44 factor adds 3.5 bits.
+  constexpr uint64_t kKeys = 15400;  // 94% of 2^14 slots.
+  double overhead[2];
+  for (const int i : {0, 1}) {
+    const int lg = 8 << i;
+    QuotientFilter f = QuotientFilter::ForCapacity(kKeys, std::ldexp(1.0, -lg));
+    for (uint64_t k : GenerateDistinctKeys(kKeys)) ASSERT_TRUE(f.Insert(k));
+    overhead[i] = f.BitsPerKey() - lg;
+  }
+  EXPECT_GE(overhead[0], 3.0);
+  EXPECT_LE(overhead[1], 4.5);
+  EXPECT_LT(overhead[1] - overhead[0], 1.0);
+}
+
+TEST(QuotientFilter, FprRisesLinearlyWithLoad) {
+  // §2.1: the FPR is about load * 2^-r, linear in the load.
+  constexpr int kQ = 16;
+  constexpr int kR = 8;
+  QuotientFilter f(kQ, kR);
+  const auto keys = GenerateDistinctKeys(59000, 91);
+  const auto negatives = GenerateNegativeKeys(keys, 200000, 92);
+  size_t next = 0;
+  for (const double load : {0.2, 0.4, 0.6, 0.8, 0.9}) {
+    while (f.LoadFactor() < load) ASSERT_TRUE(f.Insert(keys[next++]));
+    uint64_t fp = 0;
+    for (uint64_t k : negatives) fp += f.Contains(k);
+    const double mean =
+        negatives.size() * f.LoadFactor() * std::ldexp(1.0, -kR);
+    EXPECT_NEAR(static_cast<double>(fp), mean, 4 * std::sqrt(mean))
+        << "load " << load;
+  }
 }
 
 TEST(QuotientFilter, MultisetDuplicates) {
