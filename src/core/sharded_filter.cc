@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -25,6 +24,17 @@ constexpr uint64_t kShardedDirVersion = 3;
 // Sanity cap on per-shard generation counts in snapshots; real configs
 // stay in single digits.
 constexpr uint64_t kMaxSnapshotGenerations = 4096;
+
+// Capacity multiplier for each chained generation (kChain).
+constexpr uint64_t kGenerationGrowth = 2;
+
+// Writes that may land during one successor build before the migration
+// aborts — bounds both the replay backlog and the final locked drain.
+constexpr size_t kReplayCap = size_t{1} << 16;
+
+// Unlocked catch-up rounds draining the replay backlog before the final
+// locked drain-and-swap.
+constexpr int kMaxCatchupRounds = 8;
 
 // A catch-up round that drains the replay backlog to this size or below
 // stops iterating: the remainder is cheap enough to drain under the lock.
@@ -59,6 +69,14 @@ constexpr size_t kStackKeys = 1024;
 constexpr size_t kStackShards = 129;
 
 }  // namespace
+
+std::unordered_map<uint64_t, int64_t> NetJournalCounts(
+    std::span<const FilterJournalOp> ops) {
+  std::unordered_map<uint64_t, int64_t> counts;
+  counts.reserve(ops.size());
+  for (const FilterJournalOp& op : ops) counts[op.mix] += op.erase ? -1 : 1;
+  return counts;
+}
 
 void GroupByShard(std::span<const HashedKey> keys, size_t num_shards,
                   HashedKey* sorted, size_t* src, size_t* start) {
@@ -107,17 +125,10 @@ std::unique_ptr<ShardedFilter::Shard> ShardedFilter::MakeShard() const {
   // op history — quarantine rebuilds stay migratable.
   if (migration_enabled_) {
     shard->journal_valid = true;
-    if (migration_config_.track_shard_fpr) {
-      shard->fpr = std::make_unique<ObservedFprEstimator>();
-    }
+    shard->fpr = std::make_unique<ObservedFprEstimator>();
   }
   return shard;
 }
-
-ShardedFilter::ShardedFilter(uint64_t expected_keys, int num_shards,
-                             ShardFactory factory)
-    : ShardedFilter(expected_keys, num_shards, std::move(factory),
-                    SaturationConfig{}) {}
 
 ShardedFilter::ShardedFilter(uint64_t expected_keys, int num_shards,
                              ShardFactory factory,
@@ -141,8 +152,7 @@ size_t ShardedFilter::ShardOf(HashedKey key) const {
 
 void ShardedFilter::SetNewestCapacity(Shard& shard, uint64_t capacity) const {
   shard.newest_capacity = capacity;
-  shard.next_capacity = static_cast<uint64_t>(
-      std::max(1.0, static_cast<double>(capacity) * config_.growth));
+  shard.next_capacity = std::max<uint64_t>(1, capacity * kGenerationGrowth);
 }
 
 Filter& ShardedFilter::AddGenerationLocked(Shard& shard) {
@@ -170,7 +180,7 @@ InsertOutcome ShardedFilter::InsertIntoShardLocked(Shard& shard,
 
 void ShardedFilter::JournalLocked(Shard& shard, HashedKey key, bool erase) {
   if (shard.journal_valid && !shard.journal_broken) {
-    if (shard.journal.size() >= migration_config_.journal_cap) {
+    if (shard.journal.size() >= journal_cap_) {
       // Over the cap the journal can no longer claim to be the full
       // history; serving continues, migration of this shard is refused.
       shard.journal_broken = true;
@@ -481,17 +491,10 @@ std::vector<ShardedFilter::ShardStats> ShardedFilter::Stats() const {
   return stats;
 }
 
-size_t ShardedFilter::HottestShard() const {
+size_t ShardedFilter::HottestOf(std::span<const ShardStats> stats) {
   size_t hottest = 0;
-  uint64_t hottest_keys = 0;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    std::shared_lock lock(shards_[i]->mutex);
-    uint64_t n = 0;
-    for (const auto& gen : shards_[i]->gens) n += gen->NumKeys();
-    if (n > hottest_keys) {
-      hottest_keys = n;
-      hottest = i;
-    }
+  for (size_t i = 1; i < stats.size(); ++i) {
+    if (stats[i].num_keys > stats[hottest].num_keys) hottest = i;
   }
   return hottest;
 }
@@ -514,23 +517,7 @@ uint64_t ShardedFilter::TotalMigrations() const {
   return migrations;
 }
 
-size_t ShardedFilter::WorstFprShard(uint64_t min_negative_lookups) const {
-  size_t worst = kNoShard;
-  double worst_fpr = -1.0;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    std::shared_lock lock(shards_[i]->mutex);
-    if (shards_[i]->fpr == nullptr) continue;
-    const ObservedFprEstimator::Snapshot f = shards_[i]->fpr->Snap();
-    if (f.negative_lookups < min_negative_lookups) continue;
-    if (f.observed_fpr > worst_fpr) {
-      worst_fpr = f.observed_fpr;
-      worst = i;
-    }
-  }
-  return worst;
-}
-
-bool ShardedFilter::EnableMigration(const MigrationConfig& config) {
+bool ShardedFilter::EnableMigration(size_t journal_cap) {
   // All shard locks held at once (ordered, so no deadlock risk) so the
   // emptiness check and the arm are one atomic step across the filter.
   std::vector<std::unique_lock<std::shared_mutex>> locks;
@@ -542,31 +529,16 @@ bool ShardedFilter::EnableMigration(const MigrationConfig& config) {
     }
   }
   migration_enabled_ = true;
-  migration_config_ = config;
+  journal_cap_ = journal_cap;
   for (const auto& shard : shards_) {
     shard->journal.clear();
     shard->journal_valid = true;
     shard->journal_broken = false;
-    if (config.track_shard_fpr && shard->fpr == nullptr) {
+    if (shard->fpr == nullptr) {
       shard->fpr = std::make_unique<ObservedFprEstimator>();
     }
   }
   return true;
-}
-
-void ShardedFilter::CompactJournalLocked(Shard& shard) {
-  // The net multiset of live ops replaces the op history: membership
-  // families ignore multiplicity and order, counting families keep their
-  // counts, and journal length now tracks live keys instead of traffic.
-  std::unordered_map<uint64_t, int64_t> counts;
-  counts.reserve(shard.journal.size());
-  for (const FilterJournalOp& op : shard.journal) {
-    counts[op.mix] += op.erase ? -1 : 1;
-  }
-  shard.journal.clear();
-  for (const auto& [mix, count] : counts) {
-    for (int64_t i = 0; i < count; ++i) shard.journal.push_back({mix, 0});
-  }
 }
 
 ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
@@ -610,7 +582,7 @@ ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
       return report;
     }
     if (shard.journal_broken) {
-      report.error = "journal broken (overflowed journal_cap)";
+      report.error = "journal broken (overflowed its cap)";
       return report;
     }
     if (shard.migrating) {
@@ -639,22 +611,27 @@ ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
   // Phase C — catch-up rounds: drain the ops that landed during the
   // build, reading the tail under a shared lock, replaying unlocked.
   size_t cursor = snapshot_ops.size();
+  // Why the journal past `cursor` cannot be drained, or null. Requires
+  // the shard lock.
+  const auto backlog_error = [&]() -> const char* {
+    if (shard.journal_broken) return "journal broke during migration";
+    if (shard.journal.size() - cursor > kReplayCap) {
+      return "replay backlog exceeded the replay cap";
+    }
+    return nullptr;
+  };
   std::vector<FilterJournalOp> tail;
-  for (int round = 0; round < migration_config_.max_catchup_rounds; ++round) {
-    tail.clear();
+  for (int round = 0; round < kMaxCatchupRounds; ++round) {
+    const char* error;
     {
       std::shared_lock lock(shard.mutex);
-      if (shard.journal_broken) {
-        lock.unlock();
-        return fail("journal broke during migration");
+      error = backlog_error();
+      if (error == nullptr) {
+        tail.assign(shard.journal.begin() + static_cast<ptrdiff_t>(cursor),
+                    shard.journal.end());
       }
-      if (shard.journal.size() - cursor > migration_config_.replay_cap) {
-        lock.unlock();
-        return fail("replay backlog exceeded replay_cap");
-      }
-      tail.assign(shard.journal.begin() + static_cast<ptrdiff_t>(cursor),
-                  shard.journal.end());
     }
+    if (error != nullptr) return fail(error);
     if (tail.size() <= kFinalDrainTarget) break;
     if (!Replay(*successor, tail)) {
       return fail("successor rejected a replayed op");
@@ -667,31 +644,32 @@ ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
   const uint64_t pause_start = MonotonicNanos();
   {
     std::unique_lock lock(shard.mutex);
-    if (shard.journal_broken) {
+    const char* error = backlog_error();
+    const std::span<const FilterJournalOp> journal(shard.journal);
+    if (error == nullptr && !Replay(*successor, journal.subspan(cursor))) {
+      error = "successor rejected a replayed op";
+    }
+    if (error != nullptr) {
       shard.migrating = false;
-      report.error = "journal broke during migration";
+      report.error = error;
       return report;
     }
-    if (shard.journal.size() - cursor > migration_config_.replay_cap) {
-      shard.migrating = false;
-      report.error = "replay backlog exceeded replay_cap";
-      return report;
-    }
-    const std::span<const FilterJournalOp> rest(
-        shard.journal.data() + cursor, shard.journal.size() - cursor);
-    if (!Replay(*successor, rest)) {
-      shard.migrating = false;
-      report.error = "successor rejected a replayed op";
-      return report;
-    }
-    report.replayed_ops += rest.size();
+    report.replayed_ops += shard.journal.size() - cursor;
     successor->AttachMetricsSink(sink_);
     report.to_family = std::string(successor->Name());
     shard.gens.clear();
     shard.gens.push_back(std::move(successor));
     SetNewestCapacity(shard, capacity);
     if (successor_factory) shard.factory = std::move(successor_factory);
-    CompactJournalLocked(shard);
+    // The net multiset of live ops replaces the op history: membership
+    // families ignore multiplicity and order, counting families keep
+    // their counts, and journal length now tracks live keys, not traffic.
+    const std::unordered_map<uint64_t, int64_t> net =
+        NetJournalCounts(shard.journal);
+    shard.journal.clear();
+    for (const auto& [mix, count] : net) {
+      for (int64_t i = 0; i < count; ++i) shard.journal.push_back({mix, 0});
+    }
     if (shard.fpr != nullptr) shard.fpr->ResetObservations();
     shard.migrating = false;
     ++shard.migrations;

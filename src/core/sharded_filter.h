@@ -8,6 +8,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "core/filter.h"
@@ -23,6 +24,13 @@ struct FilterJournalOp {
   uint64_t mix = 0;
   uint8_t erase = 0;  // 0 = insert, 1 = erase.
 };
+
+/// Folds journal ops into a net count per mix (an insert +1, an erase
+/// -1): the multiset of live keys the ops describe. Migration compacts a
+/// shard's journal to it; the stacked successor takes its positives
+/// from it.
+std::unordered_map<uint64_t, int64_t> NetJournalCounts(
+    std::span<const FilterJournalOp> ops);
 
 /// What a shard does once its newest generation crosses the load
 /// threshold (DESIGN.md §9). The paper's §2.2 expansion strategies,
@@ -53,14 +61,13 @@ enum class SaturationPolicy : uint8_t {
 void GroupByShard(std::span<const HashedKey> keys, size_t num_shards,
                   HashedKey* sorted, size_t* src, size_t* start);
 
-/// Per-shard degradation knobs for ShardedFilter.
+/// Per-shard degradation knobs for ShardedFilter. Each chained
+/// generation is built at twice the capacity of the one before it.
 struct SaturationConfig {
   SaturationPolicy policy = SaturationPolicy::kChain;
   /// Newest-generation LoadFactor at which the policy engages. Below the
   /// family's own hard limit so degradation is deliberate, not forced.
   double load_threshold = 0.85;
-  /// Capacity multiplier for each chained generation (kChain only).
-  double growth = 2.0;
   /// Hard cap on generations per shard (kChain only). Total shard FPR is
   /// bounded by max_generations * per-generation FPR.
   int max_generations = 4;
@@ -93,9 +100,8 @@ class ShardedFilter : public Filter {
   /// `factory` builds one shard sized for `expected_keys / num_shards`.
   /// Default saturation policy is kChain — the filter keeps serving past
   /// capacity at a bounded FPR cost.
-  ShardedFilter(uint64_t expected_keys, int num_shards, ShardFactory factory);
   ShardedFilter(uint64_t expected_keys, int num_shards, ShardFactory factory,
-                const SaturationConfig& config);
+                const SaturationConfig& config = {});
 
   /// Structured insert: kAccepted below the threshold, kExpanded when the
   /// key was only admitted by chaining/expanding a generation,
@@ -150,7 +156,6 @@ class ShardedFilter : public Filter {
   std::string_view Name() const override { return "sharded"; }
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  const SaturationConfig& saturation_config() const { return config_; }
 
   /// Propagates the sink to every live generation (under each shard's
   /// exclusive lock) and to generations created later by chaining or
@@ -172,9 +177,9 @@ class ShardedFilter : public Filter {
     /// Newest generation's family tag — shards diverge after migration.
     std::string family;
     uint64_t migrations = 0;  // Completed online migrations of this shard.
-    /// Observed-FPR column (EnableMigration with track_shard_fpr):
-    /// negative = shard not instrumented. The per-shard twin of
-    /// HottestShard() — triage by FPR, not just by load.
+    /// Observed-FPR column, armed by EnableMigration: negative = shard
+    /// not instrumented. The per-shard twin of HottestShard() — triage
+    /// by FPR, not just by load.
     double observed_fpr = -1.0;
     double fpr_ci_low = 0.0;   // 95% Wilson bounds on observed_fpr.
     double fpr_ci_high = 0.0;
@@ -185,41 +190,26 @@ class ShardedFilter : public Filter {
   /// One entry per shard, each read under that shard's lock.
   std::vector<ShardStats> Stats() const;
   /// Index of the shard holding the most keys — the rebalancing target.
-  size_t HottestShard() const;
+  size_t HottestShard() const { return HottestOf(Stats()); }
+  /// Index into `stats` of the first entry holding the most keys.
+  static size_t HottestOf(std::span<const ShardStats> stats);
   /// Total inserts refused across all shards since construction/Load.
   uint64_t TotalRejected() const;
 
   // --- Online migration (DESIGN.md §15) -------------------------------------
 
-  /// Knobs for the migratable-shard seam.
-  struct MigrationConfig {
-    /// Writes that may land during one successor build before the
-    /// migration aborts — bounds both the replay backlog and the final
-    /// locked drain.
-    size_t replay_cap = size_t{1} << 16;
-    /// Unlocked catch-up rounds draining the replay backlog before the
-    /// final locked drain-and-swap.
-    int max_catchup_rounds = 8;
-    /// Attach a per-shard ObservedFprEstimator so Stats() grows the
-    /// observed-FPR column and WorstFprShard works.
-    bool track_shard_fpr = true;
-    /// Hard cap on one shard's journal; past it the journal is marked
-    /// broken and that shard refuses migration (serving is unaffected).
-    size_t journal_cap = size_t{1} << 22;
-  };
-
   /// Arms the migration seam: every shard starts journaling acked
-  /// inserts/erases so a successor filter can be rebuilt online. Must be
-  /// called while the filter is empty (the journal cannot reconstruct
-  /// history it never saw) — returns false otherwise. Loading a snapshot
-  /// disarms journaling for the loaded shards (snapshots persist
-  /// structure, not op history); re-enable only on an empty filter.
-  bool EnableMigration(const MigrationConfig& config);
-  bool EnableMigration() { return EnableMigration(MigrationConfig{}); }
+  /// inserts/erases so a successor filter can be rebuilt online, and
+  /// carries an ObservedFprEstimator so Stats() grows the observed-FPR
+  /// column. `journal_cap` bounds one shard's journal; past it the
+  /// journal is marked broken and that shard refuses migration (serving
+  /// is unaffected). Must be called while the filter is empty (the
+  /// journal cannot reconstruct history it never saw) — returns false
+  /// otherwise. Loading a snapshot disarms journaling for the loaded
+  /// shards (snapshots persist structure, not op history); re-enable
+  /// only on an empty filter.
+  bool EnableMigration(size_t journal_cap = size_t{1} << 22);
   bool migration_enabled() const { return migration_enabled_; }
-  const MigrationConfig& migration_config() const {
-    return migration_config_;
-  }
 
   /// What happened during one MigrateShard call.
   struct MigrationReport {
@@ -248,8 +238,8 @@ class ShardedFilter : public Filter {
   ///   C. drain the journal tail in bounded unlocked rounds, then take
   ///      the lock once for the final drain and the atomic swap — the
   ///      only pause serving ever sees, reported as pause_ns.
-  /// On any failure (successor refuses a replay op, backlog exceeds
-  /// replay_cap) the old generations are untouched and every acked key
+  /// On any failure (successor refuses a replay op, a backlog of more
+  /// than 2^16 ops) the old generations are untouched and every acked key
   /// is still served: migration is abort-safe by construction.
   /// `successor_factory` becomes the shard's factory afterwards, so
   /// chained generations and quarantine rebuilds stay in the new family.
@@ -262,11 +252,6 @@ class ShardedFilter : public Filter {
 
   /// Sentinel for "no shard qualified".
   static constexpr size_t kNoShard = ~size_t{0};
-
-  /// Index of the instrumented shard with the highest observed FPR among
-  /// those with at least `min_negative_lookups` scored negatives;
-  /// kNoShard when none qualify. The FPR twin of HottestShard().
-  size_t WorstFprShard(uint64_t min_negative_lookups = 256) const;
 
   /// What happened to each shard during LoadWithReport.
   struct LoadReport {
@@ -331,7 +316,7 @@ class ShardedFilter : public Filter {
     uint64_t migrations = 0;
     // Post-migration family factory; empty -> the filter-level factory_.
     ShardFactory factory;
-    // Per-shard FPR estimator (track_shard_fpr); null when disabled.
+    // Per-shard FPR estimator; null until EnableMigration.
     std::unique_ptr<ObservedFprEstimator> fpr;
   };
 
@@ -360,10 +345,6 @@ class ShardedFilter : public Filter {
   const ShardFactory& FactoryFor(const Shard& shard) const {
     return shard.factory ? shard.factory : factory_;
   }
-  // Rewrites the journal to the net multiset of live ops. Requires the
-  // shard lock; called after a successful swap so journal length tracks
-  // live keys, not op history.
-  static void CompactJournalLocked(Shard& shard);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   ShardFactory factory_;          // Kept for chaining + quarantine rebuilds.
@@ -371,7 +352,7 @@ class ShardedFilter : public Filter {
   SaturationConfig config_;
   uint64_t shards_quarantined_total_ = 0;  // Not reset by Load.
   bool migration_enabled_ = false;
-  MigrationConfig migration_config_;
+  size_t journal_cap_ = 0;  // Set by EnableMigration.
   TagBuilder tag_builder_;
 };
 

@@ -21,9 +21,8 @@ bool ChainedQuotientFilter::Insert(HashedKey key) {
         std::make_unique<QuotientFilter>(next_q_bits_, r_bits_, hash_seed_));
     ++next_q_bits_;
     if (sink_ != nullptr) sink_->OnExpansion();
-    if (!links_.back()->Insert(key)) return false;
+    return links_.back()->Insert(key);
   }
-  ++num_keys_;
   return true;
 }
 
@@ -41,10 +40,7 @@ bool ChainedQuotientFilter::Erase(HashedKey key) {
   // every newer link's: the erased key's own older entry stays behind and
   // still covers the key whose entry went.
   for (auto it = links_.rbegin(); it != links_.rend(); ++it) {
-    if ((*it)->Erase(key)) {
-      --num_keys_;
-      return true;
-    }
+    if ((*it)->Erase(key)) return true;
   }
   return false;
 }
@@ -53,6 +49,12 @@ uint64_t ChainedQuotientFilter::Count(HashedKey key) const {
   uint64_t count = 0;
   for (const auto& link : links_) count += link->Count(key);
   return count;
+}
+
+uint64_t ChainedQuotientFilter::NumKeys() const {
+  uint64_t n = 0;
+  for (const auto& link : links_) n += link->NumKeys();
+  return n;
 }
 
 size_t ChainedQuotientFilter::SpaceBits() const {
@@ -65,7 +67,7 @@ bool ChainedQuotientFilter::SavePayload(std::ostream& os) const {
   WriteI32(os, r_bits_);
   WriteI32(os, next_q_bits_);
   WriteU64(os, hash_seed_);
-  WriteU64(os, num_keys_);
+  WriteU64(os, NumKeys());
   WriteU64(os, links_.size());
   for (const auto& link : links_) {
     if (!link->SavePayload(os)) return false;
@@ -86,17 +88,20 @@ bool ChainedQuotientFilter::LoadPayload(std::istream& is) {
   }
   std::vector<std::unique_ptr<QuotientFilter>> links;
   links.reserve(num_links);
+  uint64_t link_keys = 0;
   for (uint64_t i = 0; i < num_links; ++i) {
     // Each link's payload carries its own seed: chains saved when links
     // were seeded hash_seed + i load with those seeds.
     auto link = std::make_unique<QuotientFilter>(6, r, seed);
     if (!link->LoadPayload(is)) return false;
+    link_keys += link->NumKeys();
     links.push_back(std::move(link));
   }
+  // The frame's count is the sum of the links' checked counts.
+  if (n != link_keys) return false;
   r_bits_ = r;
   next_q_bits_ = next_q;
   hash_seed_ = seed;
-  num_keys_ = n;
   links_ = std::move(links);
   return true;
 }

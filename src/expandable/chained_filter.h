@@ -33,7 +33,8 @@ class ChainedQuotientFilter : public Filter {
   bool Erase(HashedKey key) override;
   uint64_t Count(HashedKey key) const override;
   size_t SpaceBits() const override;
-  uint64_t NumKeys() const override { return num_keys_; }
+  /// Sum of the links' counts (each is its table's used slots).
+  uint64_t NumKeys() const override;
   /// Newest link only — a fresh link resets the load after each growth.
   double LoadFactor() const override {
     return links_.empty() ? 0.0 : links_.back()->LoadFactor();
@@ -52,7 +53,6 @@ class ChainedQuotientFilter : public Filter {
   int next_q_bits_;
   uint64_t hash_seed_;
   std::vector<std::unique_ptr<QuotientFilter>> links_;
-  uint64_t num_keys_ = 0;
 };
 
 }  // namespace bbf

@@ -17,11 +17,6 @@
 
 namespace bbf::obs {
 
-/// The estimator moved to core/fpr_estimator.h so ShardedFilter can host
-/// one per shard (core cannot depend on obs); this alias keeps the obs
-/// spelling every consumer already uses.
-using bbf::ObservedFprEstimator;
-
 /// Monotonic wall time in nanoseconds, for sampled latency measurement.
 inline uint64_t NowNanos() {
   return static_cast<uint64_t>(

@@ -21,35 +21,25 @@ struct TunerSignals {
   /// Whole-filter observed-FPR estimate with Wilson CI and the
   /// repeated-false-positive sketch readout.
   ObservedFprEstimator::Snapshot fpr;
-  /// Live occupancy gauges from the wrapped filter.
-  double load_factor = 0.0;
-  uint64_t num_keys = 0;
-  /// ReportFalsePositive calls seen (adversarial pressure even when the
-  /// inner family cannot adapt) and adapt repairs that succeeded.
-  uint64_t fp_reports = 0;
-  uint64_t adapt_events = 0;
-  /// Whether the inner filter implements AdaptiveHook.
-  bool adaptive = false;
 
   // --- Sharded-only signals (empty/default when the inner filter is not
   // a ShardedFilter) ---------------------------------------------------
   bool sharded = false;
   /// Per-shard occupancy, family, migration count, and (when migration
-  /// tracking is armed) the observed-FPR column.
+  /// is armed) the observed-FPR column.
   std::vector<ShardedFilter::ShardStats> shards;
-  /// Index of the shard holding the most keys.
+  /// Index into `shards` of the first shard holding the most keys.
   size_t hottest_shard = 0;
-  /// Instrumented shard with the worst observed FPR (given at least
-  /// `min_negative_lookups` scored negatives); ShardedFilter::kNoShard
-  /// when none qualifies.
+  /// Index into `shards` of the first instrumented shard with the worst
+  /// observed FPR (given at least `min_negative_lookups` scored
+  /// negatives); ShardedFilter::kNoShard when none qualifies.
   size_t worst_fpr_shard = ShardedFilter::kNoShard;
-  uint64_t total_rejected = 0;
-  uint64_t total_migrations = 0;
 };
 
 /// Reads every tuner-relevant signal from an instrumented filter. Cheap
 /// enough to poll: one metrics snapshot plus, for sharded filters, one
-/// Stats() pass (each shard read under its shared lock).
+/// Stats() pass (each shard read once, under its shared lock); both
+/// shard indices are computed from that one snapshot.
 TunerSignals PullTunerSignals(const InstrumentedFilter& filter,
                               uint64_t min_negative_lookups = 256);
 

@@ -103,6 +103,10 @@ bool PrefixFilter::LoadPayload(std::istream& is) {
   }
   auto spare = std::make_unique<QuotientFilter>(6, f, seed + 0x51);
   if (!spare->LoadPayload(is)) return false;
+  // Every key sits in one prefix bucket cell or in the spare.
+  uint64_t held = spare->NumKeys();
+  for (uint8_t u : bucket_used) held += u;
+  if (n != held) return false;
   fingerprint_bits_ = f;
   hash_seed_ = seed;
   num_buckets_ = buckets;

@@ -7,6 +7,26 @@
 #include "util/serialize.h"
 
 namespace bbf {
+namespace {
+
+// Whether `metadata` is a block's unary code for `used` slots: bucket 0's
+// marker first, exactly kBucketsPerBlock markers (and so `used` slot
+// zeros) among the first kBucketsPerBlock + used bits, and nothing set
+// past them. BucketRange walks markers without a bounds check and relies
+// on this.
+bool IsUnaryCode(const BitVector& metadata, int used) {
+  constexpr int kBuckets = VectorQuotientFilter::kBucketsPerBlock;
+  if (!metadata.Get(0)) return false;
+  int ones = 0;
+  for (uint64_t i = 0; i < metadata.size(); ++i) {
+    if (!metadata.Get(i)) continue;
+    if (i >= static_cast<uint64_t>(kBuckets + used)) return false;
+    ++ones;
+  }
+  return ones == kBuckets;
+}
+
+}  // namespace
 
 VectorQuotientFilter::VectorQuotientFilter(uint64_t expected_keys,
                                            int remainder_bits,
@@ -191,20 +211,28 @@ bool VectorQuotientFilter::LoadPayload(std::istream& is) {
       num_blocks < 2) {
     return false;
   }
-  std::vector<Block> blocks(num_blocks);
-  for (Block& b : blocks) {
+  // One block at a time: a hostile block count runs out of stream before
+  // it can allocate more blocks than the payload holds.
+  std::vector<Block> blocks;
+  uint64_t used_total = 0;
+  for (uint64_t i = 0; i < num_blocks; ++i) {
+    Block b;
     int32_t used;
     if (!ReadI32(is, &used) || used < 0 || used > kSlotsPerBlock ||
         !b.metadata.Load(is) ||
         b.metadata.size() !=
             static_cast<uint64_t>(kBucketsPerBlock + kSlotsPerBlock) ||
+        !IsUnaryCode(b.metadata, used) ||
         !b.remainders.Load(is) ||
         b.remainders.size() != static_cast<uint64_t>(kSlotsPerBlock) ||
         b.remainders.width() != r) {
       return false;
     }
     b.used = used;
+    used_total += static_cast<uint64_t>(used);
+    blocks.push_back(std::move(b));
   }
+  if (n != used_total) return false;
   remainder_bits_ = r;
   hash_seed_ = seed;
   num_keys_ = n;

@@ -11,7 +11,7 @@ namespace bbf::tuning {
 
 namespace {
 constexpr uint64_t kPayloadVersion = 1;
-// A migrated shard's journal is already capped at journal_cap (2^22); a
+// A migrated shard's journal is already capped (2^22 ops by default); a
 // length field past this in a snapshot is corruption.
 constexpr uint64_t kMaxKeys = uint64_t{1} << 24;
 }  // namespace
@@ -33,11 +33,7 @@ StackedServingFilter::StackedServingFilter(uint64_t capacity)
 
 std::vector<uint64_t> StackedServingFilter::NetPositives(
     std::span<const FilterJournalOp> ops) {
-  std::unordered_map<uint64_t, int64_t> net;
-  net.reserve(ops.size());
-  for (const FilterJournalOp& op : ops) {
-    net[op.mix] += op.erase ? -1 : 1;
-  }
+  const std::unordered_map<uint64_t, int64_t> net = NetJournalCounts(ops);
   std::vector<uint64_t> keys;
   keys.reserve(net.size());
   for (const auto& [mix, count] : net) {

@@ -6,12 +6,24 @@
 
 #include "core/filter_io.h"
 #include "core/registry.h"
+#include "tuning/stacked_serving.h"
 
 namespace bbf::tuning {
 
 namespace {
 
 constexpr size_t kHistoryCap = 64;
+
+// The decision thresholds (DESIGN.md §15), conservative on purpose: a
+// policy trips only on statistically solid evidence, and the loop cools
+// down between actions.
+constexpr uint64_t kMinNegativeSamples = 512;  // Before a shard's CI counts.
+constexpr double kLoadKnee = 0.95;        // Newest-generation load factor.
+constexpr double kSkewRatio = 4.0;        // Hottest shard's keys / the mean.
+constexpr uint64_t kSkewMinKeys = 1024;   // Hottest shard's keys to act.
+constexpr uint64_t kRepeatThreshold = 2;  // Repeat-hot FP keys to act.
+constexpr int kCooldownPolls = 2;         // Polls after an action.
+constexpr double kTightenFactor = 0.25;   // Epsilon scale on an FPR breach.
 
 // Reasons carry numbers; keep a stable, greppable formatting.
 std::string FmtDouble(double v) {
@@ -59,14 +71,8 @@ Tuner::Tuner(obs::InstrumentedFilter& filter, TunerConfig config)
       sharded_(dynamic_cast<ShardedFilter*>(&filter.inner())),
       config_(std::move(config)),
       // Start past the cooldown so the first solid decision acts.
-      polls_since_action_(config_.cooldown_polls) {
-  InstallTagBuilder();
-}
-
-void Tuner::InstallTagBuilder() {
+      polls_since_action_(kCooldownPolls) {
   if (sharded_ == nullptr) return;
-  // Resolve stacked-serving shards ourselves (the tag is deliberately
-  // not in the global registry); everything else goes through it.
   sharded_->SetSnapshotTagBuilder(
       [](std::string_view tag, uint64_t capacity) -> std::unique_ptr<Filter> {
         if (tag == "stacked-serving") {
@@ -95,14 +101,14 @@ TunerDecision Tuner::Evaluate(const obs::TunerSignals& s) const {
   };
   for (size_t i = 0; i < n; ++i) {
     const ShardedFilter::ShardStats& sh = s.shards[i];
-    if (sh.fpr_repeated_keys >= config_.repeat_threshold &&
+    if (sh.fpr_repeated_keys >= kRepeatThreshold &&
         sh.fpr_repeated_keys > repeat_keys && lacks_adapt(sh.family)) {
       repeat_shard = i;
       repeat_keys = sh.fpr_repeated_keys;
     }
   }
   if (repeat_shard == ShardedFilter::kNoShard &&
-      s.fpr.fp_repeated_keys >= config_.repeat_threshold &&
+      s.fpr.fp_repeated_keys >= kRepeatThreshold &&
       s.worst_fpr_shard != ShardedFilter::kNoShard &&
       lacks_adapt(s.shards[s.worst_fpr_shard].family)) {
     repeat_shard = s.worst_fpr_shard;
@@ -135,7 +141,7 @@ TunerDecision Tuner::Evaluate(const obs::TunerSignals& s) const {
   for (size_t i = 0; i < n; ++i) {
     const ShardedFilter::ShardStats& sh = s.shards[i];
     if (sh.observed_fpr >= 0.0 &&
-        sh.fpr_negative_lookups >= config_.min_negative_samples &&
+        sh.fpr_negative_lookups >= kMinNegativeSamples &&
         sh.fpr_ci_low > worst_ci_low) {
       breach_shard = i;
       worst_ci_low = sh.fpr_ci_low;
@@ -164,7 +170,7 @@ TunerDecision Tuner::Evaluate(const obs::TunerSignals& s) const {
       d.shard = breach_shard;
       d.from_family = sh.family;
       d.to_family = sh.family;
-      d.target_fpr = config_.fpr_budget * config_.tighten_factor;
+      d.target_fpr = config_.fpr_budget * kTightenFactor;
       d.reason = detail + "; rebuilding at epsilon " + FmtDouble(d.target_fpr);
       return d;
     }
@@ -172,7 +178,7 @@ TunerDecision Tuner::Evaluate(const obs::TunerSignals& s) const {
 
   // --- 3. Load knee: the shard is about to degrade (chain/reject).
   size_t knee_shard = ShardedFilter::kNoShard;
-  double knee_load = config_.load_knee;
+  double knee_load = kLoadKnee;
   for (size_t i = 0; i < n; ++i) {
     const ShardedFilter::ShardStats& sh = s.shards[i];
     const FilterEntry* e = FindFilterEntry(sh.family);
@@ -191,7 +197,7 @@ TunerDecision Tuner::Evaluate(const obs::TunerSignals& s) const {
     d.capacity_boost = 2;
     d.reason = "shard " + std::to_string(knee_shard) + " load factor " +
                FmtDouble(knee_load) + " past knee " +
-               FmtDouble(config_.load_knee);
+               FmtDouble(kLoadKnee);
     return d;
   }
 
@@ -202,8 +208,8 @@ TunerDecision Tuner::Evaluate(const obs::TunerSignals& s) const {
     const double mean = static_cast<double>(total) / static_cast<double>(n);
     const ShardedFilter::ShardStats& hot = s.shards[s.hottest_shard];
     const FilterEntry* e = FindFilterEntry(hot.family);
-    if (hot.num_keys >= config_.skew_min_keys && mean > 0.0 &&
-        static_cast<double>(hot.num_keys) > config_.skew_ratio * mean &&
+    if (hot.num_keys >= kSkewMinKeys && mean > 0.0 &&
+        static_cast<double>(hot.num_keys) > kSkewRatio * mean &&
         e != nullptr && e->in_factory) {
       d.action = TunerAction::kRebalanceShard;
       d.trigger = TunerTrigger::kShardSkew;
@@ -215,7 +221,7 @@ TunerDecision Tuner::Evaluate(const obs::TunerSignals& s) const {
       d.reason = "shard " + std::to_string(s.hottest_shard) + " holds " +
                  std::to_string(hot.num_keys) + " keys vs mean " +
                  FmtDouble(mean) + " (ratio budget " +
-                 FmtDouble(config_.skew_ratio) + ")";
+                 FmtDouble(kSkewRatio) + ")";
       return d;
     }
   }
@@ -226,10 +232,6 @@ TunerDecision Tuner::Evaluate(const obs::TunerSignals& s) const {
 
 Tuner::PollResult Tuner::Poll() {
   std::lock_guard<std::mutex> lock(mu_);
-  return PollLocked();
-}
-
-Tuner::PollResult Tuner::PollLocked() {
   ++counters_.polls;
   PollResult result;
   if (sharded_ == nullptr) {
@@ -237,13 +239,13 @@ Tuner::PollResult Tuner::PollLocked() {
     return result;
   }
   const obs::TunerSignals signals =
-      obs::PullTunerSignals(filter_, config_.min_negative_samples);
+      obs::PullTunerSignals(filter_, kMinNegativeSamples);
   result.decision = Evaluate(signals);
   if (result.decision.action == TunerAction::kNone) {
     ++polls_since_action_;
     return result;
   }
-  if (polls_since_action_ < config_.cooldown_polls) {
+  if (polls_since_action_ < kCooldownPolls) {
     ++polls_since_action_;
     result.decision.reason += " [cooling down, not applied]";
     return result;
@@ -301,7 +303,7 @@ ShardedFilter::MigrationReport Tuner::ApplyLocked(
     case TunerAction::kMigrateStacked: {
       std::vector<uint64_t> sample;
       if (config_.training_sample) sample = config_.training_sample();
-      StackedServingFilter::Params params = config_.stacked;
+      StackedServingFilter::Params params;
       params.fpr_budget =
           decision.target_fpr > 0.0 ? decision.target_fpr : config_.fpr_budget;
       auto builder = [sample = std::move(sample), params](
@@ -346,7 +348,7 @@ obs::MetricsSnapshot Tuner::MetricsSnapshot() const {
       {"tuner_trigger_shard_skew_total", counters_.trigger_skew},
   };
   const int cooldown_left =
-      std::max(0, config_.cooldown_polls - polls_since_action_);
+      std::max(0, kCooldownPolls - polls_since_action_);
   snap.gauges = {
       {"tuner_last_pause_ns", static_cast<double>(counters_.last_pause_ns)},
       {"tuner_last_migrated_shard",
@@ -368,15 +370,15 @@ std::string Tuner::StatusText() const {
     return "tuner idle: inner filter is not a ShardedFilter\n";
   }
   const obs::TunerSignals s =
-      obs::PullTunerSignals(filter_, config_.min_negative_samples);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    os << "tuner polls=" << counters_.polls
-       << " decisions=" << counters_.decisions
-       << " migrations=" << counters_.migrations
-       << " failures=" << counters_.migration_failures
-       << " last_pause_ns=" << counters_.last_pause_ns << "\n";
-  }
+      obs::PullTunerSignals(filter_, kMinNegativeSamples);
+  // One lock for the counters and the history, so both describe the
+  // same polls.
+  std::lock_guard<std::mutex> lock(mu_);
+  os << "tuner polls=" << counters_.polls
+     << " decisions=" << counters_.decisions
+     << " migrations=" << counters_.migrations
+     << " failures=" << counters_.migration_failures
+     << " last_pause_ns=" << counters_.last_pause_ns << "\n";
   os << "budget fpr=" << FmtDouble(config_.fpr_budget)
      << " observed=" << FmtDouble(s.fpr.observed_fpr) << " ci=["
      << FmtDouble(s.fpr.ci_low) << "," << FmtDouble(s.fpr.ci_high)
@@ -393,7 +395,6 @@ std::string Tuner::StatusText() const {
     }
     os << "\n";
   }
-  std::lock_guard<std::mutex> lock(mu_);
   for (const TunerDecision& d : history_) {
     os << "decision: " << ToString(d.action) << " shard=" << d.shard << " "
        << d.from_family << "->" << d.to_family << " ["

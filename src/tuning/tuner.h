@@ -11,7 +11,6 @@
 #include "obs/export.h"
 #include "obs/instrumented.h"
 #include "obs/signals.h"
-#include "tuning/stacked_serving.h"
 
 namespace bbf::tuning {
 
@@ -21,7 +20,7 @@ enum class TunerTrigger : uint8_t {
   kRepeatedFp,  // Adversarial-repeat sketch found hammered FP keys.
   kFprBreach,   // Observed FPR provably (ci_low) above budget.
   kLoadKnee,    // Shard's newest generation past the load knee.
-  kShardSkew,   // Hottest shard holds a skew_ratio multiple of the mean.
+  kShardSkew,   // Hottest shard holds a kSkewRatio multiple of the mean.
 };
 
 /// What the decision table chose to do about it.
@@ -49,26 +48,13 @@ struct TunerDecision {
   std::string reason;           // Human-readable, for logs and the wire.
 };
 
-/// Policy knobs. Defaults are deliberately conservative: the Tuner only
+/// What a deployment chooses. The decision thresholds are constants in
+/// tuner.cc (DESIGN.md §15): deliberately conservative, the Tuner only
 /// acts on statistically solid evidence (Wilson ci_low, a minimum
 /// negative-sample count) and cools down between actions.
 struct TunerConfig {
   /// Total FPR budget the serving filter must stay under.
   double fpr_budget = 0.01;
-  /// Scored negative lookups a shard needs before its CI is trusted.
-  uint64_t min_negative_samples = 512;
-  /// Newest-generation load factor that counts as "past the knee".
-  double load_knee = 0.95;
-  /// Hottest-shard num_keys over the mean that counts as skew.
-  double skew_ratio = 4.0;
-  /// Minimum keys in the hottest shard before skew is actionable.
-  uint64_t skew_min_keys = 1024;
-  /// Distinct repeat-sketch-hot keys that count as adversarial.
-  uint64_t repeat_threshold = 2;
-  /// Polls that must pass after an action before the next one.
-  int cooldown_polls = 2;
-  /// Epsilon multiplier for the tighter rebuild on a plain FPR breach.
-  double tighten_factor = 0.25;
   /// Families considered for the adaptive migration, in preference
   /// order; each is checked against the registry's supports_adapt bit.
   std::vector<std::string> adapt_candidates{"adaptive-cuckoo",
@@ -77,9 +63,6 @@ struct TunerConfig {
   /// and FPR breaches migrate to a stacked front instead of a tighter
   /// rebuild. Called at migration time.
   std::function<std::vector<uint64_t>()> training_sample;
-  /// Parameters for the stacked front (fpr_budget is overridden with the
-  /// budget above).
-  StackedServingFilter::Params stacked;
 };
 
 /// The closed loop from observability to the registry (DESIGN.md §15):
@@ -98,7 +81,8 @@ class Tuner {
  public:
   /// `filter` must outlive the Tuner. Installs a stacked-serving-aware
   /// snapshot TagBuilder on the inner ShardedFilter so v3 snapshots with
-  /// migrated shards reload.
+  /// migrated shards reload (the stacked-serving tag is deliberately not
+  /// in the global registry).
   explicit Tuner(obs::InstrumentedFilter& filter, TunerConfig config = {});
 
   /// False when the wrapped inner filter is not a ShardedFilter.
@@ -135,12 +119,8 @@ class Tuner {
   /// Decisions applied so far (most recent last, capped).
   std::vector<TunerDecision> History() const;
 
-  const TunerConfig& config() const { return config_; }
-
  private:
-  PollResult PollLocked();
   ShardedFilter::MigrationReport ApplyLocked(const TunerDecision& decision);
-  void InstallTagBuilder();
 
   obs::InstrumentedFilter& filter_;
   ShardedFilter* sharded_;  // filter_'s inner, when sharded.

@@ -65,7 +65,6 @@ TEST(ConcurrentStress, ChainPolicyTortureKeepsEveryAcknowledgedKey) {
   SaturationConfig config;
   config.policy = SaturationPolicy::kChain;
   config.load_threshold = 0.85;
-  config.growth = 2.0;
   config.max_generations = 5;
   ShardedFilter f(
       512, 4,

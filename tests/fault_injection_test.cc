@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -22,11 +23,14 @@
 #include "cuckoo/adaptive_cuckoo_filter.h"
 #include "cuckoo/cuckoo_filter.h"
 #include "cuckoo/cuckoo_maplet.h"
+#include "expandable/chained_filter.h"
 #include "fault_injection.h"
 #include "quotient/expanding_quotient_filter.h"
+#include "quotient/prefix_filter.h"
 #include "quotient/quotient_filter.h"
 #include "quotient/quotient_maplet.h"
 #include "quotient/rsqf.h"
+#include "quotient/vector_quotient_filter.h"
 #include "range/memento.h"
 #include "staticf/ribbon_filter.h"
 #include "staticf/xor_filter.h"
@@ -529,6 +533,86 @@ TEST(FaultInjection, QuotientMapletFrameWithWrongEntryCountIsRejected) {
   QuotientMaplet m(8, 8, 8);
   for (uint64_t k = 0; k < 150; ++k) ASSERT_TRUE(m.Insert(k, k & 255));
   ExpectWrongCountRejected(one, &m, /*count_at=*/8);
+}
+
+TEST(FaultInjection, ChainedQuotientFrameWithWrongKeyCountIsRejected) {
+  ChainedQuotientFilter one(8, 8);
+  ASSERT_TRUE(one.Insert(0xC05));
+  ChainedQuotientFilter f(6, 8);
+  InsertSome(&f, 0xC0E5, 150);  // Grows the chain past one link.
+  ASSERT_GT(f.chain_length(), 1u);
+  // Remainder and next quotient bits, then the seed, then the count.
+  ExpectWrongCountRejected(one, &f, /*count_at=*/8 + 8 + 8);
+}
+
+TEST(FaultInjection, PrefixFrameWithWrongKeyCountIsRejected) {
+  PrefixFilter one(100, 8);
+  ASSERT_TRUE(one.Insert(0xC06));
+  PrefixFilter f(1000, 8);
+  InsertSome(&f, 0xC0E6, 150);
+  // Fingerprint bits, seed and bucket count, then the count.
+  ExpectWrongCountRejected(one, &f, /*count_at=*/8 + 8 + 8);
+}
+
+// Vector-quotient payload layout, in 8-byte words: remainder bits, seed,
+// key count, block count, then per block `used` and the metadata bit
+// vector (its bit count, then its words) before the remainders.
+constexpr size_t kVqfCountAt = 8 + 8;
+constexpr size_t kVqfBlocksAt = kVqfCountAt + 8;
+constexpr size_t kVqfBlock0MetadataAt = kVqfBlocksAt + 8 + 8;
+
+// `one`'s payload after `rewrite`, framed with a valid checksum: the load
+// must fail and leave `target`'s saved bytes as they were.
+void ExpectRewrittenPayloadRejected(
+    const VectorQuotientFilter& one, VectorQuotientFilter* target,
+    const std::function<void(std::string*)>& rewrite) {
+  std::ostringstream payload;
+  ASSERT_TRUE(one.SavePayload(payload));
+  std::string bad = std::move(payload).str();
+  rewrite(&bad);
+  std::ostringstream frame;
+  ASSERT_TRUE(WriteSnapshotFrame(frame, one.Name(), bad));
+  const std::string before = SaveToString(*target);
+  std::istringstream is(std::move(frame).str());
+  EXPECT_FALSE(target->Load(is));
+  EXPECT_EQ(SaveToString(*target), before);
+}
+
+TEST(FaultInjection, VectorQuotientFrameWithoutBlockMarkersIsRejected) {
+  // Block 0's bucket markers all sit in its first metadata word. Without
+  // them a probe of block 0 walks past the metadata looking for markers.
+  VectorQuotientFilter one(100, 8);
+  ASSERT_TRUE(one.Insert(0xC07));
+  VectorQuotientFilter f(1000, 8);
+  const std::vector<uint64_t> keys = InsertSome(&f, 0xC0E7, 150);
+  ExpectRewrittenPayloadRejected(one, &f, [](std::string* p) {
+    ASSERT_EQ(ReadLittleU64(*p, kVqfBlock0MetadataAt),
+              uint64_t{VectorQuotientFilter::kBucketsPerBlock +
+                       VectorQuotientFilter::kSlotsPerBlock});
+    p->replace(kVqfBlock0MetadataAt + 8, 8, 8, '\0');
+  });
+  for (uint64_t key : keys) ASSERT_TRUE(f.Contains(key)) << key;
+}
+
+TEST(FaultInjection, VectorQuotientFrameWithHugeBlockCountIsRejected) {
+  // 2^32 blocks is under the element cap but far beyond the payload: the
+  // loader must run out of stream, not allocate every block up front.
+  VectorQuotientFilter one(100, 8);
+  ASSERT_TRUE(one.Insert(0xC08));
+  VectorQuotientFilter f(1000, 8);
+  InsertSome(&f, 0xC0E8, 150);
+  ExpectRewrittenPayloadRejected(one, &f, [](std::string* p) {
+    ASSERT_LT(ReadLittleU64(*p, kVqfBlocksAt), 16u);
+    (*p)[kVqfBlocksAt + 4] = 1;  // Block count += 2^32.
+  });
+}
+
+TEST(FaultInjection, VectorQuotientFrameWithWrongKeyCountIsRejected) {
+  VectorQuotientFilter one(100, 8);
+  ASSERT_TRUE(one.Insert(0xC09));
+  VectorQuotientFilter f(1000, 8);
+  InsertSome(&f, 0xC0E9, 150);
+  ExpectWrongCountRejected(one, &f, kVqfCountAt);
 }
 
 TEST(FaultInjection, GarbageAndEmptyStreamsAreRejected) {

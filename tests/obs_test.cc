@@ -35,7 +35,6 @@ using obs::LatencyReservoir;
 using obs::Log2Histogram;
 using obs::MetricsRegistry;
 using obs::MetricsSnapshot;
-using obs::ObservedFprEstimator;
 
 // --- Histogram bucket math --------------------------------------------------
 

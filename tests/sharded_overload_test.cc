@@ -81,7 +81,6 @@ TEST(ShardedOverload, ChainPolicyAcceptsPastCapacityWithinFprBudget) {
   SaturationConfig config;
   config.policy = SaturationPolicy::kChain;
   config.load_threshold = 0.85;
-  config.growth = 2.0;
   config.max_generations =
       SaturationConfig::GenerationsForFprBudget(kPerGenFpr, kFprBudget);
   ASSERT_EQ(config.max_generations, 4);
