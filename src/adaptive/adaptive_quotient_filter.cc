@@ -145,65 +145,62 @@ bool AdaptiveQuotientFilter::SavePayload(std::ostream& os) const {
 }
 
 bool AdaptiveQuotientFilter::LoadPayload(std::istream& is) {
-  uint64_t seed;
-  uint64_t adaptations;
-  if (!ReadU64(is, &seed) || !ReadU64(is, &adaptations)) return false;
-  QuotientFilter base(6, 4, seed);
-  if (!base.LoadPayload(is)) return false;
+  AdaptiveQuotientFilter fresh(1, 1);
   uint64_t num_remote;
-  if (!ReadU64Capped(is, &num_remote, kMaxSnapshotElements)) return false;
-  std::unordered_map<uint64_t, std::vector<uint64_t>> remote;
-  remote.reserve(std::min<uint64_t>(num_remote, 1 << 20));
+  if (!ReadU64(is, &fresh.hash_seed_) || !ReadU64(is, &fresh.adaptations_) ||
+      !fresh.base_.LoadPayload(is) ||
+      !ReadU64Capped(is, &num_remote, kMaxSnapshotElements)) {
+    return false;
+  }
+  fresh.remote_.reserve(std::min<uint64_t>(num_remote, 1 << 20));
   for (uint64_t i = 0; i < num_remote; ++i) {
     uint64_t f;
     uint64_t count;
     if (!ReadU64(is, &f) ||
         !ReadU64Capped(is, &count, kMaxSnapshotElements) || count == 0 ||
-        remote.count(f) != 0) {
+        fresh.remote_.count(f) != 0) {
       return false;
     }
-    std::vector<uint64_t>& keys = remote[f];
+    std::vector<uint64_t>& keys = fresh.remote_[f];
     keys.reserve(std::min<uint64_t>(count, 4096));
     for (uint64_t k = 0; k < count; ++k) {
-      uint64_t key;
-      if (!ReadU64(is, &key)) return false;
-      keys.push_back(key);
+      if (!ReadU64(is, &keys.emplace_back())) return false;
     }
   }
   uint64_t num_ext;
   if (!ReadU64Capped(is, &num_ext, kMaxSnapshotElements)) return false;
-  std::unordered_map<uint64_t, std::vector<Extension>> extensions;
-  extensions.reserve(std::min<uint64_t>(num_ext, 1 << 20));
+  fresh.extensions_.reserve(std::min<uint64_t>(num_ext, 1 << 20));
   for (uint64_t i = 0; i < num_ext; ++i) {
     uint64_t f;
     uint64_t count;
     if (!ReadU64(is, &f) ||
         !ReadU64Capped(is, &count, kMaxSnapshotElements) || count == 0 ||
-        extensions.count(f) != 0) {
+        fresh.extensions_.count(f) != 0) {
       return false;
     }
-    std::vector<Extension>& exts = extensions[f];
+    std::vector<Extension>& exts = fresh.extensions_[f];
     exts.reserve(std::min<uint64_t>(count, 4096));
     for (uint64_t k = 0; k < count; ++k) {
-      uint64_t key;
-      int32_t len;
-      uint64_t bits;
-      if (!ReadU64(is, &key) || !ReadI32(is, &len) || len < 1 ||
-          len > kMaxExtensionBits || !ReadU64(is, &bits) ||
-          // Extensions are pure hash derivatives of the resident key;
-          // anything else is corruption.
-          bits != (HashedKey::FromMix(key).Derive(seed + 0xE47) &
-                   LowMask(len))) {
+      Extension& e = exts.emplace_back();
+      if (!ReadU64(is, &e.key) || !ReadI32(is, &e.len) ||
+          !ReadU64(is, &e.bits)) {
         return false;
       }
-      exts.push_back(Extension{key, len, bits});
     }
   }
-  hash_seed_ = seed;
-  adaptations_ = adaptations;
-  base_ = std::move(base);
-  remote_ = std::move(remote);
-  extensions_ = std::move(extensions);
+  return CommitLoaded(*this, std::move(fresh));
+}
+
+bool AdaptiveQuotientFilter::CheckInvariants() const {
+  // Extensions are pure hash derivatives of their resident keys.
+  for (const auto& [f, exts] : extensions_) {
+    for (const Extension& e : exts) {
+      if (e.len < 1 || e.len > kMaxExtensionBits ||
+          e.bits != ExtensionBitsOf(HashedKey::FromMix(e.key), e.len)) {
+        return false;
+      }
+    }
+  }
   return true;
 }
 

@@ -56,6 +56,7 @@ class AdaptiveQuotientFilter : public Filter, public AdaptiveHook {
 
   bool SavePayload(std::ostream& os) const override;
   bool LoadPayload(std::istream& is) override;
+  bool CheckInvariants() const override;
 
  private:
   struct Extension {

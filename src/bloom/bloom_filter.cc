@@ -158,22 +158,15 @@ bool BloomFilter::SavePayload(std::ostream& os) const {
 }
 
 bool BloomFilter::LoadPayload(std::istream& is) {
-  // Parse into locals and commit only on success, so a malformed payload
-  // leaves this filter untouched. An empty bit array would make
-  // FastRange64 index out of bounds, so it is rejected too.
-  int32_t k;
-  uint64_t seed;
-  uint64_t n;
-  BitVector bits;
-  if (!ReadI32(is, &k) || k < 1 || k > 64 || !ReadU64(is, &seed) ||
-      !ReadU64(is, &n) || !bits.Load(is) || bits.size() == 0) {
+  BloomFilter fresh(0, 0.0, 1);
+  // An empty bit array would make FastRange64 index out of bounds.
+  if (!ReadI32(is, &fresh.num_hashes_) || fresh.num_hashes_ < 1 ||
+      fresh.num_hashes_ > 64 || !ReadU64(is, &fresh.hash_seed_) ||
+      !ReadU64(is, &fresh.num_keys_) || !fresh.bits_.Load(is) ||
+      fresh.bits_.size() == 0) {
     return false;
   }
-  num_hashes_ = k;
-  hash_seed_ = seed;
-  num_keys_ = n;
-  bits_ = std::move(bits);
-  return true;
+  return CommitLoaded(*this, std::move(fresh));
 }
 
 BlockedBloomFilter::BlockedBloomFilter(uint64_t expected_keys,
@@ -249,22 +242,18 @@ bool BlockedBloomFilter::SavePayload(std::ostream& os) const {
 }
 
 bool BlockedBloomFilter::LoadPayload(std::istream& is) {
-  int32_t k;
-  uint64_t blocks;
-  uint64_t n;
-  BitVector bits;
-  if (!ReadI32(is, &k) || k < 1 || k > 64 ||
-      !ReadU64Capped(is, &blocks, kMaxSnapshotElements / kBlockBits) ||
-      blocks == 0 || !ReadU64(is, &n) || !bits.Load(is) ||
-      bits.size() != blocks * kBlockBits) {
+  BlockedBloomFilter fresh(0, 0.0, 1);
+  if (!ReadI32(is, &fresh.num_hashes_) || fresh.num_hashes_ < 1 ||
+      fresh.num_hashes_ > 64 ||
+      !ReadU64Capped(is, &fresh.num_blocks_,
+                     kMaxSnapshotElements / kBlockBits) ||
+      fresh.num_blocks_ == 0 || !ReadU64(is, &fresh.num_keys_) ||
+      !fresh.bits_.Load(is) ||
+      fresh.bits_.size() != fresh.num_blocks_ * kBlockBits) {
     return false;
   }
-  num_hashes_ = k;
-  hash_words_ = simd::BloomHashWordsFor(k);
-  num_blocks_ = blocks;
-  num_keys_ = n;
-  bits_ = std::move(bits);
-  return true;
+  fresh.hash_words_ = simd::BloomHashWordsFor(fresh.num_hashes_);
+  return CommitLoaded(*this, std::move(fresh));
 }
 
 size_t BlockedBloomFilter::InsertMany(std::span<const HashedKey> keys) {

@@ -139,22 +139,12 @@ bool SaveCounterArray(std::ostream& os, const CompactVector& counters,
   return os.good();
 }
 
-bool LoadCounterArray(std::istream& is, CompactVector* counters,
+// Reads the shared payload into a fresh filter's fields.
+bool ParseCounterArray(std::istream& is, CompactVector* counters,
                       int* num_hashes, uint64_t* num_keys, uint64_t* extra) {
-  int32_t k;
-  uint64_t n;
-  uint64_t x;
-  CompactVector fresh;
-  if (!ReadI32(is, &k) || k < 1 || k > 64 || !ReadU64(is, &n) ||
-      !ReadU64(is, &x) || !fresh.Load(is) || fresh.size() == 0 ||
-      fresh.width() < 1) {
-    return false;
-  }
-  *num_hashes = k;
-  *num_keys = n;
-  *extra = x;
-  *counters = std::move(fresh);
-  return true;
+  return ReadI32(is, num_hashes) && *num_hashes >= 1 && *num_hashes <= 64 &&
+         ReadU64(is, num_keys) && ReadU64(is, extra) && counters->Load(is) &&
+         counters->size() != 0 && counters->width() >= 1;
 }
 
 }  // namespace
@@ -164,19 +154,10 @@ bool CountingBloomFilter::SavePayload(std::ostream& os) const {
 }
 
 bool CountingBloomFilter::LoadPayload(std::istream& is) {
-  CompactVector counters;
-  int k;
-  uint64_t n;
-  uint64_t saturated;
-  if (!LoadCounterArray(is, &counters, &k, &n, &saturated) ||
-      saturated > counters.size()) {
-    return false;
-  }
-  counters_ = std::move(counters);
-  num_hashes_ = k;
-  num_keys_ = n;
-  saturated_ = saturated;
-  return true;
+  CountingBloomFilter fresh(1, 1.0);
+  return ParseCounterArray(is, &fresh.counters_, &fresh.num_hashes_,
+                          &fresh.num_keys_, &fresh.saturated_) &&
+         CommitLoaded(*this, std::move(fresh));
 }
 
 bool SpectralBloomFilter::SavePayload(std::ostream& os) const {
@@ -184,15 +165,11 @@ bool SpectralBloomFilter::SavePayload(std::ostream& os) const {
 }
 
 bool SpectralBloomFilter::LoadPayload(std::istream& is) {
-  CompactVector counters;
-  int k;
-  uint64_t n;
+  SpectralBloomFilter fresh(1, 1.0);
   uint64_t unused;
-  if (!LoadCounterArray(is, &counters, &k, &n, &unused)) return false;
-  counters_ = std::move(counters);
-  num_hashes_ = k;
-  num_keys_ = n;
-  return true;
+  return ParseCounterArray(is, &fresh.counters_, &fresh.num_hashes_,
+                          &fresh.num_keys_, &unused) &&
+         CommitLoaded(*this, std::move(fresh));
 }
 
 }  // namespace bbf

@@ -54,6 +54,9 @@ class CountingBloomFilter : public Filter {
 
   bool SavePayload(std::ostream& os) const override;
   bool LoadPayload(std::istream& is) override;
+  bool CheckInvariants() const override {
+    return saturated_ <= counters_.size();
+  }
 
  private:
   uint64_t CounterIndex(HashedKey key, int i) const;

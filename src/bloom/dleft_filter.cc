@@ -170,40 +170,47 @@ bool DleftCountingFilter::SavePayload(std::ostream& os) const {
 }
 
 bool DleftCountingFilter::LoadPayload(std::istream& is) {
-  int32_t d, cpb, fp_bits, ctr_bits;
-  uint64_t bpt, n;
-  if (!ReadI32(is, &d) || d < 1 || d > 16 || !ReadI32(is, &cpb) || cpb < 1 ||
-      cpb > 64 || !ReadI32(is, &fp_bits) || fp_bits < 1 ||
-      !ReadI32(is, &ctr_bits) || ctr_bits < 1 || fp_bits + ctr_bits > 64 ||
-      !ReadU64Capped(is, &bpt, kMaxSnapshotElements) || bpt == 0 ||
-      !ReadU64(is, &n)) {
-    return false;
-  }
-  CompactVector cells;
-  if (!cells.Load(is) ||
-      cells.size() != static_cast<uint64_t>(d) * bpt * cpb ||
-      cells.width() != fp_bits + ctr_bits) {
-    return false;
-  }
+  DleftCountingFilter fresh(0, 1, 1, 1, 1);
+  const int& d = fresh.d_;
+  const int& cpb = fresh.cells_per_bucket_;
+  const int& fp_bits = fresh.fingerprint_bits_;
+  const int& ctr_bits = fresh.counter_bits_;
   uint64_t overflow_count;
-  if (!ReadU64Capped(is, &overflow_count, kMaxSnapshotElements)) return false;
-  std::unordered_map<uint64_t, uint64_t> overflow;
+  if (!ReadI32(is, &fresh.d_) || d < 1 || d > 16 ||
+      !ReadI32(is, &fresh.cells_per_bucket_) || cpb < 1 || cpb > 64 ||
+      !ReadI32(is, &fresh.fingerprint_bits_) || fp_bits < 1 ||
+      !ReadI32(is, &fresh.counter_bits_) || ctr_bits < 1 ||
+      fp_bits + ctr_bits > 64 ||
+      !ReadU64Capped(is, &fresh.buckets_per_table_, kMaxSnapshotElements) ||
+      fresh.buckets_per_table_ == 0 || !ReadU64(is, &fresh.num_keys_) ||
+      !fresh.cells_.Load(is) ||
+      fresh.cells_.size() !=
+          static_cast<uint64_t>(d) * fresh.buckets_per_table_ * cpb ||
+      fresh.cells_.width() != fp_bits + ctr_bits ||
+      !ReadU64Capped(is, &overflow_count, kMaxSnapshotElements)) {
+    return false;
+  }
   for (uint64_t i = 0; i < overflow_count; ++i) {
     uint64_t key, count;
     if (!ReadU64(is, &key) || !ReadU64(is, &count) || count == 0) {
       return false;
     }
-    overflow[key] = count;
+    fresh.overflow_[key] = count;
   }
-  d_ = d;
-  cells_per_bucket_ = cpb;
-  fingerprint_bits_ = fp_bits;
-  counter_bits_ = ctr_bits;
-  buckets_per_table_ = bpt;
-  num_keys_ = n;
-  cells_ = std::move(cells);
-  overflow_ = std::move(overflow);
-  return true;
+  return CommitLoaded(*this, std::move(fresh));
+}
+
+bool DleftCountingFilter::CheckInvariants() const {
+  // An empty cell counts 0 and an occupied one at least 1; the key count
+  // is every cell's count plus every overflowed key's.
+  uint64_t held = 0;
+  for (uint64_t slot = 0; slot < cells_.size(); ++slot) {
+    const Cell cell = GetCell(slot);
+    if ((cell.fingerprint == 0) != (cell.count == 0)) return false;
+    held += cell.count;
+  }
+  for (const auto& [key, count] : overflow_) held += count;
+  return num_keys_ == held;
 }
 
 }  // namespace bbf

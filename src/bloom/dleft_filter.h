@@ -57,6 +57,7 @@ class DleftCountingFilter : public Filter {
 
   bool SavePayload(std::ostream& os) const override;
   bool LoadPayload(std::istream& is) override;
+  bool CheckInvariants() const override;
 
  private:
   struct Cell {

@@ -1,7 +1,5 @@
 #include "bloom/scalable_bloom.h"
 
-#include <cmath>
-
 #include "core/metrics_sink.h"
 #include "util/serialize.h"
 
@@ -76,40 +74,39 @@ bool ScalableBloomFilter::LoadPayload(std::istream& is) {
   // parameters; both are rejected before any stage is parsed. 64 stages
   // at the minimum growth factor already covers > 2^64 keys.
   constexpr uint64_t kMaxStages = 64;
-  double target_fpr, growth, tightening, next_fpr;
-  uint64_t next_capacity, n, num_stages;
-  if (!ReadDouble(is, &target_fpr) || !ReadDouble(is, &growth) ||
-      !ReadDouble(is, &tightening) ||
-      !ReadU64Capped(is, &next_capacity, kMaxSnapshotElements) ||
-      !ReadDouble(is, &next_fpr) || !ReadU64(is, &n) ||
+  ScalableBloomFilter fresh(1, 0.5);
+  uint64_t num_stages;
+  if (!ReadDouble(is, &fresh.target_fpr_) || !ReadDouble(is, &fresh.growth_) ||
+      !ReadDouble(is, &fresh.tightening_) ||
+      !ReadU64Capped(is, &fresh.next_capacity_, kMaxSnapshotElements) ||
+      !ReadDouble(is, &fresh.next_fpr_) || !ReadU64(is, &fresh.num_keys_) ||
       !ReadU64Capped(is, &num_stages, kMaxStages) || num_stages == 0) {
     return false;
   }
-  if (!std::isfinite(target_fpr) || target_fpr <= 0.0 || target_fpr >= 1.0 ||
-      !std::isfinite(growth) || growth < 1.0 || growth > 1024.0 ||
-      !std::isfinite(tightening) || tightening <= 0.0 || tightening >= 1.0 ||
-      !std::isfinite(next_fpr) || next_fpr <= 0.0 || next_fpr >= 1.0) {
+  // The comparisons also reject NaN and infinities.
+  const auto fraction = [](double v) { return v > 0.0 && v < 1.0; };
+  if (!fraction(fresh.target_fpr_) || !fraction(fresh.tightening_) ||
+      !fraction(fresh.next_fpr_) ||
+      !(fresh.growth_ >= 1.0 && fresh.growth_ <= 1024.0)) {
     return false;
   }
-  std::vector<Stage> stages;
+  fresh.stages_.clear();
   for (uint64_t i = 0; i < num_stages; ++i) {
-    Stage s;
+    Stage& s = fresh.stages_.emplace_back();
+    s.filter = std::make_unique<BloomFilter>(1, 8.0);
     if (!ReadU64Capped(is, &s.capacity, kMaxSnapshotElements) ||
-        !ReadU64(is, &s.used)) {
+        !ReadU64(is, &s.used) || !s.filter->LoadPayload(is)) {
       return false;
     }
-    s.filter = std::make_unique<BloomFilter>(1, 8.0);
-    if (!s.filter->LoadPayload(is)) return false;
-    stages.push_back(std::move(s));
   }
-  target_fpr_ = target_fpr;
-  growth_ = growth;
-  tightening_ = tightening;
-  next_capacity_ = next_capacity;
-  next_fpr_ = next_fpr;
-  num_keys_ = n;
-  stages_ = std::move(stages);
-  return true;
+  return CommitLoaded(*this, std::move(fresh));
+}
+
+bool ScalableBloomFilter::CheckInvariants() const {
+  // Every key was counted into one stage.
+  uint64_t used = 0;
+  for (const Stage& s : stages_) used += s.used;
+  return num_keys_ == used;
 }
 
 }  // namespace bbf

@@ -43,6 +43,7 @@ class ScalableBloomFilter : public Filter {
 
   bool SavePayload(std::ostream& os) const override;
   bool LoadPayload(std::istream& is) override;
+  bool CheckInvariants() const override;
 
  private:
   struct Stage {

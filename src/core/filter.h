@@ -149,12 +149,24 @@ class Filter {
   virtual bool Load(std::istream& is);
 
   /// Payload hooks behind Save/Load: raw member serialization without
-  /// framing or integrity checks. LoadPayload reads from a checksum-
-  /// verified buffer but must still validate all structural fields (it
-  /// also runs on intact-but-foreign payloads) and must not modify *this
-  /// on failure. Defaults report "snapshots unsupported".
+  /// framing or integrity checks. LoadPayload reads a checksum-verified
+  /// buffer that may still be foreign or hostile (DESIGN.md §8): it
+  /// parses into a fresh instance of its class, rejecting lengths past
+  /// their caps and geometry that disagrees with the declared sizes, and
+  /// ends in CommitLoaded (util/serialize.h), which replaces *this only
+  /// when the fresh instance's CheckInvariants holds. A failed load
+  /// leaves *this untouched. Defaults report "snapshots unsupported".
   virtual bool SavePayload(std::ostream& os) const;
   virtual bool LoadPayload(std::istream& is);
+
+  /// Structural self-check, silent: true when the state holds what this
+  /// family's operations keep (counts that match the structure, runs and
+  /// blocks that a probe can walk). Every load runs it before committing,
+  /// and tests call it on live filters. It covers the fields its class
+  /// parses and the engine table it owns; a nested filter (a link,
+  /// stage, spare or base) is checked by its own load, so no load walks
+  /// a structure twice. Default: nothing to check.
+  virtual bool CheckInvariants() const { return true; }
 
   /// Bits per stored key at the current occupancy.
   double BitsPerKey() const {

@@ -32,10 +32,11 @@ void ObservedFprEstimator::RecordLookup(HashedKey key, bool filter_positive) {
     ++negative_lookups_;
     if (filter_positive) {
       ++false_positives_;
-      // Repeat sketch. In-domain mixes have their low 6 bits zero, so
-      // the slot index comes from the bits above the domain mask.
+      // Repeat sketch. The slot index comes from the 8 bits just below
+      // the domain's: in-domain mixes have their top bits zero, and shard
+      // routing fixes the low bits of every key one shard sees.
       SketchSlot& slot =
-          sketch_[(key.value() >> 6) & (kSketchSlots - 1)];
+          sketch_[(key.value() >> (kDomainShift - 8)) & (kSketchSlots - 1)];
       if (slot.count == 0) {
         slot.mix = key.value();
         slot.count = 1;

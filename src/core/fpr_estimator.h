@@ -2,6 +2,7 @@
 #define BBF_CORE_FPR_ESTIMATOR_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <mutex>
 #include <unordered_set>
@@ -16,19 +17,21 @@ namespace bbf {
 /// production filter can report its *observed* FPR next to the configured
 /// epsilon without storing every key.
 ///
-/// The sample domain is a function of the key alone — the low bits of
-/// the canonical mix — so inserts and lookups agree on membership in the
-/// domain, and the test costs one AND on the batched-insert hot path
-/// (a fresh Derive per key measurably dents Bloom-speed inserts).
-/// Families never consume raw mix bits (they use Derive streams, which
-/// decorrelate from any fixed bit pattern of the mix), and the layers
-/// that do slice value() directly — shard routing, batch grouping — use
-/// the TOP bits, so the low-bit domain stays uncorrelated with both
-/// filter placement and routing. For an in-domain lookup the estimator
-/// knows the truth exactly: filter-positive on a key never recorded as
-/// inserted is a false positive; filter-negative on a recorded key is a
-/// false negative (the cardinal sin — exported so it can be alerted on,
-/// expected to stay 0).
+/// The sample domain is a function of the key alone — the top 6 bits of
+/// the canonical mix are zero — so inserts and lookups agree on
+/// membership in the domain, and the test costs one shift on the
+/// batched-insert hot path (a fresh Derive per key measurably dents
+/// Bloom-speed inserts). Families never consume raw mix bits (they use
+/// Derive streams, which decorrelate from any fixed bit pattern of the
+/// mix), and the layers that do slice value() directly — shard routing,
+/// batch grouping — take it modulo the shard count, which for a
+/// power-of-two count reads only the LOW bits. So the domain stays
+/// uncorrelated with both filter placement and routing, and every shard
+/// scores its share of the sample (core/key.h). For an in-domain lookup
+/// the estimator knows the truth exactly: filter-positive on a key never
+/// recorded as inserted is a false positive; filter-negative on a
+/// recorded key is a false negative (the cardinal sin — exported so it
+/// can be alerted on, expected to stay 0).
 ///
 /// Lives in core (not obs) because ShardedFilter hosts one estimator per
 /// shard when migration instrumentation is enabled; the obs layer's
@@ -41,7 +44,9 @@ namespace bbf {
 /// ground truth, so erase-heavy multiset workloads can overcount FPs.
 class ObservedFprEstimator {
  public:
-  static constexpr uint64_t kDomainMask = 63;  // 1-in-64 sampling.
+  /// 1-in-64 sampling: the top log2(64) bits of an in-domain mix are 0.
+  static constexpr uint64_t kSampleRate = 64;
+  static constexpr int kDomainShift = 64 - std::countr_zero(kSampleRate);
 
   /// Slots in the repeated-false-positive sketch. Each slot holds one
   /// candidate mix plus a saturating vote count (space-saving style:
@@ -55,7 +60,7 @@ class ObservedFprEstimator {
   static constexpr uint64_t kRepeatHot = 8;
 
   static bool InDomain(HashedKey key) {
-    return (key.value() & kDomainMask) == 0;
+    return (key.value() >> kDomainShift) == 0;
   }
 
   /// Records an in-domain key as present. Call only for InDomain keys.

@@ -17,9 +17,14 @@ namespace bbf {
 /// bijective Mix64 finalizer) or from a byte string (via HashBytes), and
 /// from then on no layer touches the original key again.
 ///
-/// Two disjoint ways to consume it:
+/// Three disjoint ways to consume it:
 ///  - Routing layers (ShardedFilter, snapshot sharding) may slice the
-///    canonical bits directly via value() — e.g. `value() % num_shards`.
+///    canonical bits directly via value() — `value() % num_shards`,
+///    which for a power-of-two shard count reads only the low bits.
+///  - The observed-FPR estimator samples keys whose value() has its top
+///    6 bits zero (ObservedFprEstimator::InDomain). A sampled mix is
+///    still uniform below those bits, so routing spreads the sample
+///    evenly and every shard scores its 1-in-64 share.
 ///  - Families must derive their structural bits (bucket, quotient,
 ///    fingerprint, probe offsets) through Derive(stream), a seeded
 ///    single-multiply remix. Streams with different ids are independent,

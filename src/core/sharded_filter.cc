@@ -123,10 +123,7 @@ std::unique_ptr<ShardedFilter::Shard> ShardedFilter::MakeShard() const {
   SetNewestCapacity(*shard, per_shard_capacity_);
   // A freshly built shard is empty, so its (empty) journal is a complete
   // op history — quarantine rebuilds stay migratable.
-  if (migration_enabled_) {
-    shard->journal_valid = true;
-    shard->fpr = std::make_unique<ObservedFprEstimator>();
-  }
+  if (migration_enabled_) shard->tracking = std::make_unique<Tracking>();
   return shard;
 }
 
@@ -179,20 +176,22 @@ InsertOutcome ShardedFilter::InsertIntoShardLocked(Shard& shard,
 }
 
 void ShardedFilter::JournalLocked(Shard& shard, HashedKey key, bool erase) {
-  if (shard.journal_valid && !shard.journal_broken) {
-    if (shard.journal.size() >= journal_cap_) {
+  if (shard.tracking == nullptr) return;
+  Tracking& t = *shard.tracking;
+  if (!t.journal_broken) {
+    if (t.journal.size() >= journal_cap_) {
       // Over the cap the journal can no longer claim to be the full
       // history; serving continues, migration of this shard is refused.
-      shard.journal_broken = true;
+      t.journal_broken = true;
     } else {
-      shard.journal.push_back({key.value(), static_cast<uint8_t>(erase)});
+      t.journal.push_back({key.value(), static_cast<uint8_t>(erase)});
     }
   }
-  if (shard.fpr && ObservedFprEstimator::InDomain(key)) {
+  if (ObservedFprEstimator::InDomain(key)) {
     if (erase) {
-      shard.fpr->RecordErase(key);
+      t.fpr.RecordErase(key);
     } else {
-      shard.fpr->RecordInsert(key);
+      t.fpr.RecordInsert(key);
     }
   }
 }
@@ -263,8 +262,8 @@ bool ShardedFilter::Contains(HashedKey key) const {
       break;
     }
   }
-  if (shard.fpr && ObservedFprEstimator::InDomain(key)) {
-    shard.fpr->RecordLookup(key, hit);
+  if (shard.tracking && ObservedFprEstimator::InDomain(key)) {
+    shard.tracking->fpr.RecordLookup(key, hit);
   }
   return hit;
 }
@@ -336,13 +335,13 @@ void ShardedFilter::ContainsMany(std::span<const HashedKey> keys,
           for (size_t j = 0; j < sub.size(); ++j) res[j] |= gen_out[j];
         }
       }
-      if (shard.fpr != nullptr) {
+      if (shard.tracking != nullptr) {
         // Strided like InstrumentedFilter's batch path: scoring every
         // in-domain key would funnel 1/64th of the batch through the
         // estimator mutex while the shard lock is held.
         for (size_t j = 0; j < sub.size(); j += 16) {
           if (ObservedFprEstimator::InDomain(sub[j])) {
-            shard.fpr->RecordLookup(sub[j], res[j] != 0);
+            shard.tracking->fpr.RecordLookup(sub[j], res[j] != 0);
           }
         }
       }
@@ -373,7 +372,7 @@ size_t ShardedFilter::InsertMany(std::span<const HashedKey> keys) {
     const double headroom =
         config_.load_threshold - cur.LoadFactor() -
         static_cast<double>(sub.size()) / shard.newest_capacity;
-    if (!shard.journal_valid && shard.fpr == nullptr && headroom > 0) {
+    if (shard.tracking == nullptr && headroom > 0) {
       const size_t n = cur.InsertMany(sub);
       shard.accepted += n;
       shard.rejected += sub.size() - n;
@@ -473,8 +472,8 @@ std::vector<ShardedFilter::ShardStats> ShardedFilter::Stats() const {
     s.rejected = shard->rejected;
     s.family = std::string(shard->gens.back()->Name());
     s.migrations = shard->migrations;
-    if (shard->fpr != nullptr) {
-      const ObservedFprEstimator::Snapshot f = shard->fpr->Snap();
+    if (shard->tracking != nullptr) {
+      const ObservedFprEstimator::Snapshot f = shard->tracking->fpr.Snap();
       s.observed_fpr = f.observed_fpr;
       s.fpr_ci_low = f.ci_low;
       s.fpr_ci_high = f.ci_high;
@@ -531,12 +530,7 @@ bool ShardedFilter::EnableMigration(size_t journal_cap) {
   migration_enabled_ = true;
   journal_cap_ = journal_cap;
   for (const auto& shard : shards_) {
-    shard->journal.clear();
-    shard->journal_valid = true;
-    shard->journal_broken = false;
-    if (shard->fpr == nullptr) {
-      shard->fpr = std::make_unique<ObservedFprEstimator>();
-    }
+    shard->tracking = std::make_unique<Tracking>();
   }
   return true;
 }
@@ -577,11 +571,11 @@ ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
   std::vector<FilterJournalOp> snapshot_ops;
   {
     std::unique_lock lock(shard.mutex);
-    if (!migration_enabled_ || !shard.journal_valid) {
+    if (!migration_enabled_ || shard.tracking == nullptr) {
       report.error = "migration not enabled for this shard";
       return report;
     }
-    if (shard.journal_broken) {
+    if (shard.tracking->journal_broken) {
       report.error = "journal broken (overflowed its cap)";
       return report;
     }
@@ -590,7 +584,7 @@ ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
       return report;
     }
     shard.migrating = true;
-    snapshot_ops = shard.journal;
+    snapshot_ops = shard.tracking->journal;
   }
   report.snapshot_ops = snapshot_ops.size();
   int64_t live = 0;
@@ -614,8 +608,10 @@ ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
   // Why the journal past `cursor` cannot be drained, or null. Requires
   // the shard lock.
   const auto backlog_error = [&]() -> const char* {
-    if (shard.journal_broken) return "journal broke during migration";
-    if (shard.journal.size() - cursor > kReplayCap) {
+    if (shard.tracking->journal_broken) {
+      return "journal broke during migration";
+    }
+    if (shard.tracking->journal.size() - cursor > kReplayCap) {
       return "replay backlog exceeded the replay cap";
     }
     return nullptr;
@@ -627,8 +623,10 @@ ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
       std::shared_lock lock(shard.mutex);
       error = backlog_error();
       if (error == nullptr) {
-        tail.assign(shard.journal.begin() + static_cast<ptrdiff_t>(cursor),
-                    shard.journal.end());
+        const std::vector<FilterJournalOp>& journal =
+            shard.tracking->journal;
+        tail.assign(journal.begin() + static_cast<ptrdiff_t>(cursor),
+                    journal.end());
       }
     }
     if (error != nullptr) return fail(error);
@@ -645,7 +643,8 @@ ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
   {
     std::unique_lock lock(shard.mutex);
     const char* error = backlog_error();
-    const std::span<const FilterJournalOp> journal(shard.journal);
+    Tracking& t = *shard.tracking;
+    const std::span<const FilterJournalOp> journal(t.journal);
     if (error == nullptr && !Replay(*successor, journal.subspan(cursor))) {
       error = "successor rejected a replayed op";
     }
@@ -654,7 +653,7 @@ ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
       report.error = error;
       return report;
     }
-    report.replayed_ops += shard.journal.size() - cursor;
+    report.replayed_ops += t.journal.size() - cursor;
     successor->AttachMetricsSink(sink_);
     report.to_family = std::string(successor->Name());
     shard.gens.clear();
@@ -665,12 +664,12 @@ ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
     // families ignore multiplicity and order, counting families keep
     // their counts, and journal length now tracks live keys, not traffic.
     const std::unordered_map<uint64_t, int64_t> net =
-        NetJournalCounts(shard.journal);
-    shard.journal.clear();
+        NetJournalCounts(t.journal);
+    t.journal.clear();
     for (const auto& [mix, count] : net) {
-      for (int64_t i = 0; i < count; ++i) shard.journal.push_back({mix, 0});
+      for (int64_t i = 0; i < count; ++i) t.journal.push_back({mix, 0});
     }
-    if (shard.fpr != nullptr) shard.fpr->ResetObservations();
+    t.fpr.ResetObservations();
     shard.migrating = false;
     ++shard.migrations;
   }
@@ -837,9 +836,10 @@ bool ShardedFilter::LoadWithReport(std::istream& is, LoadReport* report) {
     if (healthy && !shard->gens.empty()) {
       shard->newest_capacity = meta[s].newest_capacity;
       shard->next_capacity = std::max<uint64_t>(1, meta[s].next_capacity);
-      // A loaded shard carries keys with no op history: journaling stays
-      // off until the filter is emptied and EnableMigration runs again.
-      shard->journal_valid = false;
+      // A loaded shard carries keys with no op history: it stays
+      // untracked (no journal, no FPR scoring) until the filter is emptied
+      // and EnableMigration runs again.
+      shard->tracking.reset();
       ++report->healthy_shards;
     } else {
       // Quarantine: any bad generation rebuilds the whole shard empty so

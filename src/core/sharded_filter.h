@@ -178,8 +178,9 @@ class ShardedFilter : public Filter {
     std::string family;
     uint64_t migrations = 0;  // Completed online migrations of this shard.
     /// Observed-FPR column, armed by EnableMigration: negative = shard
-    /// not instrumented. The per-shard twin of HottestShard() — triage
-    /// by FPR, not just by load.
+    /// not tracked (migration never armed, or the shard was loaded from a
+    /// snapshot). The per-shard twin of HottestShard() — triage by FPR,
+    /// not just by load.
     double observed_fpr = -1.0;
     double fpr_ci_low = 0.0;   // 95% Wilson bounds on observed_fpr.
     double fpr_ci_high = 0.0;
@@ -205,9 +206,9 @@ class ShardedFilter : public Filter {
   /// journal is marked broken and that shard refuses migration (serving
   /// is unaffected). Must be called while the filter is empty (the
   /// journal cannot reconstruct history it never saw) — returns false
-  /// otherwise. Loading a snapshot disarms journaling for the loaded
-  /// shards (snapshots persist structure, not op history); re-enable
-  /// only on an empty filter.
+  /// otherwise. Loading a snapshot disarms journaling and FPR scoring for
+  /// the loaded shards (snapshots persist structure, not op history);
+  /// re-enable only on an empty filter.
   bool EnableMigration(size_t journal_cap = size_t{1} << 22);
   bool migration_enabled() const { return migration_enabled_; }
 
@@ -298,6 +299,14 @@ class ShardedFilter : public Filter {
   uint64_t TotalQuarantinedShards() const { return shards_quarantined_total_; }
 
  private:
+  // The migration seam of one shard: every acked mutation since the shard
+  // was empty, and the FPR estimator scored against that ground truth.
+  struct Tracking {
+    std::vector<FilterJournalOp> journal;
+    bool journal_broken = false;  // Overflowed journal_cap; stays serving.
+    ObservedFprEstimator fpr;
+  };
+
   struct Shard {
     mutable std::shared_mutex mutex;
     // Generations, oldest first; inserts target back(). Never empty.
@@ -307,17 +316,14 @@ class ShardedFilter : public Filter {
     uint64_t accepted = 0;
     uint64_t expanded = 0;
     uint64_t rejected = 0;
-    // Migration seam. The journal records every acked mutation since the
-    // shard was last empty; valid only when that invariant holds.
-    std::vector<FilterJournalOp> journal;
-    bool journal_valid = false;
-    bool journal_broken = false;  // Overflowed journal_cap; stays serving.
-    bool migrating = false;       // One migration per shard at a time.
+    bool migrating = false;  // One migration per shard at a time.
     uint64_t migrations = 0;
     // Post-migration family factory; empty -> the filter-level factory_.
     ShardFactory factory;
-    // Per-shard FPR estimator; null until EnableMigration.
-    std::unique_ptr<ObservedFprEstimator> fpr;
+    // Present while the shard is tracked since it was last empty: armed
+    // by EnableMigration and by an empty rebuild after it, absent on a
+    // shard loaded from a snapshot (its keys have no op history).
+    std::unique_ptr<Tracking> tracking;
   };
 
   size_t ShardOf(HashedKey key) const;

@@ -241,62 +241,41 @@ bool AdaptiveCuckooFilter::SavePayload(std::ostream& os) const {
 }
 
 bool AdaptiveCuckooFilter::LoadPayload(std::istream& is) {
-  int32_t f;
-  int32_t sel;
-  uint64_t seed;
-  uint64_t buckets;
-  uint64_t n;
-  uint64_t adaptations;
-  if (!ReadI32(is, &f) || f < 1 || f > 60 || !ReadI32(is, &sel) || sel < 1 ||
-      sel > 16 || !ReadU64(is, &seed) ||
-      !ReadU64Capped(is, &buckets, kMaxSnapshotElements / kSlotsPerBucket) ||
-      buckets == 0 || (buckets & (buckets - 1)) != 0 || !ReadU64(is, &n) ||
-      !ReadU64(is, &adaptations)) {
+  AdaptiveCuckooFilter fresh(0, 1);
+  const int& f = fresh.fingerprint_bits_;
+  const int& sel = fresh.selector_bits_;
+  const uint64_t& buckets = fresh.num_buckets_;
+  if (!ReadI32(is, &fresh.fingerprint_bits_) || f < 1 || f > 60 ||
+      !ReadI32(is, &fresh.selector_bits_) || sel < 1 || sel > 16 ||
+      !ReadU64(is, &fresh.hash_seed_) ||
+      !ReadU64Capped(is, &fresh.num_buckets_,
+                     kMaxSnapshotElements / kSlotsPerBucket) ||
+      buckets == 0 || (buckets & (buckets - 1)) != 0 ||
+      !ReadU64(is, &fresh.num_keys_) || !ReadU64(is, &fresh.adaptations_)) {
     return false;
   }
   const uint64_t cells = buckets * kSlotsPerBucket;
-  CompactVector fingerprints;
-  CompactVector selectors;
-  if (!fingerprints.Load(is) || fingerprints.size() != cells ||
-      fingerprints.width() != f || !selectors.Load(is) ||
-      selectors.size() != cells || selectors.width() != sel) {
+  if (!fresh.fingerprints_.Load(is) || fresh.fingerprints_.size() != cells ||
+      fresh.fingerprints_.width() != f || !fresh.selectors_.Load(is) ||
+      fresh.selectors_.size() != cells || fresh.selectors_.width() != sel) {
     return false;
   }
-  std::vector<uint64_t> remote(cells);
-  for (uint64_t& k : remote) {
+  fresh.remote_keys_.resize(cells);
+  for (uint64_t& k : fresh.remote_keys_) {
     if (!ReadU64(is, &k)) return false;
   }
   uint64_t stash_size;
   if (!ReadU64Capped(is, &stash_size, kMaxStash)) return false;
-  std::vector<uint64_t> stash(stash_size);
-  for (uint64_t& k : stash) {
+  fresh.stash_.resize(stash_size);
+  for (uint64_t& k : fresh.stash_) {
     if (!ReadU64(is, &k)) return false;
   }
-  // Swap the frame's state in to check it with this filter's own hashes,
-  // and back out if it breaks an invariant.
-  const auto swap_state = [&] {
-    std::swap(fingerprint_bits_, f);
-    std::swap(hash_seed_, seed);
-    std::swap(num_buckets_, buckets);
-    std::swap(num_keys_, n);
-    std::swap(fingerprints_, fingerprints);
-    std::swap(selectors_, selectors);
-    std::swap(remote_keys_, remote);
-    std::swap(stash_, stash);
-  };
-  swap_state();
-  if (!HoldsInvariants()) {
-    swap_state();
-    return false;
-  }
-  selector_bits_ = sel;
-  adaptations_ = adaptations;
-  layout_ = simd::BucketLayout::Make(fingerprint_bits_);
-  kick_rng_ = SplitMix64(hash_seed_ * 31337 + 5);
-  return true;
+  fresh.layout_ = simd::BucketLayout::Make(f);
+  fresh.kick_rng_ = SplitMix64(fresh.hash_seed_ * 31337 + 5);
+  return CommitLoaded(*this, std::move(fresh));
 }
 
-bool AdaptiveCuckooFilter::HoldsInvariants() const {
+bool AdaptiveCuckooFilter::CheckInvariants() const {
   uint64_t occupied = 0;
   for (uint64_t bucket = 0; bucket < num_buckets_; ++bucket) {
     for (int s = 0; s < kSlotsPerBucket; ++s) {

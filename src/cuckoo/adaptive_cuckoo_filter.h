@@ -66,6 +66,11 @@ class AdaptiveCuckooFilter : public Filter, public AdaptiveHook {
 
   bool SavePayload(std::ostream& os) const override;
   bool LoadPayload(std::istream& is) override;
+  /// What Insert, the kicks, Erase and ReportFalsePositive keep: the key
+  /// count is occupied cells plus stash entries; an occupied cell sits in
+  /// one of its remote key's buckets with that key's fingerprint under
+  /// its selector; an empty cell holds no selector and no key.
+  bool CheckInvariants() const override;
 
  private:
   struct SlotRef {
@@ -84,11 +89,6 @@ class AdaptiveCuckooFilter : public Filter, public AdaptiveHook {
   /// Shared probe body for Contains/ContainsMany: both candidate buckets
   /// plus the stash.
   bool ContainsInBuckets(HashedKey key, uint64_t i1, uint64_t i2) const;
-  /// What Insert, the kicks, Erase and ReportFalsePositive keep: the key
-  /// count is occupied cells plus stash entries; an occupied cell sits in
-  /// one of its remote key's buckets with that key's fingerprint under
-  /// its selector; an empty cell holds no selector and no key.
-  bool HoldsInvariants() const;
 
   uint64_t num_buckets_;
   int fingerprint_bits_;

@@ -69,6 +69,7 @@ class CuckooFilter : public Filter {
     return table_.Save(os);
   }
   bool LoadPayload(std::istream& is) override { return table_.Load(is); }
+  bool CheckInvariants() const override { return table_.CheckInvariants(); }
 
  private:
   // Insert body for a derived key, reporting its kick chain; shared by

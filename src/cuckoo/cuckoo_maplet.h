@@ -48,6 +48,7 @@ class CuckooMaplet final : public Maplet {
 
   bool SavePayload(std::ostream& os) const override { return table_.Save(os); }
   bool LoadPayload(std::istream& is) override { return table_.Load(is); }
+  bool CheckInvariants() const override { return table_.CheckInvariants(); }
 
  private:
   CuckooTable table_;

@@ -188,30 +188,29 @@ bool CuckooTable::Save(std::ostream& os) const {
 }
 
 bool CuckooTable::Load(std::istream& is) {
-  int32_t f;
-  uint64_t seed;
-  uint64_t buckets;
-  uint64_t n;
-  if (!ReadI32(is, &f) || f < 1 || f > 60 || !ReadU64(is, &seed) ||
-      !ReadU64Capped(is, &buckets, kMaxSnapshotElements / kSlotsPerBucket) ||
-      buckets == 0 || (buckets & (buckets - 1)) != 0 || !ReadU64(is, &n)) {
-    return false;
-  }
-  const uint64_t cells = buckets * kSlotsPerBucket;
-  CompactVector fingerprints;
-  CompactVector values;
-  if (!fingerprints.Load(is) || fingerprints.size() != cells ||
-      fingerprints.width() != f) {
+  // A fresh table of this one's shape (value plane or not) and kick seed.
+  CuckooTable fresh(0, 1, HasValues() ? 1 : 0, 0, kick_seed_);
+  const int& f = fresh.fingerprint_bits_;
+  const uint64_t& buckets = fresh.num_buckets_;
+  if (!ReadI32(is, &fresh.fingerprint_bits_) || f < 1 || f > 60 ||
+      !ReadU64(is, &fresh.hash_seed_) ||
+      !ReadU64Capped(is, &fresh.num_buckets_,
+                     kMaxSnapshotElements / kSlotsPerBucket) ||
+      buckets == 0 || (buckets & (buckets - 1)) != 0 ||
+      !ReadU64(is, &fresh.num_keys_) || !fresh.fingerprints_.Load(is) ||
+      fresh.num_cells() != buckets * kSlotsPerBucket ||
+      fresh.fingerprints_.width() != f) {
     return false;
   }
   if (HasValues() &&
-      (!values.Load(is) || values.size() != cells || values.width() < 1)) {
+      (!fresh.values_.Load(is) || fresh.values_.size() != fresh.num_cells() ||
+       fresh.values_.width() < 1)) {
     return false;
   }
   uint64_t stash_size;
   if (!ReadU64Capped(is, &stash_size, kMaxStash)) return false;
-  std::vector<StashEntry> stash(stash_size);
-  for (StashEntry& e : stash) {
+  fresh.stash_.resize(stash_size);
+  for (StashEntry& e : fresh.stash_) {
     if (HasValues()) {
       if (!ReadU64(is, &e.bucket) || !ReadU64(is, &e.fp) ||
           !ReadU64(is, &e.value)) {
@@ -222,24 +221,29 @@ bool CuckooTable::Load(std::istream& is) {
       if (!ReadU64(is, &packed)) return false;
       e = {packed >> f, packed & LowMask(f), 0};
     }
-    if (e.bucket >= buckets || e.fp == 0 || e.fp > LowMask(f)) return false;
   }
-  // Each key is one occupied cell or one stash entry.
-  uint64_t occupied = 0;
-  for (uint64_t i = 0; i < cells; ++i) occupied += fingerprints.Get(i) != 0;
-  if (n != occupied + stash.size()) return false;
-  num_buckets_ = buckets;
-  fingerprint_bits_ = f;
-  hash_seed_ = seed;
-  layout_ = simd::BucketLayout::Make(f);
-  fingerprints_ = std::move(fingerprints);
-  values_ = std::move(values);
-  stash_ = std::move(stash);
+  fresh.layout_ = simd::BucketLayout::Make(f);
   // The kick RNG only drives future inserts; reseed it as the constructor
   // does.
-  kick_rng_ = SplitMix64(seed * kick_seed_.mul + kick_seed_.add);
-  num_keys_ = n;
-  return true;
+  fresh.kick_rng_ = SplitMix64(fresh.hash_seed_ * kick_seed_.mul +
+                               kick_seed_.add);
+  return CommitLoaded(*this, std::move(fresh));
+}
+
+bool CuckooTable::CheckInvariants() const {
+  // Each stash entry names a bucket of the table and a nonzero f-bit
+  // fingerprint, and each key is one occupied cell or one stash entry.
+  for (const StashEntry& e : stash_) {
+    if (e.bucket >= num_buckets_ || e.fp == 0 ||
+        e.fp > LowMask(fingerprint_bits_)) {
+      return false;
+    }
+  }
+  uint64_t occupied = 0;
+  for (uint64_t i = 0; i < num_cells(); ++i) {
+    occupied += fingerprints_.Get(i) != 0;
+  }
+  return num_keys_ == occupied + stash_.size();
 }
 
 }  // namespace bbf

@@ -131,11 +131,14 @@ class CuckooTable {
   /// (bucket, fp, value) with one.
   bool Save(std::ostream& os) const;
   /// Reads a payload saved by a table of the same shape (value plane or
-  /// not). Rejects it, table unchanged, unless the geometry is sane, each
-  /// stash entry names a bucket of the table and a nonzero f-bit
-  /// fingerprint, and the key count is the occupied cells plus the stash
-  /// entries.
+  /// not) into a fresh table and commits it through CheckInvariants.
+  /// Rejects it, table unchanged, unless the geometry is sane and the
+  /// fresh table holds its invariants.
   bool Load(std::istream& is);
+  /// Each stash entry names a bucket of the table and a nonzero f-bit
+  /// fingerprint, and the key count is the occupied cells plus the stash
+  /// entries. Silent.
+  bool CheckInvariants() const;
 
  private:
   struct StashEntry {

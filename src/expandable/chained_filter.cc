@@ -76,34 +76,25 @@ bool ChainedQuotientFilter::SavePayload(std::ostream& os) const {
 }
 
 bool ChainedQuotientFilter::LoadPayload(std::istream& is) {
-  int32_t r;
-  int32_t next_q;
-  uint64_t seed;
+  ChainedQuotientFilter fresh(1, 1);
   uint64_t n;
   uint64_t num_links;
-  if (!ReadI32(is, &r) || r < 1 || r > 64 || !ReadI32(is, &next_q) ||
-      next_q < 1 || next_q > 38 || !ReadU64(is, &seed) || !ReadU64(is, &n) ||
+  if (!ReadI32(is, &fresh.r_bits_) || fresh.r_bits_ < 1 ||
+      fresh.r_bits_ > 64 || !ReadI32(is, &fresh.next_q_bits_) ||
+      fresh.next_q_bits_ < 1 || fresh.next_q_bits_ > 38 ||
+      !ReadU64(is, &fresh.hash_seed_) || !ReadU64(is, &n) ||
       !ReadU64Capped(is, &num_links, 64) || num_links == 0) {
     return false;
   }
-  std::vector<std::unique_ptr<QuotientFilter>> links;
-  links.reserve(num_links);
-  uint64_t link_keys = 0;
+  fresh.links_.clear();
   for (uint64_t i = 0; i < num_links; ++i) {
     // Each link's payload carries its own seed: chains saved when links
     // were seeded hash_seed + i load with those seeds.
-    auto link = std::make_unique<QuotientFilter>(6, r, seed);
-    if (!link->LoadPayload(is)) return false;
-    link_keys += link->NumKeys();
-    links.push_back(std::move(link));
+    fresh.links_.push_back(std::make_unique<QuotientFilter>(1, 1));
+    if (!fresh.links_.back()->LoadPayload(is)) return false;
   }
   // The frame's count is the sum of the links' checked counts.
-  if (n != link_keys) return false;
-  r_bits_ = r;
-  next_q_bits_ = next_q;
-  hash_seed_ = seed;
-  links_ = std::move(links);
-  return true;
+  return n == fresh.NumKeys() && CommitLoaded(*this, std::move(fresh));
 }
 
 }  // namespace bbf

@@ -1,6 +1,7 @@
 #include "expandable/ring_filter.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -25,14 +26,14 @@ void RingFilter::Locate(HashedKey key, uint32_t* bucket, uint16_t* fp) const {
 }
 
 RingFilter::Segment& RingFilter::SegmentOf(uint32_t bucket) {
-  ring_searches_.fetch_add(1, std::memory_order_relaxed);
+  ring_searches_.n.fetch_add(1, std::memory_order_relaxed);
   auto it = ring_.upper_bound(bucket);
   --it;  // Largest mount <= bucket; ring_[0] always exists.
   return it->second;
 }
 
 const RingFilter::Segment& RingFilter::SegmentOf(uint32_t bucket) const {
-  ring_searches_.fetch_add(1, std::memory_order_relaxed);
+  ring_searches_.n.fetch_add(1, std::memory_order_relaxed);
   auto it = ring_.upper_bound(bucket);
   --it;
   return it->second;
@@ -136,74 +137,70 @@ bool RingFilter::SavePayload(std::ostream& os) const {
 
 bool RingFilter::LoadPayload(std::istream& is) {
   constexpr uint64_t kNumBuckets = uint64_t{1} << kBucketBits;
-  int32_t r;
-  uint64_t capacity;
-  uint64_t seed;
-  uint64_t n;
+  RingFilter fresh(1, 1);
   uint64_t num_segments;
-  if (!ReadI32(is, &r) || r < 1 || r > 16 ||
-      !ReadU64Capped(is, &capacity, kMaxSnapshotElements) || capacity == 0 ||
-      !ReadU64(is, &seed) || !ReadU64(is, &n) ||
+  if (!ReadI32(is, &fresh.r_bits_) || fresh.r_bits_ < 1 ||
+      fresh.r_bits_ > 16 ||
+      !ReadU64Capped(is, &fresh.segment_capacity_, kMaxSnapshotElements) ||
+      fresh.segment_capacity_ == 0 || !ReadU64(is, &fresh.hash_seed_) ||
+      !ReadU64(is, &fresh.num_keys_) ||
       !ReadU64Capped(is, &num_segments, kNumBuckets) || num_segments == 0) {
     return false;
   }
-  std::vector<std::pair<uint32_t, Segment>> segments;
-  segments.reserve(num_segments);
-  uint64_t total_keys = 0;
+  fresh.ring_.clear();
   for (uint64_t i = 0; i < num_segments; ++i) {
     uint64_t mount;
     uint64_t num_buckets;
-    // Mounts arrive in map order; the first segment must own bucket 0 so
-    // SegmentOf's "largest mount <= bucket" probe always finds a home.
+    // Mounts and buckets arrive in map order, each past the one before.
     if (!ReadU64Capped(is, &mount, kNumBuckets - 1) ||
-        (i == 0 ? mount != 0
-                : mount <= segments.back().first) ||
+        (!fresh.ring_.empty() && mount <= fresh.ring_.rbegin()->first) ||
         !ReadU64Capped(is, &num_buckets, kNumBuckets)) {
       return false;
     }
-    Segment segment;
-    uint64_t prev_bucket = 0;
+    Segment& segment = fresh.ring_[static_cast<uint32_t>(mount)];
     for (uint64_t b = 0; b < num_buckets; ++b) {
       uint64_t bucket;
       uint64_t count;
-      if (!ReadU64Capped(is, &bucket, kNumBuckets - 1) || bucket < mount ||
-          (b > 0 && bucket <= prev_bucket) ||
-          !ReadU64Capped(is, &count, kMaxSnapshotElements) || count == 0) {
+      if (!ReadU64Capped(is, &bucket, kNumBuckets - 1) ||
+          (!segment.buckets.empty() &&
+           bucket <= segment.buckets.rbegin()->first) ||
+          !ReadU64Capped(is, &count, kMaxSnapshotElements)) {
         return false;
       }
-      prev_bucket = bucket;
-      std::vector<uint16_t> fps;
+      std::vector<uint16_t>& fps =
+          segment.buckets[static_cast<uint32_t>(bucket)];
       fps.reserve(std::min<uint64_t>(count, 4096));
       for (uint64_t k = 0; k < count; ++k) {
         uint64_t fp;
-        if (!ReadU64Capped(is, &fp, LowMask(r))) return false;
+        if (!ReadU64Capped(is, &fp, LowMask(fresh.r_bits_))) return false;
         fps.push_back(static_cast<uint16_t>(fp));
       }
       segment.residents += count;
-      segment.buckets.emplace(static_cast<uint32_t>(bucket), std::move(fps));
-    }
-    total_keys += segment.residents;
-    segments.emplace_back(static_cast<uint32_t>(mount), std::move(segment));
-  }
-  if (total_keys != n) return false;
-  // Every bucket must live inside its segment's arc.
-  for (size_t i = 0; i + 1 < segments.size(); ++i) {
-    const auto& buckets = segments[i].second.buckets;
-    if (!buckets.empty() && buckets.rbegin()->first >= segments[i + 1].first) {
-      return false;
     }
   }
-  std::map<uint32_t, Segment> ring;
-  for (auto& [mount, segment] : segments) {
-    ring.emplace(mount, std::move(segment));
+  return CommitLoaded(*this, std::move(fresh));
+}
+
+bool RingFilter::CheckInvariants() const {
+  // The first segment owns bucket 0, so SegmentOf's "largest mount <=
+  // bucket" probe always finds a home; every bucket lies inside its
+  // segment's arc and holds a fingerprint; residents add up.
+  if (ring_.empty() || ring_.begin()->first != 0) return false;
+  uint64_t total = 0;
+  for (auto it = ring_.begin(); it != ring_.end(); ++it) {
+    const auto next = std::next(it);
+    uint64_t residents = 0;
+    for (const auto& [bucket, fps] : it->second.buckets) {
+      if (bucket < it->first || fps.empty() ||
+          (next != ring_.end() && bucket >= next->first)) {
+        return false;
+      }
+      residents += fps.size();
+    }
+    if (residents != it->second.residents) return false;
+    total += residents;
   }
-  r_bits_ = r;
-  segment_capacity_ = capacity;
-  hash_seed_ = seed;
-  num_keys_ = n;
-  ring_ = std::move(ring);
-  ring_searches_ = 0;  // Query-cost stat, not semantic state.
-  return true;
+  return num_keys_ == total;
 }
 
 }  // namespace bbf

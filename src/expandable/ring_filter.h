@@ -53,13 +53,14 @@ class RingFilter : public Filter {
   size_t num_segments() const { return ring_.size(); }
   /// Ordered-map segment lookups so far — the logarithmic-cost proxy.
   uint64_t ring_searches() const {
-    return ring_searches_.load(std::memory_order_relaxed);
+    return ring_searches_.n.load(std::memory_order_relaxed);
   }
 
   static constexpr int kBucketBits = 22;  // 4M-bucket fixed universe.
 
   bool SavePayload(std::ostream& os) const override;
   bool LoadPayload(std::istream& is) override;
+  bool CheckInvariants() const override;
 
  private:
   struct Segment {
@@ -81,7 +82,17 @@ class RingFilter : public Filter {
   uint64_t num_keys_ = 0;
   // Atomic so concurrent readers (Contains is const and lock-free under
   // ShardedFilter's shared lock) can bump the stat without a data race.
-  mutable std::atomic<uint64_t> ring_searches_{0};
+  // It counts searches, not state: a move (a load's commit) restarts it.
+  struct SearchCounter {
+    std::atomic<uint64_t> n{0};
+    SearchCounter() = default;
+    SearchCounter(SearchCounter&&) noexcept {}
+    SearchCounter& operator=(SearchCounter&&) noexcept {
+      n = 0;
+      return *this;
+    }
+  };
+  mutable SearchCounter ring_searches_;
 };
 
 }  // namespace bbf

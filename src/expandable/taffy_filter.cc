@@ -119,28 +119,19 @@ bool TaffyFilter::SavePayload(std::ostream& os) const {
 }
 
 bool TaffyFilter::LoadPayload(std::istream& is) {
-  int32_t f;
-  int32_t expansions;
-  uint64_t seed;
-  uint64_t n;
-  if (!ReadI32(is, &f) || f < 1 || f > 62 || !ReadI32(is, &expansions) ||
-      expansions < 0 || expansions > 64 || !ReadU64(is, &seed) ||
-      !ReadU64(is, &n)) {
-    return false;
-  }
-  QuotientTable table;
+  TaffyFilter fresh(1, 1);
+  const int& f = fresh.fingerprint_bits_;
   // Slot width is the fresh fingerprint length plus the unary delimiter;
   // it never changes across expansions.
-  if (!table.Load(is) || table.r_bits() != f + 1 || table.has_tag() ||
-      table.value_bits() != 0) {
+  if (!ReadI32(is, &fresh.fingerprint_bits_) || f < 1 || f > 62 ||
+      !ReadI32(is, &fresh.expansions_) || fresh.expansions_ < 0 ||
+      fresh.expansions_ > 64 || !ReadU64(is, &fresh.hash_seed_) ||
+      !ReadU64(is, &fresh.num_keys_) || !fresh.table_.Parse(is) ||
+      fresh.table_.r_bits() != f + 1 || fresh.table_.has_tag() ||
+      fresh.table_.value_bits() != 0) {
     return false;
   }
-  fingerprint_bits_ = f;
-  expansions_ = expansions;
-  hash_seed_ = seed;
-  num_keys_ = n;
-  table_ = std::move(table);
-  return true;
+  return CommitLoaded(*this, std::move(fresh));
 }
 
 }  // namespace bbf

@@ -50,6 +50,7 @@ class TaffyFilter : public Filter {
 
   bool SavePayload(std::ostream& os) const override;
   bool LoadPayload(std::istream& is) override;
+  bool CheckInvariants() const override { return table_.CheckInvariants(); }
 
  private:
   // Fingerprint encoding within a slot: (1 << len) | bits, so 0 never

@@ -57,6 +57,8 @@ class Maplet {
   }
   virtual bool SavePayload(std::ostream&) const { return false; }
   virtual bool LoadPayload(std::istream&) { return false; }
+  /// Structural self-check run before a load commits (Filter's contract).
+  virtual bool CheckInvariants() const { return true; }
 };
 
 /// Measured expected positive / negative result sizes of a maplet.

@@ -83,7 +83,7 @@ size_t InstrumentedFilter::InsertMany(std::span<const HashedKey> keys) {
   // observed FPR can't be inflated by it. Collect first, record once:
   // the bulk form takes the estimator lock a single time per batch.
   std::vector<uint64_t> sampled;
-  sampled.reserve(keys.size() / (ObservedFprEstimator::kDomainMask + 1) + 1);
+  sampled.reserve(keys.size() / ObservedFprEstimator::kSampleRate + 1);
   for (HashedKey key : keys) {
     if (ObservedFprEstimator::InDomain(key)) sampled.push_back(key.value());
   }

@@ -31,18 +31,13 @@ bool ExpandingQuotientFilter::SavePayload(std::ostream& os) const {
 }
 
 bool ExpandingQuotientFilter::LoadPayload(std::istream& is) {
-  uint64_t seed;
-  int32_t expansions;
-  if (!ReadU64(is, &seed) || !ReadI32(is, &expansions) || expansions < 0 ||
-      expansions > 64) {
+  ExpandingQuotientFilter fresh(1, 1);
+  if (!ReadU64(is, &fresh.hash_seed_) || !ReadI32(is, &fresh.expansions_) ||
+      fresh.expansions_ < 0 || fresh.expansions_ > 64 ||
+      !fresh.filter_.LoadPayload(is)) {
     return false;
   }
-  QuotientFilter fresh(6, 4, seed);
-  if (!fresh.LoadPayload(is)) return false;
-  hash_seed_ = seed;
-  expansions_ = expansions;
-  filter_ = std::move(fresh);
-  return true;
+  return CommitLoaded(*this, std::move(fresh));
 }
 
 }  // namespace bbf

@@ -79,43 +79,35 @@ bool PrefixFilter::SavePayload(std::ostream& os) const {
 }
 
 bool PrefixFilter::LoadPayload(std::istream& is) {
-  int32_t f;
-  uint64_t seed;
-  uint64_t buckets;
-  uint64_t n;
-  if (!ReadI32(is, &f) || f < 1 || f > 64 || !ReadU64(is, &seed) ||
-      !ReadU64Capped(is, &buckets, kMaxSnapshotElements / kBucketSize) ||
-      buckets < 2 || !ReadU64(is, &n)) {
-    return false;
-  }
-  CompactVector cells;
-  BitVector overflowed;
-  if (!cells.Load(is) || cells.size() != buckets * kBucketSize ||
-      cells.width() != f || !overflowed.Load(is) ||
-      overflowed.size() != buckets) {
+  PrefixFilter fresh(0, 1);
+  const int& f = fresh.fingerprint_bits_;
+  const uint64_t& buckets = fresh.num_buckets_;
+  if (!ReadI32(is, &fresh.fingerprint_bits_) || f < 1 || f > 64 ||
+      !ReadU64(is, &fresh.hash_seed_) ||
+      !ReadU64Capped(is, &fresh.num_buckets_,
+                     kMaxSnapshotElements / kBucketSize) ||
+      buckets < 2 || !ReadU64(is, &fresh.num_keys_) ||
+      !fresh.cells_.Load(is) || fresh.cells_.size() != buckets * kBucketSize ||
+      fresh.cells_.width() != f || !fresh.overflowed_.Load(is) ||
+      fresh.overflowed_.size() != buckets) {
     return false;
   }
   std::string used_bytes;
   if (!ReadBytes(is, &used_bytes, buckets)) return false;
-  std::vector<uint8_t> bucket_used(used_bytes.begin(), used_bytes.end());
-  for (uint8_t u : bucket_used) {
-    if (u > kBucketSize) return false;
+  fresh.bucket_used_.assign(used_bytes.begin(), used_bytes.end());
+  return fresh.spare_->LoadPayload(is) &&
+         CommitLoaded(*this, std::move(fresh));
+}
+
+bool PrefixFilter::CheckInvariants() const {
+  // No bucket claims more cells than it has, and every key sits in one
+  // prefix bucket cell or in the spare.
+  uint64_t held = spare_->NumKeys();
+  for (uint8_t used : bucket_used_) {
+    if (used > kBucketSize) return false;
+    held += used;
   }
-  auto spare = std::make_unique<QuotientFilter>(6, f, seed + 0x51);
-  if (!spare->LoadPayload(is)) return false;
-  // Every key sits in one prefix bucket cell or in the spare.
-  uint64_t held = spare->NumKeys();
-  for (uint8_t u : bucket_used) held += u;
-  if (n != held) return false;
-  fingerprint_bits_ = f;
-  hash_seed_ = seed;
-  num_buckets_ = buckets;
-  num_keys_ = n;
-  cells_ = std::move(cells);
-  overflowed_ = std::move(overflowed);
-  bucket_used_ = std::move(bucket_used);
-  spare_ = std::move(spare);
-  return true;
+  return num_keys_ == held;
 }
 
 }  // namespace bbf

@@ -46,6 +46,7 @@ class PrefixFilter : public Filter {
 
   bool SavePayload(std::ostream& os) const override;
   bool LoadPayload(std::istream& is) override;
+  bool CheckInvariants() const override;
 
   static constexpr int kBucketSize = 24;
 

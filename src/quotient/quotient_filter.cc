@@ -133,12 +133,9 @@ bool QuotientFilter::Erase(HashedKey key) {
 namespace {
 
 // Shared payload shape of the plain and counting quotient filters: seed,
-// key count, full table state. The table loads into a local and is only
-// committed on success, so a corrupt payload cannot leave a half-written
-// filter behind. A null `num_keys` means the count is the table's used
-// slots (the plain filter stores one slot per key), so a frame whose count
-// says otherwise is rejected; the counting filter's digits take slots too,
-// so it keeps its own count.
+// key count, full table state, read straight into a fresh filter's
+// fields. The table must match the variant's shape: the counting variant
+// needs the tag plane, and neither carries values.
 void SaveQfPayload(std::ostream& os, uint64_t hash_seed, uint64_t num_keys,
                    const QuotientTable& table) {
   WriteU64(os, hash_seed);
@@ -146,24 +143,11 @@ void SaveQfPayload(std::ostream& os, uint64_t hash_seed, uint64_t num_keys,
   table.Save(os);
 }
 
-bool LoadQfPayload(std::istream& is, uint64_t* hash_seed, uint64_t* num_keys,
-                   QuotientTable* table, bool want_tag, int want_value_bits) {
-  uint64_t seed;
-  uint64_t n;
-  QuotientTable fresh;
-  if (!ReadU64(is, &seed) || !ReadU64(is, &n) || !fresh.Load(is)) {
-    return false;
-  }
-  // The table must match this variant's geometry (the counting variant
-  // needs the tag plane; the plain one must not carry values).
-  if (fresh.value_bits() != want_value_bits || fresh.has_tag() != want_tag ||
-      (num_keys == nullptr && n != fresh.num_used_slots())) {
-    return false;
-  }
-  *hash_seed = seed;
-  if (num_keys != nullptr) *num_keys = n;
-  *table = std::move(fresh);
-  return true;
+bool ParseQfPayload(std::istream& is, uint64_t* hash_seed, uint64_t* num_keys,
+                    QuotientTable* table, bool want_tag) {
+  return ReadU64(is, hash_seed) && ReadU64(is, num_keys) &&
+         table->Parse(is) && table->has_tag() == want_tag &&
+         table->value_bits() == 0;
 }
 
 }  // namespace
@@ -174,8 +158,13 @@ bool QuotientFilter::SavePayload(std::ostream& os) const {
 }
 
 bool QuotientFilter::LoadPayload(std::istream& is) {
-  return LoadQfPayload(is, &hash_seed_, /*num_keys=*/nullptr, &table_,
-                       /*want_tag=*/false, /*want_value_bits=*/0);
+  // The plain filter stores one slot per key, so the frame's count must
+  // be the table's used slots; the walk checks those against the planes.
+  QuotientFilter fresh(1, 1);
+  uint64_t n;
+  return ParseQfPayload(is, &fresh.hash_seed_, &n, &fresh.table_,
+                        /*want_tag=*/false) &&
+         n == fresh.NumKeys() && CommitLoaded(*this, std::move(fresh));
 }
 
 // ---------------------------------------------------------------------------
@@ -309,8 +298,12 @@ bool CountingQuotientFilter::SavePayload(std::ostream& os) const {
 }
 
 bool CountingQuotientFilter::LoadPayload(std::istream& is) {
-  return LoadQfPayload(is, &hash_seed_, &num_keys_, &table_,
-                       /*want_tag=*/true, /*want_value_bits=*/0);
+  // Counter digits take slots too, so the counting filter keeps its own
+  // key count.
+  CountingQuotientFilter fresh(1, 1);
+  return ParseQfPayload(is, &fresh.hash_seed_, &fresh.num_keys_,
+                        &fresh.table_, /*want_tag=*/true) &&
+         CommitLoaded(*this, std::move(fresh));
 }
 
 }  // namespace bbf

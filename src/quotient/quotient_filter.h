@@ -66,6 +66,7 @@ class QuotientFilter : public Filter {
   /// the filter in its prior state.
   bool SavePayload(std::ostream& os) const override;
   bool LoadPayload(std::istream& is) override;
+  bool CheckInvariants() const override { return table_.CheckInvariants(); }
 
   static constexpr double kMaxLoadFactor = 0.94;
 
@@ -110,6 +111,7 @@ class CountingQuotientFilter : public Filter {
 
   bool SavePayload(std::ostream& os) const override;
   bool LoadPayload(std::istream& is) override;
+  bool CheckInvariants() const override { return table_.CheckInvariants(); }
 
  private:
   void Fingerprint(HashedKey key, uint64_t* fq, uint64_t* fr) const;

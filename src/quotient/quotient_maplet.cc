@@ -76,19 +76,16 @@ bool QuotientMaplet::SavePayload(std::ostream& os) const {
 }
 
 bool QuotientMaplet::LoadPayload(std::istream& is) {
-  uint64_t seed;
-  uint64_t n;
-  if (!ReadU64(is, &seed) || !ReadU64(is, &n)) return false;
-  QuotientTable table;
   // A maplet table always carries values, never run-compaction tags, and
-  // its entry count is its used slots.
-  if (!table.Load(is) || table.value_bits() == 0 || table.has_tag() ||
-      n != table.num_used_slots()) {
+  // its entry count is its used slots, which the walk checks.
+  QuotientMaplet fresh(1, 1, 1);
+  uint64_t n;
+  if (!ReadU64(is, &fresh.hash_seed_) || !ReadU64(is, &n) ||
+      !fresh.table_.Parse(is) || fresh.table_.value_bits() == 0 ||
+      fresh.table_.has_tag() || n != fresh.NumEntries()) {
     return false;
   }
-  hash_seed_ = seed;
-  table_ = std::move(table);
-  return true;
+  return CommitLoaded(*this, std::move(fresh));
 }
 
 }  // namespace bbf

@@ -54,6 +54,7 @@ class QuotientMaplet final : public Maplet {
 
   bool SavePayload(std::ostream& os) const override;
   bool LoadPayload(std::istream& is) override;
+  bool CheckInvariants() const override { return table_.CheckInvariants(); }
 
  private:
   void Fingerprint(HashedKey key, uint64_t* fq, uint64_t* fr) const;

@@ -1,6 +1,5 @@
 #include "quotient/quotient_table.h"
 
-#include <cstdio>
 #include <deque>
 
 #include "util/bits.h"
@@ -168,11 +167,11 @@ void QuotientTable::ForEachSlot(
   }
 }
 
-const char* QuotientTable::FindCorruption() const {
+bool QuotientTable::CheckInvariants() const {
   // Start right after an empty slot so no cluster straddles the walk.
   uint64_t start = 0;
   while (start < num_slots_ && !SlotEmpty(start)) ++start;
-  if (start == num_slots_) return "no empty slot";
+  if (start == num_slots_) return false;
   std::deque<uint64_t> pending;  // Occupied quotients awaiting their run.
   uint64_t used = 0;
   bool prev_used = false;
@@ -180,33 +179,28 @@ const char* QuotientTable::FindCorruption() const {
     const uint64_t i = (start + k) & slot_mask_;
     if (occupied_.Get(i)) pending.push_back(i);
     if (SlotEmpty(i)) {
-      // Ends the cluster (the walk ends on `start`, itself empty).
-      if (!pending.empty()) return "cluster ends before an occupied run";
+      // Ends the cluster (the walk ends on `start`, itself empty), which
+      // must have held the run of every occupied quotient in it.
+      if (!pending.empty()) return false;
       prev_used = false;
       continue;
     }
     ++used;
     if (continuation_.Get(i)) {
-      if (!prev_used) return "continuation outside a run";
-      if (!shifted_.Get(i)) return "continuation not shifted";
+      // A continuation extends a run and never sits at its home.
+      if (!prev_used || !shifted_.Get(i)) return false;
     } else {
-      if (pending.empty()) return "run head with no occupied quotient";
-      if ((pending.front() == i) == shifted_.Get(i)) {
-        return "run head shifted bit disagrees with its home";
+      // A run head belongs to the oldest pending quotient, is shifted
+      // exactly when it sits past that home, and is never a counter digit.
+      if (pending.empty() || (pending.front() == i) == shifted_.Get(i) ||
+          tag(i)) {
+        return false;
       }
-      if (tag(i)) return "counter digit heads a run";
       pending.pop_front();
     }
     prev_used = true;
   }
-  if (used != used_slots_) return "used-slot count disagrees with the planes";
-  return nullptr;
-}
-
-bool QuotientTable::CheckInvariants() const {
-  const char* error = FindCorruption();
-  if (error != nullptr) std::fprintf(stderr, "quotient table: %s\n", error);
-  return error == nullptr;
+  return used == used_slots_;
 }
 
 void QuotientTable::Save(std::ostream& os) const {
@@ -223,48 +217,26 @@ void QuotientTable::Save(std::ostream& os) const {
   values_.Save(os);
 }
 
-bool QuotientTable::Load(std::istream& is) {
-  // All fields come from an untrusted snapshot: parse into a fresh table,
-  // cross-check every plane against the declared geometry, and only then
-  // replace *this — a failed load leaves the table untouched.
-  int32_t q;
-  int32_t r;
-  int32_t v;
+bool QuotientTable::Parse(std::istream& is) {
   int32_t tag;
-  uint64_t used;
-  if (!ReadI32(is, &q) || !ReadI32(is, &r) || !ReadI32(is, &v) ||
-      !ReadI32(is, &tag) || !ReadU64(is, &used)) {
+  if (!ReadI32(is, &q_bits_) || !ReadI32(is, &r_bits_) ||
+      !ReadI32(is, &value_bits_) || !ReadI32(is, &tag) ||
+      !ReadU64(is, &used_slots_) || q_bits_ < 1 || q_bits_ > 38 ||
+      r_bits_ < 0 || r_bits_ > 64 || value_bits_ < 0 || value_bits_ > 64) {
     return false;
   }
-  if (q < 1 || q > 38 || r < 0 || r > 64 || v < 0 || v > 64) return false;
-  QuotientTable fresh;
-  fresh.q_bits_ = q;
-  fresh.r_bits_ = r;
-  fresh.value_bits_ = v;
-  fresh.has_tag_ = tag != 0;
-  fresh.num_slots_ = uint64_t{1} << q;
-  fresh.slot_mask_ = fresh.num_slots_ - 1;
-  fresh.used_slots_ = used;
-  if (!fresh.occupied_.Load(is) || !fresh.continuation_.Load(is) ||
-      !fresh.shifted_.Load(is) || !fresh.tag_.Load(is) ||
-      !fresh.remainders_.Load(is) || !fresh.values_.Load(is)) {
-    return false;
-  }
-  // Geometry consistency: every plane must cover exactly num_slots_.
-  if (fresh.occupied_.size() != fresh.num_slots_ ||
-      fresh.continuation_.size() != fresh.num_slots_ ||
-      fresh.shifted_.size() != fresh.num_slots_ ||
-      fresh.tag_.size() != (fresh.has_tag_ ? fresh.num_slots_ : 0) ||
-      fresh.remainders_.size() != fresh.num_slots_ ||
-      fresh.remainders_.width() != fresh.r_bits_ ||
-      fresh.values_.size() != (fresh.value_bits_ ? fresh.num_slots_ : 0) ||
-      (fresh.value_bits_ > 0 && fresh.values_.width() != fresh.value_bits_)) {
-    return false;
-  }
-  // Structure: a walk over broken metadata may never find a run's end.
-  if (fresh.FindCorruption() != nullptr) return false;
-  *this = std::move(fresh);
-  return true;
+  has_tag_ = tag != 0;
+  num_slots_ = uint64_t{1} << q_bits_;
+  slot_mask_ = num_slots_ - 1;
+  // Every plane must cover exactly num_slots_.
+  return occupied_.Load(is) && occupied_.size() == num_slots_ &&
+         continuation_.Load(is) && continuation_.size() == num_slots_ &&
+         shifted_.Load(is) && shifted_.size() == num_slots_ &&
+         tag_.Load(is) && tag_.size() == (has_tag_ ? num_slots_ : 0) &&
+         remainders_.Load(is) && remainders_.size() == num_slots_ &&
+         remainders_.width() == r_bits_ && values_.Load(is) &&
+         values_.size() == (value_bits_ ? num_slots_ : 0) &&
+         (value_bits_ == 0 || values_.width() == value_bits_);
 }
 
 }  // namespace bbf

@@ -132,15 +132,18 @@ class QuotientTable {
   void ForEachSlot(
       const std::function<void(uint64_t quotient, uint64_t slot)>& fn) const;
 
-  /// Structural self-check (the validation Load runs); prints the
-  /// violation on corruption.
+  /// Structural self-check, one linear pass over the planes: every run
+  /// lies in a cluster that starts at its quotient's home, the shifted
+  /// bits agree, no counter digit heads a run, a slot stays empty, and
+  /// the used-slot count matches the planes. Silent.
   bool CheckInvariants() const;
 
-  /// Binary serialization of the full table state. Load rejects (leaving
-  /// the table untouched) any payload whose geometry or structure is
-  /// inconsistent.
+  /// Binary serialization of the full table state. Parse reads a Save
+  /// stream into this table (its owner's fresh instance) and rejects
+  /// geometry that disagrees with the declared sizes; the owner's commit
+  /// checks the structure through CheckInvariants (DESIGN.md §8).
   void Save(std::ostream& os) const;
-  bool Load(std::istream& is);
+  bool Parse(std::istream& is);
 
  private:
   bool SlotEmpty(uint64_t i) const {
@@ -164,10 +167,6 @@ class QuotientTable {
   /// `run_quotient` is the quotient of the run containing `pos`. Does not
   /// touch occupied bits.
   void RemoveSlotAt(uint64_t pos, uint64_t run_quotient);
-
-  /// One linear pass over the planes: nullptr when the runs, clusters,
-  /// empty slot and used-slot count are consistent, else the violation.
-  const char* FindCorruption() const;
 
   int q_bits_ = 0;
   int r_bits_ = 0;

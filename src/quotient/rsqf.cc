@@ -1,7 +1,6 @@
 #include "quotient/rsqf.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "core/metrics_sink.h"
@@ -104,7 +103,8 @@ bool RsqfTable::InsertValue(uint64_t q, uint64_t value, bool sorted) {
     }
   }
   // First unused slot at or after p, jumping run by run. The last slot
-  // always stays free (LoadBody checks it), so u never passes the table.
+  // always stays free (CheckInvariants holds a load to it), so u never
+  // passes the table.
   uint64_t u = p;
   while (true) {
     const uint64_t ru = RunEndUpTo(u);
@@ -183,11 +183,10 @@ bool RsqfTable::Double() {
   return true;
 }
 
-const char* RsqfTable::FindCorruption(uint64_t* used) const {
-  // Walks the occupied quotients and the runends in step — the i-th
-  // runend closes the i-th occupied quotient's run — and recomputes each
-  // block offset (the spill of earlier runs past its boundary) on the way.
-  *used = 0;
+bool RsqfTable::CheckInvariants(uint64_t used_slots, bool sorted) const {
+  // Recomputes each block offset (the spill of earlier runs past its
+  // boundary) on the way.
+  uint64_t used = 0;
   uint64_t last_end = kNone;  // Runend of the last quotient walked.
   uint64_t e = 0;             // Where the next runend search resumes.
   for (uint64_t b = 0; b < offsets_.size(); ++b) {
@@ -195,33 +194,32 @@ const char* RsqfTable::FindCorruption(uint64_t* used) const {
     const uint64_t spill =
         last_end != kNone && last_end >= boundary ? last_end + 1 - boundary
                                                   : 0;
-    if (offsets_[b] != spill) return "block offset disagrees with the runs";
+    if (offsets_[b] != spill) return false;
     const uint64_t block_end =
         std::min(boundary + kBlockSlots, total_slots_);
     for (uint64_t q = boundary; q < block_end; ++q) {
       if (!occupieds_.Get(q)) continue;
-      if (q >= num_quotients_) return "occupied bit in the slack region";
+      // An occupied quotient lies before the slack, and its run ends at
+      // or past it.
+      if (q >= num_quotients_) return false;
       while (e < total_slots_ && !runends_.Get(e)) ++e;
-      if (e == total_slots_) return "occupied quotient without a runend";
-      if (e < q) return "run ends before its quotient";
-      *used += e + 1 - (last_end == kNone ? q : std::max(q, last_end + 1));
+      if (e == total_slots_ || e < q) return false;
+      const uint64_t start =
+          last_end == kNone ? q : std::max(q, last_end + 1);
+      for (uint64_t pos = start + 1; sorted && pos <= e; ++pos) {
+        if (values_.Get(pos) < values_.Get(pos - 1)) return false;
+      }
+      used += e + 1 - start;
       last_end = e++;
     }
   }
+  // No runend without an occupied quotient, and the last slot stays free:
+  // InsertValue's shifts stop short of it.
   while (e < total_slots_ && !runends_.Get(e)) ++e;
-  if (e < total_slots_) return "runend without an occupied quotient";
-  // InsertValue never fills the last slot: shifts stop short of it.
-  if (last_end != kNone && last_end + 1 >= total_slots_) {
-    return "runs reach the last slot";
+  if (e < total_slots_ || (last_end != kNone && last_end + 1 >= total_slots_)) {
+    return false;
   }
-  return nullptr;
-}
-
-bool RsqfTable::CheckInvariants() const {
-  uint64_t used;
-  const char* error = FindCorruption(&used);
-  if (error != nullptr) std::fprintf(stderr, "rsqf: %s\n", error);
-  return error == nullptr;
+  return used_slots == kNone || used == used_slots;
 }
 
 bool RsqfTable::SaveBody(std::ostream& os) const {
@@ -232,42 +230,25 @@ bool RsqfTable::SaveBody(std::ostream& os) const {
   return os.good();
 }
 
-bool RsqfTable::LoadBody(std::istream& is, int q_bits, int value_bits,
-                         uint64_t used_slots, RsqfTable* out) {
+bool RsqfTable::ParseBody(std::istream& is, int q_bits, int value_bits) {
   if (q_bits < 1 || q_bits > 38 || value_bits < 1 || value_bits > 64) {
     return false;
   }
-  const uint64_t num_quotients = uint64_t{1} << q_bits;
-  const uint64_t total_slots = num_quotients + 2 * kBlockSlots;
-  BitVector occupieds;
-  BitVector runends;
-  CompactVector values;
-  if (!occupieds.Load(is) || occupieds.size() != total_slots ||
-      !runends.Load(is) || runends.size() != total_slots ||
-      !values.Load(is) || values.size() != total_slots ||
-      values.width() != value_bits) {
+  value_bits_ = value_bits;
+  num_quotients_ = uint64_t{1} << q_bits;
+  total_slots_ = num_quotients_ + 2 * kBlockSlots;
+  if (!occupieds_.Load(is) || occupieds_.size() != total_slots_ ||
+      !runends_.Load(is) || runends_.size() != total_slots_ ||
+      !values_.Load(is) || values_.size() != total_slots_ ||
+      values_.width() != value_bits) {
     return false;
   }
-  RsqfTable fresh(1, 1);
-  fresh.offsets_.resize(total_slots / kBlockSlots + 1);
-  for (uint16_t& offset : fresh.offsets_) {
+  offsets_.resize(total_slots_ / kBlockSlots + 1);
+  for (uint16_t& offset : offsets_) {
     uint64_t v;
     if (!ReadU64Capped(is, &v, 0xFFFF)) return false;
     offset = static_cast<uint16_t>(v);
   }
-  fresh.value_bits_ = value_bits;
-  fresh.num_quotients_ = num_quotients;
-  fresh.total_slots_ = total_slots;
-  fresh.occupieds_ = std::move(occupieds);
-  fresh.runends_ = std::move(runends);
-  fresh.values_ = std::move(values);
-  // Every offset must match its recomputation, so none can point past the
-  // table, and every run must end: lookups then stay inside the planes.
-  uint64_t used;
-  if (fresh.FindCorruption(&used) != nullptr || used != used_slots) {
-    return false;
-  }
-  *out = std::move(fresh);
   return true;
 }
 
@@ -315,22 +296,15 @@ bool Rsqf::SavePayload(std::ostream& os) const {
 }
 
 bool Rsqf::LoadPayload(std::istream& is) {
-  int32_t q;
-  int32_t r;
-  uint64_t seed;
-  uint64_t n;
-  if (!ReadI32(is, &q) || q < 1 || q > 38 || !ReadI32(is, &r) || r < 1 ||
-      r > 64 || !ReadU64(is, &seed) || !ReadU64(is, &n)) {
+  Rsqf fresh(1, 1);
+  if (!ReadI32(is, &fresh.q_bits_) || fresh.q_bits_ < 1 ||
+      fresh.q_bits_ > 38 || !ReadI32(is, &fresh.r_bits_) ||
+      fresh.r_bits_ < 1 || fresh.r_bits_ > 64 ||
+      !ReadU64(is, &fresh.hash_seed_) || !ReadU64(is, &fresh.num_keys_) ||
+      !fresh.table_.ParseBody(is, fresh.q_bits_, fresh.r_bits_)) {
     return false;
   }
-  RsqfTable table(1, 1);
-  if (!RsqfTable::LoadBody(is, q, r, n, &table)) return false;
-  q_bits_ = q;
-  r_bits_ = r;
-  hash_seed_ = seed;
-  num_keys_ = n;
-  table_ = std::move(table);
-  return true;
+  return CommitLoaded(*this, std::move(fresh));
 }
 
 }  // namespace bbf

@@ -91,20 +91,22 @@ class RsqfTable {
     return total_slots_ * (2 + value_bits_) + offsets_.size() * 16;
   }
 
-  /// Structural self-check (the validation LoadBody runs); prints the
-  /// violation on corruption.
-  bool CheckInvariants() const;
+  /// Structural self-check, one linear pass that walks the occupied
+  /// quotients and the runends in step: the i-th runend closes the i-th
+  /// occupied quotient's run, every block offset matches its
+  /// recomputation, no run reaches the slack's last slot, the runs cover
+  /// `used_slots` slots (any number for kNone) and, with `sorted`, every
+  /// run is nondecreasing. Lookups then stay inside the planes. Silent.
+  bool CheckInvariants(uint64_t used_slots = kNone, bool sorted = false) const;
 
   /// Serializes the four structural members (occupieds, runends, values,
   /// offsets) — the caller frames them with its own header. Byte-for-byte
   /// the layout Rsqf snapshots have always used.
   bool SaveBody(std::ostream& os) const;
-  /// Parses a SaveBody stream into `*out`, validating every size against
-  /// the expected geometry and the structure against `used_slots` (the
-  /// caller's key count) before committing. `*out` is untouched on
-  /// failure.
-  static bool LoadBody(std::istream& is, int q_bits, int value_bits,
-                       uint64_t used_slots, RsqfTable* out);
+  /// Reads a SaveBody stream into this table (its owner's fresh
+  /// instance), rejecting sizes that disagree with the geometry; the
+  /// owner's commit checks the structure through CheckInvariants.
+  bool ParseBody(std::istream& is, int q_bits, int value_bits);
 
   static constexpr double kMaxLoadFactor = 0.94;
   static constexpr uint64_t kBlockSlots = 64;
@@ -119,10 +121,6 @@ class RsqfTable {
   // First slot of the run of occupied quotient q.
   uint64_t RunStart(uint64_t q) const;
   void RecomputeOffsets(uint64_t first_block, uint64_t last_block);
-  // One linear pass: nullptr when the occupieds/runends bijection, the
-  // slack region and every block offset are consistent, else the
-  // violation. `*used` receives the number of slots the runs cover.
-  const char* FindCorruption(uint64_t* used) const;
 
   int value_bits_;
   uint64_t num_quotients_;
@@ -159,8 +157,10 @@ class Rsqf : public Filter {
   }
   int r_bits() const { return r_bits_; }
 
-  /// Structural self-check for the test suite.
-  bool CheckInvariants() const { return table_.CheckInvariants(); }
+  /// The table walk, with the key count as its used slots.
+  bool CheckInvariants() const override {
+    return table_.CheckInvariants(num_keys_);
+  }
 
   bool SavePayload(std::ostream& os) const override;
   bool LoadPayload(std::istream& is) override;

@@ -200,12 +200,11 @@ bool VectorQuotientFilter::SavePayload(std::ostream& os) const {
 }
 
 bool VectorQuotientFilter::LoadPayload(std::istream& is) {
-  int32_t r;
-  uint64_t seed;
-  uint64_t n;
+  VectorQuotientFilter fresh(0, 1);
   uint64_t num_blocks;
-  if (!ReadI32(is, &r) || r < 1 || r > 64 || !ReadU64(is, &seed) ||
-      !ReadU64(is, &n) ||
+  if (!ReadI32(is, &fresh.remainder_bits_) || fresh.remainder_bits_ < 1 ||
+      fresh.remainder_bits_ > 64 || !ReadU64(is, &fresh.hash_seed_) ||
+      !ReadU64(is, &fresh.num_keys_) ||
       !ReadU64Capped(is, &num_blocks,
                      kMaxSnapshotElements / kSlotsPerBlock) ||
       num_blocks < 2) {
@@ -213,31 +212,33 @@ bool VectorQuotientFilter::LoadPayload(std::istream& is) {
   }
   // One block at a time: a hostile block count runs out of stream before
   // it can allocate more blocks than the payload holds.
-  std::vector<Block> blocks;
-  uint64_t used_total = 0;
+  fresh.blocks_.clear();
   for (uint64_t i = 0; i < num_blocks; ++i) {
-    Block b;
-    int32_t used;
-    if (!ReadI32(is, &used) || used < 0 || used > kSlotsPerBlock ||
-        !b.metadata.Load(is) ||
+    Block& b = fresh.blocks_.emplace_back();
+    if (!ReadI32(is, &b.used) || !b.metadata.Load(is) ||
         b.metadata.size() !=
             static_cast<uint64_t>(kBucketsPerBlock + kSlotsPerBlock) ||
-        !IsUnaryCode(b.metadata, used) ||
         !b.remainders.Load(is) ||
         b.remainders.size() != static_cast<uint64_t>(kSlotsPerBlock) ||
-        b.remainders.width() != r) {
+        b.remainders.width() != fresh.remainder_bits_) {
       return false;
     }
-    b.used = used;
-    used_total += static_cast<uint64_t>(used);
-    blocks.push_back(std::move(b));
   }
-  if (n != used_total) return false;
-  remainder_bits_ = r;
-  hash_seed_ = seed;
-  num_keys_ = n;
-  blocks_ = std::move(blocks);
-  return true;
+  return CommitLoaded(*this, std::move(fresh));
+}
+
+bool VectorQuotientFilter::CheckInvariants() const {
+  // Each block's metadata is the unary code of its used slots, and the key
+  // count is the sum of the blocks'.
+  uint64_t used = 0;
+  for (const Block& b : blocks_) {
+    if (b.used < 0 || b.used > kSlotsPerBlock ||
+        !IsUnaryCode(b.metadata, b.used)) {
+      return false;
+    }
+    used += static_cast<uint64_t>(b.used);
+  }
+  return num_keys_ == used;
 }
 
 }  // namespace bbf

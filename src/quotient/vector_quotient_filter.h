@@ -48,6 +48,7 @@ class VectorQuotientFilter : public Filter {
 
   bool SavePayload(std::ostream& os) const override;
   bool LoadPayload(std::istream& is) override;
+  bool CheckInvariants() const override;
 
  private:
   struct Block {

@@ -113,20 +113,6 @@ bool MementoFilter::Expand() {
   return true;
 }
 
-bool MementoFilter::CheckInvariants() const {
-  if (!table_.CheckInvariants()) return false;
-  // Every run must be nondecreasing — the sorted-memento-list contract.
-  bool sorted = true;
-  uint64_t prev_q = RsqfTable::kNone;
-  uint64_t prev = 0;
-  table_.ForEachValue([&](uint64_t q, uint64_t v) {
-    if (q == prev_q && v < prev) sorted = false;
-    prev_q = q;
-    prev = v;
-  });
-  return sorted;
-}
-
 bool MementoFilter::SavePayload(std::ostream& os) const {
   WriteI32(os, q_bits_);
   WriteI32(os, r_bits_);
@@ -138,29 +124,19 @@ bool MementoFilter::SavePayload(std::ostream& os) const {
 }
 
 bool MementoFilter::LoadPayload(std::istream& is) {
-  int32_t q;
-  int32_t r;
-  int32_t m;
-  uint64_t seed;
-  uint64_t n;
-  uint64_t expansions;
-  if (!ReadI32(is, &q) || q < 1 || q > 38 || !ReadI32(is, &r) || r < 1 ||
-      r > 32 || !ReadI32(is, &m) || m < 1 || m > 32 ||
-      !ReadU64(is, &seed) || !ReadU64(is, &n) ||
-      !ReadU64(is, &expansions)) {
+  MementoFilter fresh(1, 1, 1);
+  if (!ReadI32(is, &fresh.q_bits_) || fresh.q_bits_ < 1 ||
+      fresh.q_bits_ > 38 || !ReadI32(is, &fresh.r_bits_) ||
+      fresh.r_bits_ < 1 || fresh.r_bits_ > 32 ||
+      !ReadI32(is, &fresh.m_bits_) || fresh.m_bits_ < 1 ||
+      fresh.m_bits_ > 32 || !ReadU64(is, &fresh.hash_seed_) ||
+      !ReadU64(is, &fresh.num_keys_) || !ReadU64(is, &fresh.expansions_) ||
+      !fresh.table_.ParseBody(is, fresh.q_bits_,
+                              fresh.r_bits_ + fresh.m_bits_)) {
     return false;
   }
-  RsqfTable table(1, 1);
-  if (!RsqfTable::LoadBody(is, q, r + m, n, &table)) return false;
-  q_bits_ = q;
-  r_bits_ = r;
-  m_bits_ = m;
-  hash_seed_ = seed;
-  num_keys_ = n;
-  expansions_ = expansions;
-  num_quotients_ = uint64_t{1} << q;
-  table_ = std::move(table);
-  return true;
+  fresh.num_quotients_ = uint64_t{1} << fresh.q_bits_;
+  return CommitLoaded(*this, std::move(fresh));
 }
 
 }  // namespace bbf

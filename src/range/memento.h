@@ -108,9 +108,11 @@ class MementoFilter : public Filter, public RangeFilter {
   int memento_bits() const { return m_bits_; }
   uint64_t expansions() const { return expansions_; }
 
-  /// Structural self-check for the test suite: the substrate invariants
-  /// plus sortedness of every run.
-  bool CheckInvariants() const;
+  /// The table walk, with the key count as its used slots and every run
+  /// sorted (the sorted-memento-list contract).
+  bool CheckInvariants() const override {
+    return table_.CheckInvariants(num_keys_, /*sorted=*/true);
+  }
 
   static constexpr int kDefaultMementoBits = 8;
   static constexpr double kMaxLoadFactor = RsqfTable::kMaxLoadFactor;

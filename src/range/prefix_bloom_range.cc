@@ -36,19 +36,14 @@ bool PrefixBloomRangeFilter::SavePayload(std::ostream& os) const {
 }
 
 bool PrefixBloomRangeFilter::LoadPayload(std::istream& is) {
-  int32_t prefix_bits;
-  int32_t max_probes;
-  if (!ReadI32(is, &prefix_bits) || prefix_bits < 1 || prefix_bits > 64 ||
-      !ReadI32(is, &max_probes) || max_probes < 1 ||
-      max_probes > (1 << 20)) {
+  PrefixBloomRangeFilter fresh({}, 1, 8.0);
+  if (!ReadI32(is, &fresh.prefix_bits_) || fresh.prefix_bits_ < 1 ||
+      fresh.prefix_bits_ > 64 || !ReadI32(is, &fresh.max_probes_) ||
+      fresh.max_probes_ < 1 || fresh.max_probes_ > (1 << 20) ||
+      !fresh.bloom_->LoadPayload(is)) {
     return false;
   }
-  auto bloom = std::make_unique<BloomFilter>(1, 8.0);
-  if (!bloom->LoadPayload(is)) return false;
-  prefix_bits_ = prefix_bits;
-  max_probes_ = max_probes;
-  bloom_ = std::move(bloom);
-  return true;
+  return CommitLoaded(*this, std::move(fresh));
 }
 
 }  // namespace bbf

@@ -48,6 +48,8 @@ class RangeFilter {
   }
   virtual bool SavePayload(std::ostream&) const { return false; }
   virtual bool LoadPayload(std::istream&) { return false; }
+  /// Structural self-check run before a load commits (Filter's contract).
+  virtual bool CheckInvariants() const { return true; }
 };
 
 }  // namespace bbf

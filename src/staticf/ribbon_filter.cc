@@ -121,27 +121,20 @@ bool RibbonFilter::SavePayload(std::ostream& os) const {
 }
 
 bool RibbonFilter::LoadPayload(std::istream& is) {
-  int32_t f;
-  uint64_t starts;
-  uint64_t seed;
-  uint64_t n;
-  if (!ReadI32(is, &f) || f < 1 || f > 64 ||
-      !ReadU64Capped(is, &starts, kMaxSnapshotElements) || starts == 0 ||
-      !ReadU64(is, &seed) || !ReadU64(is, &n) || n > starts) {
+  // The build-attempt stat starts at 0 after a reload.
+  RibbonFilter fresh({}, 1);
+  if (!ReadI32(is, &fresh.fingerprint_bits_) || fresh.fingerprint_bits_ < 1 ||
+      fresh.fingerprint_bits_ > 64 ||
+      !ReadU64Capped(is, &fresh.num_starts_, kMaxSnapshotElements) ||
+      fresh.num_starts_ == 0 || !ReadU64(is, &fresh.seed_) ||
+      !ReadU64(is, &fresh.num_keys_) || fresh.num_keys_ > fresh.num_starts_ ||
+      !fresh.solution_.Load(is) ||
+      fresh.solution_.size() != fresh.num_starts_ + kRibbonWidth ||
+      fresh.solution_.width() != fresh.fingerprint_bits_) {
     return false;
   }
-  CompactVector solution;
-  if (!solution.Load(is) || solution.size() != starts + kRibbonWidth ||
-      solution.width() != f) {
-    return false;
-  }
-  fingerprint_bits_ = f;
-  num_starts_ = starts;
-  seed_ = seed;
-  num_keys_ = n;
-  solution_ = std::move(solution);
-  build_attempts_ = 0;  // Build-time stat; unknown after a reload.
-  return true;
+  fresh.build_attempts_ = 0;
+  return CommitLoaded(*this, std::move(fresh));
 }
 
 }  // namespace bbf

@@ -69,27 +69,20 @@ bool XorFilter::SavePayload(std::ostream& os) const {
 }
 
 bool XorFilter::LoadPayload(std::istream& is) {
-  uint64_t seed;
-  uint64_t seg;
-  uint64_t n;
-  if (!ReadU64(is, &seed) ||
-      !ReadU64Capped(is, &seg, uint64_t{0xFFFFFFFF} / 3) || seg == 0 ||
-      !ReadU64(is, &n)) {
-    return false;
-  }
-  CompactVector table;
   // Construction always makes exactly three equal segments, and peeling
-  // needs capacity > n.
-  if (!table.Load(is) || table.size() != seg * 3 || table.width() < 1 ||
-      n > table.size()) {
+  // needs capacity > n. The build-attempt stat starts at 0 after a reload.
+  XorFilter fresh({}, 1);
+  uint64_t seg;
+  if (!ReadU64(is, &fresh.seed_) ||
+      !ReadU64Capped(is, &seg, uint64_t{0xFFFFFFFF} / 3) || seg == 0 ||
+      !ReadU64(is, &fresh.num_keys_) || !fresh.table_.Load(is) ||
+      fresh.table_.size() != seg * 3 || fresh.table_.width() < 1 ||
+      fresh.num_keys_ > fresh.table_.size()) {
     return false;
   }
-  seed_ = seed;
-  segment_len_ = static_cast<uint32_t>(seg);
-  num_keys_ = n;
-  table_ = std::move(table);
-  build_attempts_ = 0;  // Build-time stat; unknown after a reload.
-  return true;
+  fresh.segment_len_ = static_cast<uint32_t>(seg);
+  fresh.build_attempts_ = 0;
+  return CommitLoaded(*this, std::move(fresh));
 }
 
 }  // namespace bbf

@@ -89,12 +89,12 @@ bool StackedServingFilter::SavePayload(std::ostream& os) const {
 }
 
 bool StackedServingFilter::LoadPayload(std::istream& is) {
+  StackedServingFilter fresh(1);
+  Params& params = fresh.params_;
   uint64_t version;
-  uint64_t capacity;
-  Params params;
-  if (!ReadU64(is, &version) || version != kPayloadVersion) return false;
-  if (!ReadU64Capped(is, &capacity, kMaxSnapshotElements)) return false;
-  if (!ReadDouble(is, &params.fpr_budget) ||
+  if (!ReadU64(is, &version) || version != kPayloadVersion ||
+      !ReadU64Capped(is, &fresh.capacity_, kMaxSnapshotElements) ||
+      !ReadDouble(is, &params.fpr_budget) ||
       !ReadDouble(is, &params.stacked_bits_per_key) ||
       !ReadI32(is, &params.layers)) {
     return false;
@@ -105,30 +105,24 @@ bool StackedServingFilter::LoadPayload(std::istream& is) {
       params.layers > 15) {
     return false;
   }
+  fresh.capacity_ = std::max<uint64_t>(fresh.capacity_, 1);
   auto read_keys = [&is](std::vector<uint64_t>* out) {
     uint64_t n;
     if (!ReadU64Capped(is, &n, kMaxKeys)) return false;
     out->reserve(n);
     for (uint64_t i = 0; i < n; ++i) {
-      uint64_t k;
-      if (!ReadU64(is, &k)) return false;
-      out->push_back(k);
+      if (!ReadU64(is, &out->emplace_back())) return false;
     }
     return true;
   };
-  std::vector<uint64_t> positives;
-  std::vector<uint64_t> negatives;
-  if (!read_keys(&positives) || !read_keys(&negatives)) return false;
-  auto overflow = MakeOverflow(std::max<uint64_t>(capacity, 1), params);
-  if (!overflow->Load(is)) return false;
-  // Every piece parsed; commit.
-  positives_ = std::move(positives);
-  hot_negatives_ = std::move(negatives);
-  capacity_ = std::max<uint64_t>(capacity, 1);
-  params_ = params;
-  overflow_ = std::move(overflow);
-  BuildFront();
-  return true;
+  // The overflow rides along as its own frame; the front is rebuilt from
+  // the keys.
+  if (!read_keys(&fresh.positives_) || !read_keys(&fresh.hot_negatives_) ||
+      !fresh.overflow_->Load(is)) {
+    return false;
+  }
+  fresh.BuildFront();
+  return CommitLoaded(*this, std::move(fresh));
 }
 
 }  // namespace bbf::tuning

@@ -189,6 +189,21 @@ bool LoadFramed(std::istream& is, std::string_view tag,
   return load_payload(ps);
 }
 
+/// The one commit every loader ends in (DESIGN.md §8 rule 1): `fresh`
+/// holds what a payload parsed to and replaces `target` only when
+/// `fresh.CheckInvariants()` holds. A filter keeps the metrics sink it
+/// had, since ShardedFilter attaches one to a generation before loading
+/// it.
+template <typename T>
+bool CommitLoaded(T& target, T&& fresh) {
+  if (!fresh.CheckInvariants()) return false;
+  if constexpr (requires { target.metrics_sink(); }) {
+    fresh.AttachMetricsSink(target.metrics_sink());
+  }
+  target = std::move(fresh);
+  return true;
+}
+
 }  // namespace bbf
 
 #endif  // BBF_UTIL_SERIALIZE_H_

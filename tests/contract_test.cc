@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -147,6 +148,26 @@ TEST_P(FilterContract, CountIsAtLeastMultiplicity) {
   for (int i = 0; i < 5; ++i) inserted += filter->Insert(777);
   EXPECT_GE(filter->Count(777), std::min<uint64_t>(inserted, 1))
       << Case().name;
+}
+
+// The invariant hook (DESIGN.md §8) on live filters: what every load
+// checks before committing must also hold after each batch of operations,
+// so a bug that breaks a family's structure fails where it happens.
+TEST_P(FilterContract, InvariantsHoldAfterEveryOpBatch) {
+  const auto filter = Case().make();
+  const auto keys = GenerateDistinctKeys(2000, 108);
+  filter->InsertMany(keys);
+  ASSERT_TRUE(filter->CheckInvariants()) << Case().name << " after inserts";
+  const FilterEntry* entry = FindFilterEntry(Case().name);
+  if (entry != nullptr && entry->caps.supports_erase) {
+    for (size_t i = 0; i < keys.size(); i += 2) filter->Erase(keys[i]);
+    ASSERT_TRUE(filter->CheckInvariants()) << Case().name << " after erases";
+  }
+  std::stringstream snapshot;
+  ASSERT_TRUE(filter->Save(snapshot)) << Case().name;
+  const auto loaded = Case().make();
+  ASSERT_TRUE(loaded->Load(snapshot)) << Case().name;
+  EXPECT_TRUE(loaded->CheckInvariants()) << Case().name << " after a reload";
 }
 
 INSTANTIATE_TEST_SUITE_P(

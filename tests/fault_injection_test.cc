@@ -16,6 +16,7 @@
 
 #include "adaptive/adaptive_quotient_filter.h"
 #include "apps/lsm/run.h"
+#include "bloom/dleft_filter.h"
 #include "core/filter_io.h"
 #include "core/key.h"
 #include "core/registry.h"
@@ -474,10 +475,10 @@ TEST(FaultInjection, AdaptiveCuckooFrameBreakingItsInvariantsIsRejected) {
   for (uint64_t key : keys) ASSERT_TRUE(f.Contains(key)) << key;
 }
 
-// Quotient-family payloads holding one key, with the key count (the 8-byte
-// word at `count_at`) rewritten to 5. These families count their table's
-// used slots, so the load must fail and leave `target` as it was; the
-// intact payload then loads, so the count alone was at fault.
+// Payloads holding one key, with the key count (the 8-byte word at
+// `count_at`) rewritten to 5. These families check their count against
+// their structure, so the load must fail and leave `target` as it was;
+// the intact payload then loads, so the count alone was at fault.
 template <typename F>
 void ExpectWrongCountRejected(const F& one, F* target, size_t count_at) {
   const auto saved = [](const F& f) {
@@ -552,6 +553,17 @@ TEST(FaultInjection, PrefixFrameWithWrongKeyCountIsRejected) {
   InsertSome(&f, 0xC0E6, 150);
   // Fingerprint bits, seed and bucket count, then the count.
   ExpectWrongCountRejected(one, &f, /*count_at=*/8 + 8 + 8);
+}
+
+TEST(FaultInjection, DleftFrameWithWrongKeyCountIsRejected) {
+  // The count is every cell's count plus every overflowed key's.
+  DleftCountingFilter one(100);
+  ASSERT_TRUE(one.Insert(0xC0A));
+  DleftCountingFilter f(1000);
+  InsertSome(&f, 0xC0EA, 150);
+  // Subtables, cells per bucket, fingerprint and counter bits, buckets per
+  // subtable, then the count.
+  ExpectWrongCountRejected(one, &f, /*count_at=*/5 * 8);
 }
 
 // Vector-quotient payload layout, in 8-byte words: remainder bits, seed,

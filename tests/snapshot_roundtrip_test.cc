@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include "core/filter_io.h"
+#include "core/metrics_sink.h"
 #include "core/registry.h"
+#include "core/sharded_filter.h"
 #include "cuckoo/cuckoo_maplet.h"
 #include "maplet/maplet.h"
 #include "quotient/quotient_maplet.h"
@@ -23,6 +25,7 @@
 #include "staticf/ribbon_filter.h"
 #include "staticf/xor_filter.h"
 #include "util/random.h"
+#include "workload/generators.h"
 
 namespace bbf {
 namespace {
@@ -240,6 +243,39 @@ TEST(SnapshotRoundtrip, MapletRejectsWrongFamily) {
   CuckooMaplet cm(100, 12, 8);
   std::istringstream is(std::move(ss).str());
   EXPECT_FALSE(cm.Load(is));
+}
+
+// Counts the run-scan events quotient probes report.
+class ProbeCounter : public MetricsSink {
+ public:
+  void OnKickChain(uint64_t) override {}
+  void OnProbeLength(uint64_t) override { ++probes; }
+  void OnExpansion() override {}
+  void OnAdapt() override {}
+  uint64_t probes = 0;
+};
+
+TEST(SnapshotRoundtrip, LoadKeepsTheMetricsSinkAttached) {
+  // ShardedFilter attaches its sink to each generation before loading it;
+  // the load's commit must keep it, or a reloaded shard goes dark.
+  const auto quotient = [](uint64_t capacity) {
+    return CreateFilter("quotient", capacity, 0.01);
+  };
+  ShardedFilter saved(4000, 4, quotient);
+  const std::vector<uint64_t> keys = GenerateDistinctKeys(2000, 0x51);
+  for (uint64_t k : keys) ASSERT_TRUE(saved.Insert(k));
+  std::stringstream snapshot;
+  ASSERT_TRUE(saved.Save(snapshot));
+
+  ShardedFilter loaded(4000, 4, quotient);
+  ProbeCounter sink;
+  loaded.AttachMetricsSink(&sink);
+  ShardedFilter::LoadReport report;
+  ASSERT_TRUE(loaded.LoadWithReport(snapshot, &report));
+  ASSERT_TRUE(report.AllHealthy());
+  for (uint64_t k : keys) ASSERT_TRUE(loaded.Contains(k));
+  // One run scan per lookup, each from a loaded generation.
+  EXPECT_EQ(sink.probes, keys.size());
 }
 
 TEST(SnapshotRoundtrip, BloomierMapletReportsUnsupported) {

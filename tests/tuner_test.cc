@@ -189,6 +189,58 @@ TEST(MigrationSeam, ForeignShardsQuarantineWithoutTagBuilder) {
   EXPECT_EQ(loaded.Stats()[1].num_keys, 0u);
 }
 
+TEST(MigrationSeam, EveryShardScoresItsShareOfTheFprSample) {
+  // The estimator samples on bits routing leaves free, so a power-of-two
+  // shard count still spreads the sample over every shard.
+  const uint64_t seed = TestSeed(9105);
+  BBF_ANNOUNCE_SEED(seed);
+  ShardedFilter f(40000, 16, FamilyFactory("quotient", 0.01));
+  ASSERT_TRUE(f.EnableMigration());
+  const std::vector<uint64_t> keys = GenerateDistinctKeys(20000, seed);
+  for (uint64_t k : keys) ASSERT_TRUE(f.Insert(k));
+  for (uint64_t k : GenerateNegativeKeys(keys, 40000, seed + 1)) {
+    f.Contains(k);
+  }
+  const auto stats = f.Stats();
+  for (size_t s = 0; s < stats.size(); ++s) {
+    EXPECT_GT(stats[s].fpr_negative_lookups, 0u) << "shard " << s;
+  }
+}
+
+TEST(MigrationSeam, LoadedShardsAreUntrackedAndEmptyRebuildsTracked) {
+  // A loaded shard's keys have no op history, so an estimator would score
+  // every lookup of them as a false positive: it has none, and no journal.
+  // A shard rebuilt empty by quarantine is tracked from its first op.
+  const uint64_t seed = TestSeed(9106);
+  BBF_ANNOUNCE_SEED(seed);
+  ShardedFilter saved(40000, 4, FamilyFactory("quotient", 0.01));
+  ASSERT_TRUE(saved.EnableMigration());
+  const std::vector<uint64_t> keys = GenerateDistinctKeys(40000, seed);
+  for (uint64_t k : keys) ASSERT_TRUE(saved.Insert(k));
+  // Shard 1 moves to a family the loader below cannot build.
+  ASSERT_TRUE(saved.MigrateShard(1, FamilyFactory("cuckoo", 0.01)).ok);
+  std::stringstream snapshot;
+  ASSERT_TRUE(saved.Save(snapshot));
+
+  ShardedFilter loaded(40000, 4, FamilyFactory("quotient", 0.01));
+  ASSERT_TRUE(loaded.EnableMigration());
+  ShardedFilter::LoadReport report;
+  ASSERT_TRUE(loaded.LoadWithReport(snapshot, &report));
+  ASSERT_EQ(report.quarantined, (std::vector<size_t>{1}));
+  for (uint64_t k : keys) loaded.Contains(k);
+  const auto stats = loaded.Stats();
+  for (size_t s = 0; s < stats.size(); ++s) {
+    if (s == 1) {
+      EXPECT_GE(stats[s].observed_fpr, 0.0);
+    } else {
+      EXPECT_EQ(stats[s].observed_fpr, -1.0) << "shard " << s;
+      EXPECT_EQ(stats[s].fpr_negative_lookups, 0u) << "shard " << s;
+    }
+  }
+  EXPECT_FALSE(loaded.MigrateShard(0, FamilyFactory("cuckoo", 0.01)).ok);
+  EXPECT_TRUE(loaded.MigrateShard(1, FamilyFactory("cuckoo", 0.01)).ok);
+}
+
 // --- Observability pull API -------------------------------------------------
 
 TEST(Signals, PullReadsTheShardedSurface) {
@@ -566,6 +618,48 @@ TEST(TunerLoop, FprBreachStacksWhenTrainingSampleAvailableAndRecovers) {
   ASSERT_GE(after.fpr_negative_lookups, 512u);
   EXPECT_LT(after.observed_fpr, 0.01)
       << "stacked shard must recover under the FPR budget";
+}
+
+TEST(TunerLoop, FprBreachOnANonZeroShardMigratesThatShard) {
+  // Only shard 2 is built at a loose epsilon. Every shard scores its share
+  // of the FPR sample, so the tuner finds the breach there.
+  const uint64_t seed = TestSeed(9107);
+  BBF_ANNOUNCE_SEED(seed);
+  int built = 0;
+  auto inner = std::make_unique<ShardedFilter>(
+      2048, 4, [&built](uint64_t cap) {
+        return CreateFilter("blocked-bloom", cap, built++ == 2 ? 0.25 : 1e-4);
+      });
+  ShardedFilter* sharded = inner.get();
+  ASSERT_TRUE(sharded->EnableMigration());
+  obs::InstrumentedFilter filter(std::move(inner), 0.01);
+  const std::vector<uint64_t> keys = GenerateDistinctKeys(2000, seed);
+  for (uint64_t k : keys) ASSERT_TRUE(filter.Insert(k));
+  const std::unordered_set<uint64_t> present(keys.begin(), keys.end());
+  SplitMix64 rng(seed + 1);
+  for (int scored = 0; scored < 4000;) {
+    const uint64_t k = rng.Next();
+    if (present.contains(k) || !ObservedFprEstimator::InDomain(HashedKey(k))) {
+      continue;
+    }
+    filter.Contains(k);
+    ++scored;
+  }
+
+  tuning::TunerConfig cfg;
+  cfg.fpr_budget = 0.01;
+  cfg.adapt_candidates.clear();  // Force the FPR policies, not repeat-FP.
+  tuning::Tuner tuner(filter, cfg);
+  const auto r = tuner.Poll();
+  EXPECT_EQ(r.decision.trigger, tuning::TunerTrigger::kFprBreach);
+  EXPECT_EQ(r.decision.shard, 2u);
+  ASSERT_TRUE(r.acted);
+  ASSERT_TRUE(r.report.ok) << r.report.error;
+  const auto stats = sharded->Stats();
+  for (size_t s = 0; s < stats.size(); ++s) {
+    EXPECT_EQ(stats[s].migrations, s == 2 ? 1u : 0u) << "shard " << s;
+  }
+  for (uint64_t k : keys) ASSERT_TRUE(filter.Contains(k));
 }
 
 TEST(TunerLoop, StackedMigrationRefusesEraseWorkloads) {
