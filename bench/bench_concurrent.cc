@@ -4,7 +4,11 @@
 //
 // E20 measures pure insert and lookup rates, scalar and in 128-key
 // batches, so the batch-vs-scalar gap and the thread-scaling curve land
-// in one table. Every insert and lookup cell must find every key.
+// in one table. Every insert and lookup cell must find every key. Scalar
+// lookups take no shard lock (the seqlock read path, DESIGN.md §9), and
+// a full run on a host with 4 or more CPUs gates their 4-thread rate at
+// 3x the 1-thread rate; a quick run or a smaller host writes the row and
+// says why it is ungated.
 //
 // E16 checks the paper's claim (§1, feature 6) that modern filters
 // "scale with the number of threads (i.e., achieve high concurrency)":
@@ -41,6 +45,10 @@ namespace {
 constexpr size_t kBatch = 128;  // Sub-batch for the pipelined modes.
 constexpr int kThreads[] = {1, 2, 4, 8};
 constexpr size_t kMixedOpsPerThread = 400'000;
+// E20's scaling gate: scalar lookups at kGateThreads threads reach
+// kMinLookupSpeedup times the 1-thread rate.
+constexpr int kGateThreads = 4;
+constexpr double kMinLookupSpeedup = 3.0;
 
 /// The chain policy keeps the bench honest if a shard saturates early.
 std::unique_ptr<Filter> MakeSharded(uint64_t capacity, int shards) {
@@ -115,21 +123,22 @@ int main(int argc, char** argv) {
   // which each op runs first.
   double base = 0;
   const auto record = [&](const char* filter, int threads, const char* op,
-                          const std::string& mode, const Spread& mops) {
+                          const std::string& mode, const Spread& mops) -> Row& {
     if (threads == 1 && mode == "scalar") base = mops.median;
     const double speedup = base > 0 ? mops.median / base : 0.0;
-    h.AddRow()
-        .Text("filter", filter)
-        .Int("threads", threads)
-        .Int("n", n)
-        .Text("op", op)
-        .Text("mode", mode)
-        .Cell("mops", mops)
-        .Num("speedup", speedup);
+    Row& row = h.AddRow()
+                   .Text("filter", filter)
+                   .Int("threads", threads)
+                   .Int("n", n)
+                   .Text("op", op)
+                   .Text("mode", mode)
+                   .Cell("mops", mops)
+                   .Num("speedup", speedup);
     std::printf("  %-18s threads=%d %-7s %-7s %9.2f Mops [%.2f, %.2f]  "
                 "%5.2fx\n",
                 filter, threads, op, mode.c_str(), mops.median, mops.p10,
                 mops.p90, speedup);
+    return row;
   };
 
   // E20 inserts: every thread loops Insert over its chunk, or calls
@@ -159,26 +168,42 @@ int main(int argc, char** argv) {
   }
 
   // E20 lookups, on the last filter built above. Positives sit at the
-  // even indices of the query stream; every one must be found.
+  // even indices of the query stream; every one must be found. The
+  // scaling gate needs as many CPUs as threads, and the full-size filter.
+  const char* ungated =
+      h.quick() ? "quick run"
+      : std::thread::hardware_concurrency() < kGateThreads
+          ? "fewer CPUs than threads"
+          : nullptr;
   std::vector<uint8_t> answers(queries.size());
   for (const bool batch : {false, true}) {
     const std::string mode = batch ? "batch" : "scalar";
     for (int threads : kThreads) {
       std::fill(answers.begin(), answers.end(), 0);
-      record("sharded-cuckoo", threads, "lookup", mode,
-             h.Rate(queries.size(), [&] {
-               Drive(queries.size(), threads, [&](size_t b, size_t e, int) {
-                 for (; b < e; b += batch ? kBatch : 1) {
-                   if (batch) {
-                     f->ContainsMany(
-                         {queries.data() + b, std::min(kBatch, e - b)},
-                         answers.data() + b);
-                   } else {
-                     answers[b] = f->Contains(queries[b]);
-                   }
-                 }
-               });
-             }));
+      const Spread mops = h.Rate(queries.size(), [&] {
+        Drive(queries.size(), threads, [&](size_t b, size_t e, int) {
+          for (; b < e; b += batch ? kBatch : 1) {
+            if (batch) {
+              f->ContainsMany({queries.data() + b, std::min(kBatch, e - b)},
+                              answers.data() + b);
+            } else {
+              answers[b] = f->Contains(queries[b]);
+            }
+          }
+        });
+      });
+      Row& row = record("sharded-cuckoo", threads, "lookup", mode, mops);
+      if (!batch && threads == kGateThreads) {
+        const std::string gate = "lookup scalar threads=" +
+                                 std::to_string(threads) +
+                                 " speedup over threads=1";
+        if (ungated == nullptr) {
+          h.Gate(gate, mops.median / base, Cmp::kAtLeast, kMinLookupSpeedup);
+        } else {
+          row.Text("ungated", ungated);
+          std::printf("  %s: ungated (%s)\n", gate.c_str(), ungated);
+        }
+      }
       bool found = true;
       for (size_t i = 0; i < answers.size(); i += 2) found &= answers[i] != 0;
       h.Check(found, "lookup " + mode + " threads=" + std::to_string(threads) +

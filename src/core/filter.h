@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <span>
 #include <string_view>
@@ -87,6 +88,19 @@ class Filter {
   /// Membership query: always true for inserted keys; true with probability
   /// <= epsilon for others.
   virtual bool Contains(HashedKey key) const = 0;
+
+  /// Contains for a reader that holds no lock and validates afterwards
+  /// with a sequence counter (ShardedFilter's seqlock read path, DESIGN.md
+  /// §9). A family that answers reads every word a writer may change
+  /// through an acquire load, and its writers store those words with
+  /// release stores, so the overlapping probe is free of data races; an
+  /// answer from a probe that overlapped a writer may still be wrong, and
+  /// the caller discards it. nullopt means the family cannot probe while
+  /// a writer runs: the default, which touches no member. Whether a
+  /// family answers is fixed per family, whatever the key or the state.
+  virtual std::optional<bool> SpeculativeContains(HashedKey) const {
+    return std::nullopt;
+  }
 
   /// Batched membership: writes 0/1 to `out[i]` for each `keys[i]`,
   /// bit-for-bit identical to calling Contains in a loop. The base

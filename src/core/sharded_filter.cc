@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -39,6 +40,9 @@ constexpr int kMaxCatchupRounds = 8;
 // A catch-up round that drains the replay backlog to this size or below
 // stops iterating: the remainder is cheap enough to drain under the lock.
 constexpr size_t kFinalDrainTarget = 64;
+
+// Unlocked probes a scalar Contains tries before it takes the shard lock.
+constexpr int kUnlockedAttempts = 2;
 
 uint64_t MonotonicNanos() {
   return static_cast<uint64_t>(
@@ -114,6 +118,55 @@ int SaturationConfig::GenerationsForFprBudget(double per_generation_fpr,
   return std::max(1, static_cast<int>(fpr_budget / per_generation_fpr));
 }
 
+class ShardedFilter::WriteLock {
+ public:
+  // Only a shard that publishes a generation can have unlocked readers,
+  // and a live shard never starts publishing (Publish runs on fresh
+  // shards only), so a section that starts unpublished skips the counter.
+  explicit WriteLock(Shard& shard)
+      : shard_(shard),
+        lock_(shard.mutex),
+        published_(shard.published.load(std::memory_order_relaxed) !=
+                   nullptr) {
+    // Odd before the first mutation. Relaxed suffices: every store an
+    // unlocked reader loads is a release store, which carries this one
+    // to any reader that sees it.
+    if (published_) Bump(std::memory_order_relaxed);
+  }
+  ~WriteLock() {
+    if (!published_) return;
+    // Chaining a generation or arming migration ends the publication;
+    // nothing in a section starts one.
+    if (shard_.tracking != nullptr || shard_.gens.size() != 1) {
+      shard_.published.store(nullptr, std::memory_order_release);
+    }
+    Bump(std::memory_order_release);
+  }
+  WriteLock(const WriteLock&) = delete;
+  WriteLock& operator=(const WriteLock&) = delete;
+
+ private:
+  void Bump(std::memory_order order) {
+    shard_.seq.store(shard_.seq.load(std::memory_order_relaxed) + 1, order);
+  }
+
+  Shard& shard_;
+  std::unique_lock<std::shared_mutex> lock_;
+  const bool published_;
+};
+
+void ShardedFilter::Publish(Shard& shard) {
+  // Chained shards probe several generations, and tracked ones score the
+  // FPR estimator under the lock: both keep locking, as do families that
+  // cannot probe beside a writer. Whether a family answers does not
+  // depend on the key, so one probe asks.
+  const Filter& gen = *shard.gens.front();
+  const bool unlocked =
+      shard.tracking == nullptr && shard.gens.size() == 1 &&
+      gen.SpeculativeContains(HashedKey(uint64_t{0})).has_value();
+  shard.published.store(unlocked ? &gen : nullptr, std::memory_order_release);
+}
+
 std::unique_ptr<ShardedFilter::Shard> ShardedFilter::MakeShard() const {
   auto shard = std::make_unique<Shard>();
   shard->gens.push_back(factory_(per_shard_capacity_));
@@ -124,6 +177,7 @@ std::unique_ptr<ShardedFilter::Shard> ShardedFilter::MakeShard() const {
   // A freshly built shard is empty, so its (empty) journal is a complete
   // op history — quarantine rebuilds stay migratable.
   if (migration_enabled_) shard->tracking = std::make_unique<Tracking>();
+  Publish(*shard);
   return shard;
 }
 
@@ -163,7 +217,7 @@ Filter& ShardedFilter::AddGenerationLocked(Shard& shard) {
 void ShardedFilter::AttachMetricsSink(MetricsSink* sink) {
   Filter::AttachMetricsSink(sink);
   for (const auto& shard : shards_) {
-    std::unique_lock lock(shard->mutex);
+    WriteLock lock(*shard);
     for (const auto& gen : shard->gens) gen->AttachMetricsSink(sink);
   }
 }
@@ -244,7 +298,7 @@ InsertOutcome ShardedFilter::InsertPolicyLocked(Shard& shard, HashedKey key) {
 
 InsertOutcome ShardedFilter::InsertWithStatus(HashedKey key) {
   Shard& shard = *shards_[ShardOf(key)];
-  std::unique_lock lock(shard.mutex);
+  WriteLock lock(shard);
   return InsertIntoShardLocked(shard, key);
 }
 
@@ -254,6 +308,23 @@ bool ShardedFilter::Insert(HashedKey key) {
 
 bool ShardedFilter::Contains(HashedKey key) const {
   const Shard& shard = *shards_[ShardOf(key)];
+  // The seqlock read: probe the published generation without writing
+  // shared memory, and keep the answer only if the counter read the same
+  // even value on both sides; an unpublished shard goes to the lock. The
+  // first load's acquire orders the probe after the last writer's
+  // closing release store. The probe's loads are acquire loads, so the
+  // second counter load cannot move above them; and a probe that read
+  // any store of a later writer also sees that writer's odd store, so it
+  // reads a changed counter.
+  for (int attempt = 0; attempt < kUnlockedAttempts; ++attempt) {
+    const uint64_t seq = shard.seq.load(std::memory_order_acquire);
+    if (seq & 1) continue;
+    const Filter* gen = shard.published.load(std::memory_order_acquire);
+    if (gen == nullptr) break;
+    const std::optional<bool> hit = gen->SpeculativeContains(key);
+    if (!hit.has_value()) break;
+    if (shard.seq.load(std::memory_order_relaxed) == seq) return *hit;
+  }
   std::shared_lock lock(shard.mutex);
   bool hit = false;
   for (const auto& gen : shard.gens) {
@@ -359,7 +430,7 @@ size_t ShardedFilter::InsertMany(std::span<const HashedKey> keys) {
   }
   const auto insert = [&](Shard& shard, std::span<const HashedKey> sub,
                           const size_t*, uint8_t*) {
-    std::unique_lock lock(shard.mutex);
+    WriteLock lock(shard);
     Filter& cur = *shard.gens.back();
     // Fast path: if the whole sub-batch fits under the threshold, hand it
     // to the newest generation's prefetch-pipelined InsertMany. The
@@ -398,7 +469,7 @@ void ShardedFilter::InsertManyWithStatus(std::span<const HashedKey> keys,
   }
   const auto insert = [&](Shard& shard, std::span<const HashedKey> sub,
                           const size_t* src, uint8_t*) {
-    std::unique_lock lock(shard.mutex);
+    WriteLock lock(shard);
     // Always the per-key policy path: the InsertMany fast path returns
     // only a count, which cannot be attributed to keys when a family
     // refuses some of a sub-batch — and guessing would ack a key that
@@ -412,7 +483,7 @@ void ShardedFilter::InsertManyWithStatus(std::span<const HashedKey> keys,
 
 bool ShardedFilter::Erase(HashedKey key) {
   Shard& shard = *shards_[ShardOf(key)];
-  std::unique_lock lock(shard.mutex);
+  WriteLock lock(shard);
   // Newest first: recent inserts are the likeliest erase targets.
   for (auto it = shard.gens.rbegin(); it != shard.gens.rend(); ++it) {
     if ((*it)->Erase(key)) {
@@ -519,9 +590,9 @@ uint64_t ShardedFilter::TotalMigrations() const {
 bool ShardedFilter::EnableMigration(size_t journal_cap) {
   // All shard locks held at once (ordered, so no deadlock risk) so the
   // emptiness check and the arm are one atomic step across the filter.
-  std::vector<std::unique_lock<std::shared_mutex>> locks;
-  locks.reserve(shards_.size());
-  for (const auto& shard : shards_) locks.emplace_back(shard->mutex);
+  // Arming unpublishes every shard's generation as the locks close.
+  std::deque<WriteLock> locks;
+  for (const auto& shard : shards_) locks.emplace_back(*shard);
   for (const auto& shard : shards_) {
     for (const auto& gen : shard->gens) {
       if (gen->NumKeys() > 0) return false;
@@ -560,7 +631,7 @@ ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
   }
   Shard& shard = *shards_[shard_idx];
   auto fail = [&](std::string error) {
-    std::unique_lock lock(shard.mutex);
+    WriteLock lock(shard);
     shard.migrating = false;
     report.error = std::move(error);
     return report;
@@ -570,7 +641,7 @@ ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
   // pause writers see at this point; serving resumes immediately.
   std::vector<FilterJournalOp> snapshot_ops;
   {
-    std::unique_lock lock(shard.mutex);
+    WriteLock lock(shard);
     if (!migration_enabled_ || shard.tracking == nullptr) {
       report.error = "migration not enabled for this shard";
       return report;
@@ -641,7 +712,7 @@ ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
   // Final drain and swap under the exclusive lock — the migration pause.
   const uint64_t pause_start = MonotonicNanos();
   {
-    std::unique_lock lock(shard.mutex);
+    WriteLock lock(shard);
     const char* error = backlog_error();
     Tracking& t = *shard.tracking;
     const std::span<const FilterJournalOp> journal(t.journal);
@@ -656,6 +727,13 @@ ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
     report.replayed_ops += t.journal.size() - cursor;
     successor->AttachMetricsSink(sink_);
     report.to_family = std::string(successor->Name());
+    // Only an untracked shard publishes, so only the generations of a
+    // shard's first migration can have been published; an unlocked
+    // reader may still be probing one of them. Later successors were
+    // built tracked and are freed when swapped out.
+    if (shard.migrations == 0) {
+      for (auto& gen : shard.gens) shard.parked.push_back(std::move(gen));
+    }
     shard.gens.clear();
     shard.gens.push_back(std::move(successor));
     SetNewestCapacity(shard, capacity);
@@ -840,6 +918,7 @@ bool ShardedFilter::LoadWithReport(std::istream& is, LoadReport* report) {
       // untracked (no journal, no FPR scoring) until the filter is emptied
       // and EnableMigration runs again.
       shard->tracking.reset();
+      Publish(*shard);
       ++report->healthy_shards;
     } else {
       // Quarantine: any bad generation rebuilds the whole shard empty so

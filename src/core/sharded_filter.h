@@ -1,6 +1,7 @@
 #ifndef BBF_CORE_SHARDED_FILTER_H_
 #define BBF_CORE_SHARDED_FILTER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -81,10 +82,18 @@ struct SaturationConfig {
 
 /// Thread scaling (§1, feature 6): a hash-sharded wrapper that turns any
 /// dynamic filter into a concurrent one. Keys partition across S
-/// independent shards by high hash bits; each shard is guarded by its own
-/// reader-writer lock, so queries proceed fully in parallel and inserts
-/// contend only within a shard — the standard recipe behind concurrent
-/// CQF deployments.
+/// independent shards by hash; each shard is guarded by its own
+/// reader-writer lock, so inserts contend only within a shard — the
+/// standard recipe behind concurrent CQF deployments.
+///
+/// Scalar lookups write no shared memory when they can avoid it: a shard
+/// publishes its generation while it has exactly one, tracks no migration
+/// journal, and its family answers SpeculativeContains (cuckoo does), and
+/// its writers then keep a sequence counter odd while they hold the lock.
+/// Contains probes a published generation unlocked and keeps the answer
+/// only when the counter read the same even value before and after (a
+/// seqlock, DESIGN.md §9); otherwise it takes the shared lock. Batch
+/// paths, Count, Save and Stats always lock.
 ///
 /// Overload behaviour: each shard is a chain of generations (usually one).
 /// When the newest generation crosses the configured load threshold the
@@ -308,7 +317,15 @@ class ShardedFilter : public Filter {
   };
 
   struct Shard {
-    mutable std::shared_mutex mutex;
+    // The seqlock read path's state, on a cache line of its own so an
+    // unlocked lookup shares it with no lock word and no other shard.
+    // `published` is gens[0] while the shard is untracked with one
+    // generation whose family answers SpeculativeContains, else null;
+    // once null it stays null for the life of the Shard. While it is
+    // set, `seq` is odd whenever a writer holds `mutex`.
+    alignas(64) std::atomic<uint64_t> seq{0};
+    std::atomic<const Filter*> published{nullptr};
+    alignas(64) mutable std::shared_mutex mutex;
     // Generations, oldest first; inserts target back(). Never empty.
     std::vector<std::unique_ptr<Filter>> gens;
     uint64_t newest_capacity;  // Capacity back() was built with.
@@ -324,7 +341,20 @@ class ShardedFilter : public Filter {
     // by EnableMigration and by an empty rebuild after it, absent on a
     // shard loaded from a snapshot (its keys have no op history).
     std::unique_ptr<Tracking> tracking;
+    // Generations a shard's first migration swapped out: one of them may
+    // have been published, and an unlocked reader never registers, so
+    // they live until the shard is freed (Load or destruction).
+    std::vector<std::unique_ptr<Filter>> parked;
   };
+
+  // A shard's exclusive section: holds its mutex and, on a publishing
+  // shard, keeps its counter odd and withdraws the publication when the
+  // section ends it, before the closing even store.
+  class WriteLock;
+
+  // Sets shard.published on a shard no other thread can see yet (built,
+  // or loaded).
+  static void Publish(Shard& shard);
 
   size_t ShardOf(HashedKey key) const;
   // Groups a batch by shard and calls body(shard, sub, src, res) once per

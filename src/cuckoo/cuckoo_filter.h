@@ -35,6 +35,11 @@ class CuckooFilter : public Filter {
   bool Contains(HashedKey key) const override {
     return table_.Contains(table_.ProbeOf(key));
   }
+  /// The table's probe reads through acquire loads, so it can overlap a
+  /// writer (CuckooTable's class comment).
+  std::optional<bool> SpeculativeContains(HashedKey key) const override {
+    return table_.Contains(table_.ProbeOf(key));
+  }
   /// Batch paths: derive a tile of keys, prefetch both candidate buckets
   /// per key, then probe/place — one pipeline of independent cache misses
   /// instead of two dependent misses per key. Bucket scans go through the

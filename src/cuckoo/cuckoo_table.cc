@@ -34,7 +34,7 @@ bool CuckooTable::Kick(const Probe& p, uint64_t value, uint64_t* kicks) {
   // so record every displaced cell and, if the chain dead-ends, unwind
   // it exactly — mutating the table and then dropping the last victim
   // would manufacture a false negative for an acknowledged key.
-  const bool may_need_unwind = stash_.size() >= kMaxStash;
+  const bool may_need_unwind = stash_size_ >= kMaxStash;
   std::vector<uint64_t> path;  // Cell per kick.
   if (may_need_unwind) path.reserve(kMaxKicks);
   uint64_t fp = p.fp;
@@ -71,14 +71,19 @@ bool CuckooTable::Kick(const Probe& p, uint64_t value, uint64_t* kicks) {
     }
     return false;  // Table bit-for-bit as before; the insert never happened.
   }
-  stash_.push_back({bucket, fp, value});
+  SetStashEntry(stash_size_, {bucket, fp, value});
+  Release(stash_size_, stash_size_ + 1);
   ++num_keys_;
   return true;
 }
 
 bool CuckooTable::StashHolds(const Probe& p) const {
-  return std::any_of(stash_.begin(), stash_.end(),
-                     [&](const StashEntry& e) { return Holds(e, p); });
+  const size_t n = Acquire(stash_size_);
+  for (size_t i = 0; i < n; ++i) {
+    const StashEntry e{Acquire(stash_[i].bucket), Acquire(stash_[i].fp), 0};
+    if (Holds(e, p)) return true;
+  }
+  return false;
 }
 
 void CuckooTable::ContainsTile(const Probe* p, size_t n, uint8_t* out) const {
@@ -99,7 +104,7 @@ void CuckooTable::ContainsTile(const Probe* p, size_t n, uint8_t* out) const {
                                            fp, layout_, n, out);
   // Stash fix-up only for misses, and only when a stash exists at all (it
   // is empty until an insert dead-ends, i.e. almost always).
-  if (stash_.empty()) return;
+  if (stash_size_ == 0) return;
   for (size_t j = 0; j < n; ++j) {
     if (!out[j]) out[j] = StashHolds(p[j]);
   }
@@ -108,7 +113,7 @@ void CuckooTable::ContainsTile(const Probe* p, size_t n, uint8_t* out) const {
 uint64_t CuckooTable::Count(const Probe& p) const {
   uint64_t count = Popcount(MatchMask(p.i1, p.fp));
   if (p.i2 != p.i1) count += Popcount(MatchMask(p.i2, p.fp));
-  for (const StashEntry& e : stash_) {
+  for (const StashEntry& e : Stash()) {
     count += InStash(e, p.i1, p.fp);
     if (p.i2 != p.i1) count += InStash(e, p.i2, p.fp);
   }
@@ -123,7 +128,7 @@ std::vector<uint64_t> CuckooTable::Values(const Probe& p) const {
     if ((m1 >> s) & 1) out.push_back(Value(p.i1 * kSlotsPerBucket + s));
     if ((m2 >> s) & 1) out.push_back(Value(p.i2 * kSlotsPerBucket + s));
   }
-  for (const StashEntry& e : stash_) {
+  for (const StashEntry& e : Stash()) {
     if (Holds(e, p)) out.push_back(e.value);
   }
   return out;
@@ -157,9 +162,13 @@ bool CuckooTable::EraseValue(const Probe& p, uint64_t value) {
 }
 
 bool CuckooTable::EraseFromStash(const Probe& p, uint64_t value) {
-  for (auto it = stash_.begin(); it != stash_.end(); ++it) {
-    if (Holds(*it, p) && it->value == value) {
-      stash_.erase(it);
+  for (size_t i = 0; i < stash_size_; ++i) {
+    if (Holds(stash_[i], p) && stash_[i].value == value) {
+      // Close the gap in place, so the stash keeps its arrival order.
+      for (size_t j = i + 1; j < stash_size_; ++j) {
+        SetStashEntry(j - 1, stash_[j]);
+      }
+      Release(stash_size_, stash_size_ - 1);
       --num_keys_;
       return true;
     }
@@ -174,8 +183,8 @@ bool CuckooTable::Save(std::ostream& os) const {
   WriteU64(os, num_keys_);
   fingerprints_.Save(os);
   if (HasValues()) values_.Save(os);
-  WriteU64(os, stash_.size());
-  for (const StashEntry& e : stash_) {
+  WriteU64(os, stash_size_);
+  for (const StashEntry& e : Stash()) {
     if (HasValues()) {
       WriteU64(os, e.bucket);
       WriteU64(os, e.fp);
@@ -209,8 +218,9 @@ bool CuckooTable::Load(std::istream& is) {
   }
   uint64_t stash_size;
   if (!ReadU64Capped(is, &stash_size, kMaxStash)) return false;
-  fresh.stash_.resize(stash_size);
-  for (StashEntry& e : fresh.stash_) {
+  fresh.stash_size_ = stash_size;
+  for (size_t i = 0; i < stash_size; ++i) {
+    StashEntry& e = fresh.stash_[i];
     if (HasValues()) {
       if (!ReadU64(is, &e.bucket) || !ReadU64(is, &e.fp) ||
           !ReadU64(is, &e.value)) {
@@ -233,7 +243,7 @@ bool CuckooTable::Load(std::istream& is) {
 bool CuckooTable::CheckInvariants() const {
   // Each stash entry names a bucket of the table and a nonzero f-bit
   // fingerprint, and each key is one occupied cell or one stash entry.
-  for (const StashEntry& e : stash_) {
+  for (const StashEntry& e : Stash()) {
     if (e.bucket >= num_buckets_ || e.fp == 0 ||
         e.fp > LowMask(fingerprint_bits_)) {
       return false;
@@ -243,7 +253,7 @@ bool CuckooTable::CheckInvariants() const {
   for (uint64_t i = 0; i < num_cells(); ++i) {
     occupied += fingerprints_.Get(i) != 0;
   }
-  return num_keys_ == occupied + stash_.size();
+  return num_keys_ == occupied + stash_size_;
 }
 
 }  // namespace bbf

@@ -1,10 +1,13 @@
 #ifndef BBF_CUCKOO_CUCKOO_TABLE_H_
 #define BBF_CUCKOO_CUCKOO_TABLE_H_
 
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <vector>
 
 #include "core/key.h"
@@ -31,6 +34,13 @@ namespace bbf {
 /// fit one word, the per-slot loop when they are wider than 16 bits.
 /// Every order-sensitive choice follows the per-slot loop's slot order,
 /// so table contents and snapshots are the same on every kernel.
+///
+/// Contains may run while a writer mutates the table, for a caller that
+/// validates its answer with a sequence counter (DESIGN.md §9): Contains
+/// reads fingerprint words, stash entries and the stash size through
+/// acquire loads, and every mutation stores them with release stores.
+/// On x86 both are plain moves. ContainsTile's batch kernel reads plain
+/// words and needs the caller's lock.
 class CuckooTable {
  public:
   static constexpr int kSlotsPerBucket = 4;
@@ -62,12 +72,12 @@ class CuckooTable {
   int fingerprint_bits() const { return fingerprint_bits_; }
   uint64_t num_cells() const { return fingerprints_.size(); }
   uint64_t num_keys() const { return num_keys_; }
-  size_t stash_size() const { return stash_.size(); }
+  size_t stash_size() const { return stash_size_; }
   /// Every cell's fingerprint and value bits, plus 64 bits per stash entry
   /// (128 with a value plane).
   size_t SpaceBits() const {
     return num_cells() * (fingerprint_bits_ + values_.width()) +
-           stash_.size() * (HasValues() ? 128 : 64);
+           stash_size_ * (HasValues() ? 128 : 64);
   }
 
   Probe ProbeOf(HashedKey key) const {
@@ -98,6 +108,8 @@ class CuckooTable {
     return Kick(p, value, kicks);
   }
 
+  /// Safe beside a concurrent writer (see the class comment), though its
+  /// answer is then only as good as the caller's validation.
   bool Contains(const Probe& p) const {
     if (layout_.PackedEligible()) {
       if (simd::ActiveCuckooKernel().contains2(
@@ -107,7 +119,7 @@ class CuckooTable {
     } else if ((MatchMask(p.i1, p.fp) | MatchMask(p.i2, p.fp)) != 0) {
       return true;
     }
-    return !stash_.empty() && StashHolds(p);
+    return Acquire(stash_size_) != 0 && StashHolds(p);
   }
 
   /// Contains for n <= kTile keys whose buckets the caller prefetched.
@@ -147,14 +159,37 @@ class CuckooTable {
     uint64_t value;  // 0 without a value plane.
   };
 
+  template <typename T>
+  static T Acquire(const T& word) {
+    // The table's words are never const objects; the cast only lets a
+    // const probe name them.
+    return std::atomic_ref<T>(const_cast<T&>(word))
+        .load(std::memory_order_acquire);
+  }
+  template <typename T>
+  static void Release(T& word, T value) {
+    std::atomic_ref<T>(word).store(value, std::memory_order_release);
+  }
+
   bool HasValues() const { return values_.width() != 0; }
   uint64_t AltIndex(uint64_t index, uint64_t fp) const {
     // Partial-key cuckoo hashing: the pair relation is an involution.
     return (index ^ Hash64(fp, hash_seed_ + 2)) & (num_buckets_ - 1);
   }
+  /// Bits [pos, pos + width) of the fingerprint plane, one acquire load
+  /// per word: BitVector::GetBits for a reader that may overlap a writer.
+  uint64_t LoadBits(uint64_t pos, int width) const {
+    const uint64_t* words = fingerprints_.Words();
+    const uint64_t w = pos >> 6;
+    const int off = static_cast<int>(pos & 63);
+    uint64_t v = Acquire(words[w]) >> off;
+    if (off + width > 64) v |= Acquire(words[w + 1]) << (64 - off);
+    return v & LowMask(width);
+  }
   /// The whole bucket as one packed word; only when PackedEligible().
   uint64_t BucketBits(uint64_t bucket) const {
-    return fingerprints_.GetRun4(bucket * kSlotsPerBucket);
+    return LoadBits(fingerprints_.BitOffset(bucket * kSlotsPerBucket),
+                    fingerprint_bits_ * kSlotsPerBucket);
   }
   /// The one bucket match: bit s is set when slot s of `bucket` holds
   /// `fp` (fp == 0 finds the empty slots).
@@ -165,8 +200,10 @@ class CuckooTable {
     }
     uint32_t mask = 0;
     for (int s = 0; s < kSlotsPerBucket; ++s) {
+      const uint64_t cell = bucket * kSlotsPerBucket + s;
       mask |= static_cast<uint32_t>(
-                  fingerprints_.Get(bucket * kSlotsPerBucket + s) == fp)
+                  LoadBits(fingerprints_.BitOffset(cell), fingerprint_bits_) ==
+                  fp)
               << s;
     }
     return mask;
@@ -174,8 +211,22 @@ class CuckooTable {
   uint64_t Value(uint64_t cell) const {
     return HasValues() ? values_.Get(cell) : 0;
   }
+  /// Stores a cell's fingerprint with one release store per word it
+  /// touches (BitVector::SetBits for readers that may overlap), and its
+  /// value, which only locked callers read, plainly.
   void SetCell(uint64_t cell, uint64_t fp, uint64_t value) {
-    fingerprints_.Set(cell, fp);
+    uint64_t* words = fingerprints_.MutableWords();
+    const uint64_t pos = fingerprints_.BitOffset(cell);
+    const int width = fingerprint_bits_;
+    fp &= LowMask(width);
+    const uint64_t w = pos >> 6;
+    const int off = static_cast<int>(pos & 63);
+    Release(words[w], (words[w] & ~(LowMask(width) << off)) | (fp << off));
+    if (off + width > 64) {
+      const int spill = off + width - 64;
+      Release(words[w + 1],
+              (words[w + 1] & ~LowMask(spill)) | (fp >> (width - spill)));
+    }
     if (HasValues()) values_.Set(cell, value);
   }
   void ClearCell(uint64_t cell) {
@@ -203,6 +254,17 @@ class CuckooTable {
   bool Holds(const StashEntry& e, const Probe& p) const {
     return InStash(e, p.i1, p.fp) || InStash(e, p.i2, p.fp);
   }
+  /// The live stash entries, for callers that exclude writers.
+  std::span<const StashEntry> Stash() const {
+    return {stash_.data(), stash_size_};
+  }
+  /// Writes stash entry i's bucket and fingerprint with release stores.
+  void SetStashEntry(size_t i, const StashEntry& e) {
+    Release(stash_[i].bucket, e.bucket);
+    Release(stash_[i].fp, e.fp);
+    stash_[i].value = e.value;
+  }
+  /// Whether a stash entry holds the key, through acquire loads.
   bool StashHolds(const Probe& p) const;
   /// Removes the first stash entry holding (p.fp, value).
   bool EraseFromStash(const Probe& p, uint64_t value);
@@ -216,7 +278,10 @@ class CuckooTable {
   simd::BucketLayout layout_;
   CompactVector fingerprints_;  // num_buckets * 4 cells; 0 = empty.
   CompactVector values_;        // Width 0 without a value plane.
-  std::vector<StashEntry> stash_;  // Homeless kick victims (rare).
+  // Homeless kick victims (rare), in arrival order: a fixed array, so a
+  // reader that overlaps a writer never follows a reallocated buffer.
+  std::array<StashEntry, kMaxStash> stash_{};
+  size_t stash_size_ = 0;
   SplitMix64 kick_rng_;
   uint64_t num_keys_ = 0;
 };

@@ -34,6 +34,7 @@ class CompactVector {
   /// Raw word storage plus the bit offset of entry `i`, for kernels that
   /// read packed runs themselves.
   const uint64_t* Words() const { return bits_.Words(); }
+  uint64_t* MutableWords() { return bits_.MutableWords(); }
   uint64_t BitOffset(uint64_t i) const { return i * width_; }
 
   /// Hints the cache lines holding entries [i, i + count) into cache; the

@@ -7,9 +7,15 @@
 //   * NumKeys accounting is exact: acks + batch counts - erase successes;
 //   * a snapshot taken mid-storm always loads back fully healthy.
 // Run under ThreadSanitizer in CI (the `tsan` job); any lock-discipline
-// slip in ShardedFilter or a shard family shows up here first.
+// slip in ShardedFilter or a shard family shows up here first. The last
+// three cases race unlocked scalar lookups (the seqlock read path,
+// DESIGN.md §9) against cuckoo kicks, chaining and migration swaps; the
+// `sanitize` job runs them under ASan, which sees a stale reader probe a
+// freed generation.
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -466,6 +472,234 @@ TEST(ConcurrentStress, InstrumentedCountersMatchPerThreadTallies) {
   // partitioned keys and multiset erase semantics a sampled key the
   // filter acknowledged can never go missing.
   EXPECT_EQ(counter("sampled_false_negatives_total"), 0u);
+}
+
+// The seqlock read path (DESIGN.md §9) while kicks move keys. One cuckoo
+// shard holds 410 stable keys in 512 cells, and a writer churns about 40
+// more through it (load 0.82-0.88), so its inserts kick stable keys
+// between their two buckets. Mid-chain a kicked key sits in neither
+// bucket, and an unlocked probe that lands then answers "absent": only the
+// second counter read, which sees the writer's odd store, keeps that
+// answer from the caller. Two readers loop over the stable keys for the
+// whole storm and must never miss one.
+TEST(ConcurrentStress, UnlockedLookupsSurviveKicksOfStableKeys) {
+  const uint64_t seed = TestSeed(2028);
+  BBF_ANNOUNCE_SEED(seed);
+
+  SaturationConfig config;
+  config.policy = SaturationPolicy::kReject;
+  config.load_threshold = 1.0;
+  // 300 expected keys size the one shard for 391, which the cuckoo table
+  // rounds up to 128 buckets of 4 cells.
+  ShardedFilter f(
+      300, 1,
+      [](uint64_t cap) -> std::unique_ptr<Filter> {
+        return std::make_unique<CuckooFilter>(cap, 12);
+      },
+      config);
+  constexpr double kCells = 512;
+  constexpr size_t kStable = 410;
+  constexpr size_t kChurn = 40;
+  SplitMix64 rng(seed);
+  std::vector<uint64_t> stable(kStable);
+  for (uint64_t& key : stable) {
+    key = rng.Next();
+    ASSERT_TRUE(f.Insert(key));
+  }
+  ASSERT_DOUBLE_EQ(f.LoadFactor(), kStable / kCells);
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> misses{0};
+  std::atomic<uint64_t> lookups{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      uint64_t local_misses = 0;
+      uint64_t local_lookups = 0;
+      while (!done.load(std::memory_order_acquire)) {
+        for (uint64_t key : stable) local_misses += !f.Contains(key);
+        local_lookups += stable.size();
+      }
+      misses.fetch_add(local_misses, std::memory_order_relaxed);
+      lookups.fetch_add(local_lookups, std::memory_order_relaxed);
+    });
+  }
+
+  std::vector<uint64_t> churn;
+  uint64_t inserts = 0;
+  uint64_t erase_failures = 0;
+  double min_load = 1.0;
+  double max_load = 0.0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (std::chrono::steady_clock::now() < deadline) {
+    for (int i = 0; i < 64; ++i) {
+      if (churn.size() >= kChurn) {
+        const size_t j = rng.NextBelow(churn.size());
+        erase_failures += !f.Erase(churn[j]);
+        churn[j] = churn.back();
+        churn.pop_back();
+      }
+      const uint64_t key = rng.Next();
+      ++inserts;
+      if (f.Insert(key)) churn.push_back(key);
+    }
+    const double load = f.LoadFactor();
+    min_load = std::min(min_load, load);
+    max_load = std::max(max_load, load);
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+
+  EXPECT_EQ(misses.load(), 0u) << "over " << lookups.load() << " lookups and "
+                               << inserts << " churn inserts";
+  EXPECT_EQ(erase_failures, 0u);
+  EXPECT_GT(lookups.load(), 0u);
+  EXPECT_GE(min_load, 0.82);
+  EXPECT_LE(max_load, 0.88);
+  uint64_t missing = 0;
+  for (uint64_t key : stable) missing += !f.Contains(key);
+  EXPECT_EQ(missing, 0u);
+}
+
+// Publication flips while readers run: tiny kChain cuckoo shards publish
+// their one generation, and the first chained generation unpublishes the
+// shard, so unlocked probes race the switch to the locked path. Readers
+// probe keys as soon as the writer acks them; none may read absent.
+TEST(ConcurrentStress, ChainingUnpublishesShardsWithoutMissingAckedKeys) {
+  const uint64_t seed = TestSeed(2029);
+  BBF_ANNOUNCE_SEED(seed);
+  constexpr int kRounds = 10;
+  constexpr size_t kKeys = 3000;
+
+  SaturationConfig config;
+  config.policy = SaturationPolicy::kChain;
+  config.load_threshold = 0.85;
+  config.max_generations = 6;
+  for (int round = 0; round < kRounds; ++round) {
+    ShardedFilter f(
+        64, 4,
+        [](uint64_t cap) -> std::unique_ptr<Filter> {
+          return std::make_unique<CuckooFilter>(cap, 12);
+        },
+        config);
+    // The writer fills acked[n] before it publishes n + 1.
+    std::vector<uint64_t> acked(kKeys);
+    std::atomic<size_t> num_acked{0};
+    std::atomic<bool> done{false};
+    std::atomic<uint64_t> misses{0};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 2; ++r) {
+      readers.emplace_back([&, r] {
+        SplitMix64 rrng(seed + static_cast<uint64_t>(round * 2 + r));
+        uint64_t local_misses = 0;
+        while (!done.load(std::memory_order_acquire)) {
+          const size_t n = num_acked.load(std::memory_order_acquire);
+          if (n == 0) continue;
+          local_misses += !f.Contains(acked[rrng.NextBelow(n)]);
+        }
+        misses.fetch_add(local_misses, std::memory_order_relaxed);
+      });
+    }
+    SplitMix64 rng(seed + 1000 + static_cast<uint64_t>(round));
+    size_t n = 0;
+    for (size_t i = 0; i < kKeys; ++i) {
+      const uint64_t key = rng.Next();
+      if (Accepted(f.InsertWithStatus(key))) {
+        acked[n] = key;
+        num_acked.store(++n, std::memory_order_release);
+      }
+    }
+    done.store(true, std::memory_order_release);
+    for (auto& r : readers) r.join();
+
+    EXPECT_EQ(misses.load(), 0u) << "round " << round;
+    uint64_t missing = 0;
+    for (size_t i = 0; i < n; ++i) missing += !f.Contains(acked[i]);
+    EXPECT_EQ(missing, 0u) << "round " << round;
+    size_t chained = 0;
+    for (const auto& s : f.Stats()) chained += s.generations > 1;
+    EXPECT_EQ(chained, static_cast<size_t>(f.num_shards()))
+        << "round " << round << ": a shard never chained";
+  }
+}
+
+// Parked generations (DESIGN.md §9). A reader that loaded a shard's
+// published generation just before EnableMigration may still be probing it
+// when the shard's first MigrateShard swaps it out, since unlocked readers
+// never register. The swap parks that generation rather than freeing it,
+// so such a probe reads live memory: the sanitize job runs this test under
+// ASan. Eight readers probe in a tight loop until the arm, so on fewer
+// cores some are preempted mid-probe; from the arm on they yield after
+// each probe, which lets the arm, the inserts and the migrations finish
+// while a preempted probe still holds its generation.
+TEST(ConcurrentStress, MigrationParksGenerationsThatStaleReadersMayProbe) {
+  const uint64_t seed = TestSeed(2030);
+  BBF_ANNOUNCE_SEED(seed);
+  constexpr int kRounds = 10;
+  constexpr size_t kKeys = 512;
+  const ShardedFilter::ShardFactory cuckoo =
+      [](uint64_t cap) -> std::unique_ptr<Filter> {
+    return std::make_unique<CuckooFilter>(cap, 12);
+  };
+
+  for (int round = 0; round < kRounds; ++round) {
+    ShardedFilter f(kKeys, 4, cuckoo);
+    // The writer fills acked[n] before it publishes n + 1.
+    std::vector<uint64_t> acked(kKeys);
+    std::atomic<size_t> num_acked{0};
+    std::atomic<bool> armed{false};
+    std::atomic<bool> done{false};
+    std::atomic<int> ready{0};
+    std::atomic<uint64_t> misses{0};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kThreads; ++r) {
+      readers.emplace_back([&, r] {
+        SplitMix64 rrng(seed + static_cast<uint64_t>(round * kThreads + r));
+        uint64_t local_misses = 0;
+        for (uint64_t i = 0; !done.load(std::memory_order_acquire); ++i) {
+          const size_t n = num_acked.load(std::memory_order_acquire);
+          // Before the first ack there is nothing to miss; the probe still
+          // goes through the published generation.
+          const bool hit = f.Contains(n == 0 ? rrng.Next()
+                                             : acked[rrng.NextBelow(n)]);
+          local_misses += n > 0 && !hit;
+          if (i == 256) ready.fetch_add(1, std::memory_order_release);
+          if (armed.load(std::memory_order_relaxed)) std::this_thread::yield();
+        }
+        misses.fetch_add(local_misses, std::memory_order_relaxed);
+      });
+    }
+    while (ready.load(std::memory_order_acquire) < kThreads) {
+      std::this_thread::yield();
+    }
+    armed.store(true, std::memory_order_relaxed);
+    ASSERT_TRUE(f.EnableMigration());
+    SplitMix64 rng(seed + 1000 + static_cast<uint64_t>(round));
+    size_t n = 0;
+    for (size_t i = 0; i < kKeys; ++i) {
+      const uint64_t key = rng.Next();
+      if (f.Insert(key)) {
+        acked[n] = key;
+        num_acked.store(++n, std::memory_order_release);
+      }
+    }
+    for (int s = 0; s < f.num_shards(); ++s) {
+      const ShardedFilter::MigrationReport report =
+          f.MigrateShard(static_cast<size_t>(s), cuckoo);
+      EXPECT_TRUE(report.ok) << "round " << round << " shard " << s << ": "
+                             << report.error;
+    }
+    done.store(true, std::memory_order_release);
+    for (auto& r : readers) r.join();
+
+    EXPECT_EQ(n, kKeys) << "round " << round;
+    EXPECT_EQ(misses.load(), 0u) << "round " << round;
+    uint64_t missing = 0;
+    for (size_t i = 0; i < n; ++i) missing += !f.Contains(acked[i]);
+    EXPECT_EQ(missing, 0u) << "round " << round;
+    EXPECT_EQ(f.TotalMigrations(), static_cast<uint64_t>(f.num_shards()));
+  }
 }
 
 }  // namespace
