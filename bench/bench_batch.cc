@@ -18,9 +18,14 @@
 // line, then probing hides DRAM latency that the traditional
 // one-key-at-a-time loop eats per query.
 //
+// The wire_large row (E18, ROADMAP item 7) runs perfbench's wire_large
+// filter in process: 1,024-key frames over 16 quotient shards against
+// scalar lookups, gated so the batched row's spread clears the scalar
+// row's.
+//
 // Usage: bench_batch [--quick] [--json=PATH]
-//   --quick      only the in-cache size (1M keys); default also runs the
-//                out-of-LLC size (16M keys).
+//   --quick      only the in-cache size (1M keys) and the wire_large row;
+//                default also runs the out-of-LLC size (16M keys).
 //   --json=PATH  write machine-readable results (BENCH_batch.json).
 
 #include <algorithm>
@@ -129,10 +134,8 @@ void RunFamily(Harness& h, const std::string& name,
     // absorbs timer noise on a shared machine; the historical cuckoo
     // 0.959x sits right at the line. The sweep rows are not gated:
     // sub-batch calls are dominated by the host's call/dispatch cost, so
-    // gating them would test the machine, not the code. Quotient below
-    // its 4 MiB batching threshold runs the identical scalar loop in both
-    // modes (DESIGN §7, E18 "fallback parity"), a ratio of pure noise.
-    if (b == queries.size() && !(name == "quotient" && n < kOutOfLlc)) {
+    // gating them would test the machine, not the code.
+    if (b == queries.size()) {
       h.Gate(name + " n=" + std::to_string(n) + " batch/scalar lookup",
              batched.median / scalar.median, Cmp::kAtLeast, 0.97);
     }
@@ -197,6 +200,44 @@ void RunSize(Harness& h, uint64_t n) {
   std::printf("\n");
 }
 
+/// wire_large's shape in process (perfbench/wire.cc): 16 quotient shards
+/// sized for 4M keys with 2M inserted (640 KiB each), probed one key at a
+/// time and in the server's 1,024-key frames. Gated as ROADMAP item 7
+/// asks: the batched row's p10 at least the scalar row's p90.
+void RunWireShape(Harness& h) {
+  constexpr uint64_t kCapacity = uint64_t{4} << 20;
+  constexpr uint64_t kKeys = uint64_t{2} << 20;
+  constexpr size_t kFrame = 1024;
+  const std::string name = "sharded-quotient";
+  std::printf("wire_large shape: %s, %llu keys in 16 shards\n", name.c_str(),
+              static_cast<unsigned long long>(kKeys));
+  ShardedFilter f(kCapacity, 16, [](uint64_t cap) -> std::unique_ptr<Filter> {
+    return std::make_unique<QuotientFilter>(
+        QuotientFilter::ForCapacity(cap, 0.01));
+  });
+  const auto keys = GenerateDistinctKeys(kKeys, 79);
+  h.Check(f.InsertMany(keys) == kKeys, name + " stored every key");
+  const auto queries =
+      MixedQueries(keys, GenerateNegativeKeys(keys, kKeys, 80));
+
+  uint64_t hits_scalar = 0;
+  const Spread scalar =
+      h.Rate(queries.size(), [&] { hits_scalar = ScalarLookup(f, queries); });
+  Record(h, name, kKeys, "lookup", "scalar", scalar, scalar.median);
+  std::vector<uint8_t> out(queries.size());
+  uint64_t hits = 0;
+  const Spread batched = h.Rate(queries.size(), [&] {
+    hits = BatchedLookup(f, queries, kFrame, out.data());
+  });
+  const std::string mode = "batch" + std::to_string(kFrame);
+  Record(h, name, kKeys, "lookup", mode, batched, scalar.median);
+  h.Check(hits == hits_scalar, name + " " + mode + " hits equal scalar hits");
+  h.Gate(name + " n=" + std::to_string(kKeys) + " " + mode +
+             " p10 / scalar p90 lookup",
+         batched.p10 / scalar.p90, Cmp::kAtLeast, 1.0);
+  std::printf("\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -205,6 +246,7 @@ int main(int argc, char** argv) {
               static_cast<int>(simd::ActiveIsaName().size()),
               simd::ActiveIsaName().data());
   RunSize(h, uint64_t{1} << 20);
+  RunWireShape(h);
   if (!h.quick()) RunSize(h, kOutOfLlc);
   return h.Finish();
 }

@@ -113,7 +113,6 @@ struct Server::Worker {
   bool drain_seen = false;
   // Per-loop scratch for key frames, reused so that serving one
   // allocates nothing once the loop has seen a frame as large.
-  std::vector<uint64_t> raw;
   std::vector<HashedKey> keys;
   std::vector<InsertOutcome> outcomes;
   std::string body;  // The reply payload.
@@ -323,12 +322,10 @@ struct Server::Worker {
         if (s.filter_ == nullptr) {
           return reply(FrameStatus::kUnsupported, 0, "");
         }
-        if (!DecodeKeysPayload(h, payload, &raw)) return false;
         // Hash-once boundary: the server is the API boundary, clients
-        // ship raw u64 keys, each mixed exactly once here.
-        const size_t n = raw.size();
-        keys.resize(n);
-        for (size_t i = 0; i < n; ++i) keys[i] = HashedKey(raw[i]);
+        // ship raw u64 keys, each mixed exactly once as it is decoded.
+        if (!DecodeKeysPayload(h, payload, &keys)) return false;
+        const size_t n = keys.size();
         // The filter writes its answer bytes straight into the reply.
         body.resize(n);
         auto* res = reinterpret_cast<uint8_t*>(body.data());

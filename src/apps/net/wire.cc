@@ -1,36 +1,69 @@
 #include "apps/net/wire.h"
 
+#include <bit>
+#include <cstring>
+
 #include "util/hash.h"
 
 namespace bbf::net {
 namespace {
 
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
+static_assert(std::endian::native == std::endian::little ||
+                  std::endian::native == std::endian::big,
+              "wire integers need a little- or big-endian host");
 
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
+// The wire's byte order is little-endian on every host: a big-endian
+// host swaps each word as it moves it. The conversion is its own inverse.
+template <typename T>
+T LittleEndian(T v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    if constexpr (sizeof(T) == 8) return __builtin_bswap64(v);
+    if constexpr (sizeof(T) == 4) return __builtin_bswap32(v);
   }
   return v;
 }
 
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
+// One whole word per integer: a memcpy of the converted value, which
+// compiles to a single unaligned load or store.
+template <typename T>
+void StoreLe(char* p, T v) {
+  v = LittleEndian(v);
+  std::memcpy(p, &v, sizeof(v));
+}
+
+template <typename T>
+T LoadLe(const char* p) {
+  T v{};
+  std::memcpy(&v, p, sizeof(v));
+  return LittleEndian(v);
+}
+
+template <typename T>
+void PutLe(std::string* out, T v) {
+  char bytes[sizeof(T)];
+  StoreLe(bytes, v);
+  out->append(bytes, sizeof(T));
+}
+
+void PutU64(std::string* out, uint64_t v) { PutLe(out, v); }
+void PutU32(std::string* out, uint32_t v) { PutLe(out, v); }
+uint64_t GetU64(const char* p) { return LoadLe<uint64_t>(p); }
+uint32_t GetU32(const char* p) { return LoadLe<uint32_t>(p); }
+
+// Both DecodeKeysPayload forms: checks payload_len == 8 * count with
+// count within the batch cap, then builds each Key from its word.
+template <typename Key>
+bool DecodeKeys(const FrameHeader& h, std::string_view payload,
+                std::vector<Key>* keys) {
+  if (h.count > kMaxWireBatchCount ||
+      payload.size() != static_cast<size_t>(h.count) * 8) {
+    return false;
   }
-  return v;
+  keys->resize(h.count);
+  for (size_t i = 0; i < h.count; ++i) {
+    (*keys)[i] = Key(GetU64(payload.data() + i * 8));
+  }
+  return true;
 }
 
 }  // namespace
@@ -108,21 +141,21 @@ CutResult CutFrame(std::string_view buf, FrameHeader* header,
 }
 
 std::string EncodeKeysPayload(std::span<const uint64_t> keys) {
-  std::string out;
-  out.reserve(keys.size() * 8);
-  for (uint64_t k : keys) PutU64(&out, k);
+  std::string out(keys.size() * 8, '\0');
+  for (size_t i = 0; i < keys.size(); ++i) {
+    StoreLe(out.data() + i * 8, keys[i]);
+  }
   return out;
 }
 
 bool DecodeKeysPayload(const FrameHeader& h, std::string_view payload,
                        std::vector<uint64_t>* keys) {
-  if (h.count > kMaxWireBatchCount) return false;
-  if (payload.size() != static_cast<size_t>(h.count) * 8) return false;
-  keys->resize(h.count);
-  for (uint32_t i = 0; i < h.count; ++i) {
-    (*keys)[i] = GetU64(payload.data() + static_cast<size_t>(i) * 8);
-  }
-  return true;
+  return DecodeKeys(h, payload, keys);
+}
+
+bool DecodeKeysPayload(const FrameHeader& h, std::string_view payload,
+                       std::vector<HashedKey>* keys) {
+  return DecodeKeys(h, payload, keys);
 }
 
 std::string EncodeStringsPayload(const std::vector<std::string>& items) {

@@ -8,6 +8,8 @@
 #include <string_view>
 #include <vector>
 
+#include "core/key.h"
+
 namespace bbf::net {
 
 /// The filter-as-a-service wire protocol (DESIGN.md §14): framed binary
@@ -168,7 +170,7 @@ CutResult CutFrame(std::string_view buf, FrameHeader* header,
 
 // --- Payload codecs ---------------------------------------------------------
 
-/// count x u64 little-endian keys.
+/// count x u64 little-endian keys, one whole word per key.
 std::string EncodeKeysPayload(std::span<const uint64_t> keys);
 
 /// Strict inverse: requires payload_len == 8 * count with count within
@@ -176,6 +178,12 @@ std::string EncodeKeysPayload(std::span<const uint64_t> keys);
 /// Decodes into `keys`' own storage, so a reused vector stops allocating.
 bool DecodeKeysPayload(const FrameHeader& h, std::string_view payload,
                        std::vector<uint64_t>* keys);
+
+/// The same decode, mixing each key into its HashedKey as it is read:
+/// the server's hash-once boundary (core/key.h) in the decode pass
+/// itself, with no intermediate vector of raw keys.
+bool DecodeKeysPayload(const FrameHeader& h, std::string_view payload,
+                       std::vector<HashedKey>* keys);
 
 /// count x (u32 length, bytes) strings.
 std::string EncodeStringsPayload(const std::vector<std::string>& items);

@@ -20,7 +20,8 @@ namespace bbf {
 /// Three disjoint ways to consume it:
 ///  - Routing layers (ShardedFilter, snapshot sharding) may slice the
 ///    canonical bits directly via value() — `value() % num_shards`,
-///    which for a power-of-two shard count reads only the low bits.
+///    which for a power-of-two shard count reads only the low bits (and
+///    ShardedFilter takes them by mask).
 ///  - The observed-FPR estimator samples keys whose value() has its top
 ///    6 bits zero (ObservedFprEstimator::InDomain). A sampled mix is
 ///    still uniform below those bits, so routing spreads the sample

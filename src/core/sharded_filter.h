@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <shared_mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -14,6 +13,7 @@
 
 #include "core/filter.h"
 #include "core/fpr_estimator.h"
+#include "util/shared_mutex.h"
 
 namespace bbf {
 
@@ -53,7 +53,8 @@ enum class SaturationPolicy : uint8_t {
 };
 
 /// Flat counting sort of pre-hashed `keys` by shard, routed as
-/// ShardedFilter routes (value() % num_shards): on return,
+/// ShardedFilter routes (value() % num_shards, taken by mask when
+/// num_shards is a power of two): on return,
 /// sorted[start[s]..start[s+1]) holds shard s's keys in batch order and
 /// src[p] is the batch position sorted[p] came from (for scattering
 /// results back). `sorted` and `src` hold keys.size() entries, `start`
@@ -82,9 +83,10 @@ struct SaturationConfig {
 
 /// Thread scaling (§1, feature 6): a hash-sharded wrapper that turns any
 /// dynamic filter into a concurrent one. Keys partition across S
-/// independent shards by hash; each shard is guarded by its own
-/// reader-writer lock, so inserts contend only within a shard — the
-/// standard recipe behind concurrent CQF deployments.
+/// independent shards by hash (value() % S, by mask when S is a power of
+/// two); each shard is guarded by its own writer-preferring reader-writer
+/// lock, so inserts contend only within a shard — the standard recipe
+/// behind concurrent CQF deployments.
 ///
 /// Scalar lookups write no shared memory when they can avoid it: a shard
 /// publishes its generation while it has exactly one, tracks no migration
@@ -325,7 +327,9 @@ class ShardedFilter : public Filter {
     // set, `seq` is odd whenever a writer holds `mutex`.
     alignas(64) std::atomic<uint64_t> seq{0};
     std::atomic<const Filter*> published{nullptr};
-    alignas(64) mutable std::shared_mutex mutex;
+    // Writer-preferring, so overlapping readers cannot hold off inserts,
+    // erases and migration swaps; no path takes it twice on one thread.
+    alignas(64) mutable WriterPreferringMutex mutex;
     // Generations, oldest first; inserts target back(). Never empty.
     std::vector<std::unique_ptr<Filter>> gens;
     uint64_t newest_capacity;  // Capacity back() was built with.

@@ -7,11 +7,12 @@
 //   * NumKeys accounting is exact: acks + batch counts - erase successes;
 //   * a snapshot taken mid-storm always loads back fully healthy.
 // Run under ThreadSanitizer in CI (the `tsan` job); any lock-discipline
-// slip in ShardedFilter or a shard family shows up here first. The last
-// three cases race unlocked scalar lookups (the seqlock read path,
-// DESIGN.md §9) against cuckoo kicks, chaining and migration swaps; the
-// `sanitize` job runs them under ASan, which sees a stale reader probe a
-// freed generation.
+// slip in ShardedFilter or a shard family shows up here first. Three
+// cases race unlocked scalar lookups (the seqlock read path, DESIGN.md
+// §9) against cuckoo kicks, chaining and migration swaps; the `sanitize`
+// job runs them under ASan, which sees a stale reader probe a freed
+// generation. The last case checks that the shard lock queues new
+// readers behind a waiting writer.
 
 #include <algorithm>
 #include <atomic>
@@ -33,6 +34,7 @@
 #include "quotient/quotient_filter.h"
 #include "test_seed.h"
 #include "util/random.h"
+#include "util/shared_mutex.h"
 
 namespace bbf {
 namespace {
@@ -700,6 +702,68 @@ TEST(ConcurrentStress, MigrationParksGenerationsThatStaleReadersMayProbe) {
     EXPECT_EQ(missing, 0u) << "round " << round;
     EXPECT_EQ(f.TotalMigrations(), static_cast<uint64_t>(f.num_shards()));
   }
+}
+
+// The shard lock's fairness, tested on its type directly. With one
+// reader inside and a writer waiting, a new reader must wait: on glibc a
+// std::shared_mutex lets it in (reader preference), so readers that keep
+// overlapping could hold off every insert, erase and migration swap.
+TEST(ConcurrentStress, ShardLockQueuesNewReadersBehindAWaitingWriter) {
+#if !defined(__GLIBC__)
+  GTEST_SKIP() << "writer preference is configured on glibc only";
+#endif
+  WriterPreferringMutex mu;
+  std::atomic<bool> release_first{false};
+  std::atomic<bool> first_in{false};
+  std::atomic<int> order{0};
+  std::atomic<int> writer_order{0};
+  std::atomic<int> late_reader_order{0};
+  std::thread first([&] {
+    mu.lock_shared();
+    first_in.store(true, std::memory_order_release);
+    while (!release_first.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    mu.unlock_shared();
+  });
+  while (!first_in.load(std::memory_order_acquire)) std::this_thread::yield();
+  std::thread writer([&] {
+    mu.lock();
+    writer_order.store(++order);
+    // Hold long enough that a reader let in early would be seen first.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    mu.unlock();
+  });
+
+  // Once the writer waits, try_lock_shared must fail. The deadline is
+  // generous: a reader-preferring lock never starts failing.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool refused = false;
+  while (!refused && std::chrono::steady_clock::now() < deadline) {
+    if (mu.try_lock_shared()) {
+      mu.unlock_shared();
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    } else {
+      refused = true;
+    }
+  }
+  EXPECT_TRUE(refused) << "a new reader still got in past a waiting writer";
+
+  std::thread late_reader([&] {
+    mu.lock_shared();
+    late_reader_order.store(++order);
+    mu.unlock_shared();
+  });
+  // Give the late reader time to queue before the first reader leaves.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  release_first.store(true, std::memory_order_release);
+  first.join();
+  writer.join();
+  late_reader.join();
+  EXPECT_EQ(writer_order.load(), 1) << "the writer came after a reader that "
+                                       "arrived after it";
+  EXPECT_EQ(late_reader_order.load(), 2);
 }
 
 }  // namespace

@@ -480,7 +480,8 @@ TEST(WireServer, ReplyBytesArePinned) {
   // lookup whose count disagrees with its payload (kMalformed, then
   // close). Two generations per shard at most, so the insert replies
   // hold accepted, expanded and NACKed bytes. The input is fixed (no
-  // TestSeed): a change to the request path must reproduce every byte.
+  // TestSeed): a change to the request path must reproduce every byte,
+  // and a change to the codec every request byte it encodes.
   SaturationConfig sat;
   sat.max_generations = 2;
   ShardedFilter filter(600, 4, QuotientFactory(0.01), sat);
@@ -522,6 +523,8 @@ TEST(WireServer, ReplyBytesArePinned) {
                         EncodeStringsPayload({"a.example", "b.example"}));
   stream += EncodeFrame(Opcode::kLookup, FrameStatus::kOk, 3, ++seq,
                         EncodeKeysPayload({keys.data(), 2}));
+  EXPECT_EQ(stream.size(), 107650u);
+  EXPECT_EQ(HashBytes(stream), 0xb461a86ba62d29bfull);
   ASSERT_TRUE(RawWrite(sp[0], stream));
   const std::string replies = RawDrain(sp[0]);  // The server closes.
   ::close(sp[0]);

@@ -427,6 +427,47 @@ TEST(BatchParity, ShardedBatchPathsMatchPerKeyTwinPast128Shards) {
                         /*armed=*/true, 380);
 }
 
+TEST(ShardRouting, EveryInsertPathRoutesByValueModuloShards) {
+  // Power-of-two counts route by mask, others by `%`: each insert path
+  // must land every key in shard value() % n. The batch twin test above
+  // compares paths that share one router, so it cannot see this.
+  const uint64_t seed = TestSeed(390);
+  BBF_ANNOUNCE_SEED(seed);
+  const auto raw = GenerateDistinctKeys(9000, seed);
+  std::vector<HashedKey> keys(raw.begin(), raw.end());
+  for (int n : {1, 2, 3, 16, 200}) {
+    SCOPED_TRACE("shards " + std::to_string(n));
+    ShardedFilter f(40000, n, [](uint64_t cap) -> std::unique_ptr<Filter> {
+      return std::make_unique<QuotientFilter>(
+          QuotientFilter::ForCapacity(cap, 0.01));
+    });
+    std::vector<uint64_t> want(n, 0);
+    const auto check = [&](size_t begin, size_t end, const char* path) {
+      for (size_t i = begin; i < end; ++i) ++want[keys[i].value() % n];
+      const auto stats = f.Stats();
+      ASSERT_EQ(stats.size(), static_cast<size_t>(n));
+      for (int s = 0; s < n; ++s) {
+        ASSERT_EQ(stats[s].num_keys, want[s]) << path << ", shard " << s;
+      }
+    };
+    // Thirds of the keys per path; the batches are grouped (at least 2
+    // keys per shard), on stack scratch (1,000) and on the heap (2,000).
+    for (size_t i = 0; i < 3000; ++i) ASSERT_TRUE(f.Insert(keys[i]));
+    check(0, 3000, "Insert");
+    const std::span<const HashedKey> all(keys);
+    ASSERT_EQ(f.InsertMany(all.subspan(3000, 1000)), 1000u);
+    ASSERT_EQ(f.InsertMany(all.subspan(4000, 2000)), 2000u);
+    check(3000, 6000, "InsertMany");
+    std::vector<InsertOutcome> out(3000);
+    f.InsertManyWithStatus(all.subspan(6000, 1000), out.data());
+    f.InsertManyWithStatus(all.subspan(7000, 2000), out.data() + 1000);
+    for (size_t i = 0; i < 3000; ++i) {
+      ASSERT_EQ(out[i], InsertOutcome::kAccepted) << "key " << i;
+    }
+    check(6000, 9000, "InsertManyWithStatus");
+  }
+}
+
 // --- Quotient filter: full differential sweep at several loads ---------------
 
 class QfLoadSweep : public ::testing::TestWithParam<double> {};
@@ -446,6 +487,41 @@ TEST_P(QfLoadSweep, MembershipExactUpToTargetLoad) {
   for (uint64_t k : keys) ASSERT_TRUE(f.Erase(k));
   EXPECT_EQ(f.table().num_used_slots(), 0u);
   ASSERT_TRUE(f.table().CheckInvariants());
+}
+
+TEST_P(QfLoadSweep, BatchLookupMatchesScalarAtTargetLoad) {
+  // ContainsMany always runs its prefetching tile loop, so at high load
+  // its tiles walk long clusters, some wrapping past the last slot.
+  const double target = GetParam();
+  QuotientFilter f(12, 10);
+  const uint64_t seed = TestSeed(117);
+  BBF_ANNOUNCE_SEED(seed);
+  const uint64_t n = static_cast<uint64_t>(target * (1u << 12));
+  const auto keys = GenerateDistinctKeys(n, seed);
+  for (uint64_t k : keys) ASSERT_TRUE(f.Insert(k));
+  std::vector<HashedKey> queries(keys.begin(), keys.end());
+  for (uint64_t k : GenerateNegativeKeys(keys, n, seed + 1)) {
+    queries.emplace_back(k);
+  }
+  std::vector<uint8_t> want(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    want[i] = f.Contains(queries[i]) ? 1 : 0;
+    if (i < n) {
+      ASSERT_EQ(want[i], 1) << "inserted key " << i;
+    }
+  }
+  // One full batch, then 33-key sub-batches: a 32-key tile and a 1-key
+  // tail each.
+  std::vector<uint8_t> got(queries.size(), 2);
+  f.ContainsMany(queries, got.data());
+  EXPECT_EQ(got, want);
+  std::fill(got.begin(), got.end(), 2);
+  const std::span<const HashedKey> all(queries);
+  for (size_t base = 0; base < all.size(); base += 33) {
+    f.ContainsMany(all.subspan(base, std::min<size_t>(33, all.size() - base)),
+                   got.data() + base);
+  }
+  EXPECT_EQ(got, want);
 }
 
 INSTANTIATE_TEST_SUITE_P(Loads, QfLoadSweep,

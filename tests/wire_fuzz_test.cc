@@ -212,10 +212,13 @@ TEST(WireFuzz, PayloadDecodersRejectEveryMismatchWithoutCrashing) {
     fh.count = static_cast<uint32_t>(rng.NextBelow(80));
     fh.payload_len = payload.size();
     std::vector<uint64_t> k2;
-    if (DecodeKeysPayload(fh, payload, &k2)) {
+    const bool accepted = DecodeKeysPayload(fh, payload, &k2);
+    if (accepted) {
       ASSERT_EQ(payload.size(), static_cast<size_t>(fh.count) * 8);
       ASSERT_EQ(k2.size(), fh.count);
     }
+    std::vector<HashedKey> m2;
+    ASSERT_EQ(DecodeKeysPayload(fh, payload, &m2), accepted);
     std::vector<std::string_view> s2;
     if (DecodeStringsPayload(fh, payload, &s2)) {
       size_t total = 0;
@@ -223,6 +226,54 @@ TEST(WireFuzz, PayloadDecodersRejectEveryMismatchWithoutCrashing) {
       ASSERT_EQ(total, payload.size());  // No trailing bytes slipped by.
     }
   }
+}
+
+TEST(WireFuzz, KeysPayloadIsLittleEndianWords) {
+  // The codec's exact bytes, on any host: each key one little-endian
+  // word, in batch order. Both decoder forms read them back.
+  const std::vector<uint64_t> keys = {0x0102030405060708ULL, 0,
+                                      ~uint64_t{0}, 0x8000000000000001ULL};
+  const std::string payload = EncodeKeysPayload(keys);
+  const std::string want =
+      std::string("\x08\x07\x06\x05\x04\x03\x02\x01", 8) +
+      std::string(8, '\x00') + std::string(8, '\xff') +
+      std::string("\x01\x00\x00\x00\x00\x00\x00\x80", 8);
+  EXPECT_EQ(payload, want);
+
+  FrameHeader h;
+  h.count = static_cast<uint32_t>(keys.size());
+  h.payload_len = payload.size();
+  std::vector<uint64_t> raw;
+  ASSERT_TRUE(DecodeKeysPayload(h, payload, &raw));
+  EXPECT_EQ(raw, keys);
+  std::vector<HashedKey> mixed;
+  ASSERT_TRUE(DecodeKeysPayload(h, payload, &mixed));
+  ASSERT_EQ(mixed.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(mixed[i], HashedKey(keys[i])) << "key " << i;
+  }
+
+  // Count/length mismatches: both forms refuse and leave the output as
+  // it was.
+  const auto refused = [&](const FrameHeader& bad, std::string_view bytes) {
+    std::vector<uint64_t> raw_out = {7};
+    std::vector<HashedKey> mixed_out = {HashedKey(uint64_t{7})};
+    const bool raw_ok = DecodeKeysPayload(bad, bytes, &raw_out);
+    const bool mixed_ok = DecodeKeysPayload(bad, bytes, &mixed_out);
+    return !raw_ok && !mixed_ok && raw_out == std::vector<uint64_t>{7} &&
+           mixed_out == std::vector<HashedKey>{HashedKey(uint64_t{7})};
+  };
+  for (uint32_t count : {0u, 3u, 5u}) {
+    FrameHeader bad = h;
+    bad.count = count;
+    EXPECT_TRUE(refused(bad, payload)) << "count " << count;
+  }
+  EXPECT_TRUE(refused(h, std::string_view(payload).substr(1)));
+  EXPECT_TRUE(refused(h, payload + 'x'));
+  FrameHeader over_cap;
+  over_cap.count = kMaxWireBatchCount + 1;
+  EXPECT_TRUE(
+      refused(over_cap, std::string(size_t{over_cap.count} * 8, '\x00')));
 }
 
 TEST(WireFuzz, LiveServerSurvivesWholeCorpusAndStaysResponsive) {
