@@ -178,6 +178,7 @@ void LsmTree::ReplayWal() {
   // decoded past the bad frame).
   std::string valid;
   for (const Entry& e : records) valid += EncodeWalRecord(e);
+  wal_.reset();  // A held WAL handle would outlive the file it names.
   store_->WriteFileAtomic(kWalFileName, valid);
   if (memtable_.size() >= options_.memtable_entries) FlushMemtable();
 }
@@ -202,8 +203,14 @@ bool LsmTree::Delete(uint64_t key) { return LogAndApply({key, 0, true}); }
 bool LsmTree::LogAndApply(const Entry& e) {
   bool acked = true;
   if (store_ != nullptr) {
-    acked = env_->AppendFile(store_->PathOf(kWalFileName), EncodeWalRecord(e));
-    if (!acked) ++wal_append_failures_total_;
+    if (wal_ == nullptr) {
+      wal_ = env_->OpenAppender(store_->PathOf(kWalFileName));
+    }
+    acked = wal_ != nullptr && wal_->Append(EncodeWalRecord(e));
+    if (!acked) {
+      ++wal_append_failures_total_;
+      wal_.reset();  // The next append reopens.
+    }
   }
   ApplyWrite(e);
   ++ingested_;
@@ -499,7 +506,9 @@ void LsmTree::PersistGeneration() {
   previous_ = std::move(committed_);
   committed_ = std::move(m);
   // Every acked key the WAL held is now owned by the committed
-  // generation; a crash here at worst replays it idempotently.
+  // generation; a crash here at worst replays it idempotently. The held
+  // handle goes first: appends through it would land in the old file.
+  wal_.reset();
   store_->WriteFileAtomic(kWalFileName, "");
   // Advisory GC: keep the committed and previous generations (the
   // fallback pool), drop temp litter and orphaned runs.

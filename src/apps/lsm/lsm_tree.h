@@ -92,9 +92,10 @@ class LsmTree {
   static std::unique_ptr<LsmTree> Open(LsmOptions options,
                                        StorageEnv* env = nullptr);
 
-  /// Returns true when the op is durably acked (WAL append succeeded, or
-  /// the tree is volatile). A false return still applies the op in
-  /// memory — the caller decides whether a lame-duck store is fatal.
+  /// Returns true when the op is acked (its WAL record reached the
+  /// kernel, or the tree is volatile): an ack survives a process crash,
+  /// not a power loss. A false return still applies the op in memory —
+  /// the caller decides whether a lame-duck store is fatal.
   bool Put(uint64_t key, uint64_t value);
   bool Delete(uint64_t key);
 
@@ -153,6 +154,9 @@ class LsmTree {
   LsmOptions options_;
   StorageEnv* env_;
   std::unique_ptr<ManifestStore> store_;  // Null = volatile.
+  /// The WAL's append handle, opened by the first append after a WAL
+  /// replacement and reset before each one (DESIGN.md §13).
+  std::unique_ptr<StorageEnv::Appender> wal_;
   std::map<uint64_t, Entry> memtable_;
   /// Expandable filter over the memtable's keys, adopted by the L0 run
   /// at flush. Null when disabled; dropped (and the L0 filter built from

@@ -28,34 +28,79 @@ constexpr uint64_t kManifestVersion = 1;
 constexpr uint64_t kMaxManifestLevels = 64;
 constexpr uint64_t kMaxManifestRunsPerLevel = 1u << 16;
 
-class RealStorageEnv : public StorageEnv {};
-
 // Opens `path` write-only with `flags` (O_TRUNC or O_APPEND), creating it
-// with mode 0666 less the umask, and hands every byte to the kernel: short
-// writes resume, EINTR retries. No fsync — a true return means the bytes
-// survive the process, not the machine.
-bool WriteWholeFile(const std::string& path, int flags,
-                    std::string_view bytes) {
+// with mode 0666 less the umask. -1 on failure.
+int OpenForWrite(const std::string& path, int flags) {
   int fd = -1;
   do {
     fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC | flags, 0666);
   } while (fd < 0 && errno == EINTR);
-  if (fd < 0) return false;
-  bool ok = true;
+  return fd;
+}
+
+// Hands every byte to the kernel: short writes resume, EINTR retries. No
+// fsync — a true return means the bytes survive the process, not the
+// machine.
+bool WriteAll(int fd, std::string_view bytes) {
   while (!bytes.empty()) {
     const ssize_t n = ::write(fd, bytes.data(), bytes.size());
     if (n < 0) {
       if (errno == EINTR) continue;
-      ok = false;
-      break;
+      return false;
     }
     bytes.remove_prefix(static_cast<size_t>(n));
   }
-  // Linux releases the descriptor even when close reports EINTR, so it
-  // is never retried; any other error fails the write.
-  if (::close(fd) != 0 && errno != EINTR) ok = false;
-  return ok;
+  return true;
 }
+
+// Linux releases the descriptor even when close reports EINTR, so it is
+// never retried; any other error fails the call.
+bool CloseFd(int fd) { return ::close(fd) == 0 || errno == EINTR; }
+
+bool WriteWholeFile(const std::string& path, int flags,
+                    std::string_view bytes) {
+  const int fd = OpenForWrite(path, flags);
+  if (fd < 0) return false;
+  const bool ok = WriteAll(fd, bytes);
+  return CloseFd(fd) && ok;
+}
+
+// One AppendFile call per append: every env that overrides AppendFile
+// keeps seeing each one.
+class ForwardingAppender : public StorageEnv::Appender {
+ public:
+  ForwardingAppender(StorageEnv* env, std::string path)
+      : env_(env), path_(std::move(path)) {}
+  bool Append(std::string_view bytes) override {
+    return env_->AppendFile(path_, bytes);
+  }
+
+ private:
+  StorageEnv* env_;
+  std::string path_;
+};
+
+// Holds one O_APPEND descriptor for its lifetime. Every Append's bytes
+// were in the kernel when it returned, so the close at the end adds
+// nothing an ack relied on and its result is not reported.
+class FdAppender : public StorageEnv::Appender {
+ public:
+  explicit FdAppender(int fd) : fd_(fd) {}
+  ~FdAppender() override { CloseFd(fd_); }
+  bool Append(std::string_view bytes) override { return WriteAll(fd_, bytes); }
+
+ private:
+  int fd_;
+};
+
+class RealStorageEnv : public StorageEnv {
+ public:
+  std::unique_ptr<Appender> OpenAppender(const std::string& path) override {
+    const int fd = OpenForWrite(path, O_APPEND);
+    if (fd < 0) return nullptr;
+    return std::make_unique<FdAppender>(fd);
+  }
+};
 
 // Little-endian, as WriteU64 writes to a stream.
 void PutU64(char* dst, uint64_t v) {
@@ -84,6 +129,11 @@ bool StorageEnv::WriteFile(const std::string& path, std::string_view bytes) {
 
 bool StorageEnv::AppendFile(const std::string& path, std::string_view bytes) {
   return WriteWholeFile(path, O_APPEND, bytes);
+}
+
+std::unique_ptr<StorageEnv::Appender> StorageEnv::OpenAppender(
+    const std::string& path) {
+  return std::make_unique<ForwardingAppender>(this, path);
 }
 
 bool StorageEnv::Rename(const std::string& from, const std::string& to) {

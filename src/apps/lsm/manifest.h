@@ -2,6 +2,7 @@
 #define BBF_APPS_LSM_MANIFEST_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,6 +20,19 @@ namespace bbf::lsm {
 /// of throwing.
 class StorageEnv {
  public:
+  /// An open handle that appends to one file: the WAL's write path.
+  class Appender {
+   public:
+    Appender() = default;
+    Appender(const Appender&) = delete;  // A handle owns its descriptor.
+    Appender& operator=(const Appender&) = delete;
+    virtual ~Appender() = default;
+    /// Appends `bytes` at the end of the file. True once every byte is
+    /// in the kernel (no fsync: it survives the process, not the
+    /// machine). After a false return the caller drops the handle.
+    virtual bool Append(std::string_view bytes) = 0;
+  };
+
   virtual ~StorageEnv() = default;
 
   /// Creates `path` (and parents). True if it exists afterwards.
@@ -26,8 +40,14 @@ class StorageEnv {
   /// Replaces `path` with `bytes`. NOT atomic — callers wanting atomic
   /// replacement write a sibling temp file and Rename over the target.
   virtual bool WriteFile(const std::string& path, std::string_view bytes);
-  /// Appends `bytes` to `path`, creating it if absent (the WAL op).
+  /// Appends `bytes` to `path`, creating it if absent.
   virtual bool AppendFile(const std::string& path, std::string_view bytes);
+  /// An appender for `path`, creating it if absent; null if it cannot be
+  /// opened. The default one calls AppendFile(path, bytes) once per
+  /// append, so an env that overrides AppendFile sees every append; the
+  /// real env's holds one descriptor open. A handle follows the file it
+  /// opened, so the caller drops it before replacing `path`.
+  virtual std::unique_ptr<Appender> OpenAppender(const std::string& path);
   /// Atomically replaces `to` with `from` (POSIX rename semantics — the
   /// commit point of every multi-file transition).
   virtual bool Rename(const std::string& from, const std::string& to);

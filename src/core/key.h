@@ -50,8 +50,10 @@ class HashedKey {
   /// or grouped earlier). Never pass a raw key here.
   static HashedKey FromMix(uint64_t mixed) { return HashedKey(mixed, 0); }
 
-  /// Zero-valued placeholder so scratch buffers can be stack-allocated.
-  HashedKey() : h_(0) {}
+  /// Trivial, so a stack scratch array costs nothing until written:
+  /// `HashedKey k;` holds an indeterminate value, while `HashedKey{}` and
+  /// `std::vector<HashedKey>(n)` still value-initialize to zero.
+  HashedKey() = default;
 
   /// The canonical 64-bit mix. Routing layers may slice this; families
   /// must use Derive instead.

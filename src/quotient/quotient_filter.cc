@@ -287,6 +287,25 @@ bool CountingQuotientFilter::Erase(HashedKey key) {
   return true;
 }
 
+bool CountingQuotientFilter::CheckInvariants() const {
+  if (!table_.CheckInvariants()) return false;
+  // Decode as ReadCounter does: a remainder slot is one key, plus the
+  // little-endian base-2^r digits in the tagged slots behind it.
+  const int r = table_.r_bits();
+  uint64_t keys = 0;
+  uint64_t base = 0;
+  table_.ForEachSlot([&](uint64_t /*quotient*/, uint64_t s) {
+    if (!table_.tag(s)) {
+      ++keys;
+      base = 1;
+      return;
+    }
+    keys += table_.remainder(s) * base;
+    base = r < 64 ? base << r : 0;
+  });
+  return keys == num_keys_;
+}
+
 bool CountingQuotientFilter::SavePayload(std::ostream& os) const {
   SaveQfPayload(os, hash_seed_, num_keys_, table_);
   return os.good();
@@ -294,7 +313,7 @@ bool CountingQuotientFilter::SavePayload(std::ostream& os) const {
 
 bool CountingQuotientFilter::LoadPayload(std::istream& is) {
   // Counter digits take slots too, so the counting filter keeps its own
-  // key count.
+  // key count, which CheckInvariants recounts.
   CountingQuotientFilter fresh(1, 1);
   return ParseQfPayload(is, &fresh.hash_seed_, &fresh.num_keys_,
                         &fresh.table_, /*want_tag=*/true) &&

@@ -111,7 +111,9 @@ class CountingQuotientFilter : public Filter {
 
   bool SavePayload(std::ostream& os) const override;
   bool LoadPayload(std::istream& is) override;
-  bool CheckInvariants() const override { return table_.CheckInvariants(); }
+  /// The table walk, then the key count against a decode of every
+  /// counter.
+  bool CheckInvariants() const override;
 
  private:
   void Fingerprint(HashedKey key, uint64_t* fq, uint64_t* fr) const;

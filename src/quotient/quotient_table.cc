@@ -1,5 +1,6 @@
 #include "quotient/quotient_table.h"
 
+#include <algorithm>
 #include <deque>
 
 #include "util/bits.h"
@@ -28,9 +29,16 @@ size_t QuotientTable::SpaceBits() const {
 }
 
 uint64_t QuotientTable::FindRunStart(uint64_t q) const {
-  // Walk left to the cluster start, then replay runs forward.
+  // Walk left to the cluster start, then replay runs forward. A cluster
+  // that starts kWalkSlots or more slots back goes to the word path.
   uint64_t b = q;
-  while (shifted_.Get(b)) b = Prev(b);
+  uint64_t walked = 0;
+  while (shifted_.Get(b)) {
+    b = Prev(b);
+    if (++walked == kWalkSlots && num_slots_ >= 64) {
+      return FindRunStartInWords(q, b);
+    }
+  }
   uint64_t s = b;
   while (b != q) {
     do {
@@ -41,6 +49,43 @@ uint64_t QuotientTable::FindRunStart(uint64_t q) const {
     } while (!occupied_.Get(b));  // Next quotient with a run.
   }
   return s;
+}
+
+uint64_t QuotientTable::FindRunStartInWords(uint64_t q,
+                                            uint64_t from) const {
+  // The table is whole words here: 2^q_bits slots with q_bits >= 6.
+  const uint64_t last_word = slot_mask_ >> 6;
+  // The cluster start b: the highest clear shifted bit at or below `from`,
+  // scanning words downward and wrapping.
+  uint64_t w = from >> 6;
+  uint64_t unshifted = ~shifted_.Word(w) & LowMask((from & 63) + 1);
+  while (unshifted == 0) {
+    w = w == 0 ? last_word : w - 1;
+    unshifted = ~shifted_.Word(w);
+  }
+  const uint64_t b = (w << 6) | HighestSetBit(unshifted);
+  // k: the occupied quotients in (b, q]. Each owns one run of the
+  // cluster after b's, in quotient order, so q's run is the k-th.
+  uint64_t k = 0;
+  uint64_t pos = Next(b);
+  for (uint64_t left = (q - b) & slot_mask_; left > 0;) {
+    const uint64_t off = pos & 63;
+    const uint64_t n = std::min(64 - off, left);
+    k += Popcount((occupied_.Word(pos >> 6) >> off) & LowMask(n));
+    pos = (pos + n) & slot_mask_;
+    left -= n;
+  }
+  // Within a cluster every slot is used, so run heads are the clear
+  // continuation bits: q's run starts at the k-th one after b.
+  pos = Next(b);
+  while (true) {
+    const uint64_t off = pos & 63;
+    const uint64_t heads = ~continuation_.Word(pos >> 6) >> off;
+    const uint64_t c = Popcount(heads);
+    if (c >= k) return pos + SelectInWord(heads, static_cast<int>(k - 1));
+    k -= c;
+    pos = (pos + 64 - off) & slot_mask_;
+  }
 }
 
 void QuotientTable::InsertSlotAt(uint64_t pos, uint64_t home,

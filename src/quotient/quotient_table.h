@@ -69,6 +69,11 @@ class QuotientTable {
 
   // --- Run API --------------------------------------------------------------
 
+  /// Shifted slots a run lookup walks back over one bit at a time. Past
+  /// them it switches to word operations, whose popcounts cost more than
+  /// a short walk: a baseline x86-64 build makes each one a libgcc call.
+  static constexpr uint64_t kWalkSlots = 8;
+
   /// Calls `fn(slot)` for the slots of quotient `q`'s run in storage order;
   /// stops early when fn returns false. Returns the number of slots
   /// visited (0 = `q` has no run).
@@ -151,8 +156,14 @@ class QuotientTable {
   }
   uint64_t Prev(uint64_t i) const { return (i - 1) & slot_mask_; }
 
-  /// Start slot of the run for quotient `q`. Requires occupied(q).
+  /// Start slot of the run for quotient `q`. Requires occupied(q). Walks
+  /// slot by slot while the cluster starts fewer than kWalkSlots slots
+  /// back (nearly every probe at low load), else finds the run with word
+  /// operations on the metadata planes (DESIGN.md §6.1).
   uint64_t FindRunStart(uint64_t q) const;
+  /// FindRunStart's word path: `from` is the highest slot below q whose
+  /// shifted bit is still unread. Requires num_slots_ >= 64.
+  uint64_t FindRunStartInWords(uint64_t q, uint64_t from) const;
 
   /// Inserts a slot holding (`remainder`, `value`, `tag`) at position `pos`,
   /// shifting the remaining cluster right. `continuation` is the bit for

@@ -510,6 +510,16 @@ TEST(FaultInjection, QuotientFrameWithWrongKeyCountIsRejected) {
   ExpectWrongCountRejected(one, &f, /*count_at=*/8);
 }
 
+TEST(FaultInjection, CountingQuotientFrameWithWrongKeyCountIsRejected) {
+  // The count is every remainder slot plus its decoded counter digits.
+  CountingQuotientFilter one(8, 8);
+  ASSERT_TRUE(one.Insert(0xC0B));
+  CountingQuotientFilter f(8, 8);
+  InsertSome(&f, 0xC0EB, 150);
+  for (int i = 0; i < 300; ++i) ASSERT_TRUE(f.Insert(0xC0EB));  // Digits.
+  ExpectWrongCountRejected(one, &f, /*count_at=*/8);
+}
+
 TEST(FaultInjection, ExpandingQuotientFrameWithWrongKeyCountIsRejected) {
   ExpandingQuotientFilter one(8, 8);
   ASSERT_TRUE(one.Insert(0xC02));

@@ -34,7 +34,8 @@ namespace {
 /// Wraps the real environment and crashes at an exact mutation index: the
 /// armed op fails (optionally tearing a write in half first — the torn-
 /// sector crash), and every later mutation fails too, like a process that
-/// died mid-syscall. Reads never fault (recovery runs post-mortem).
+/// died mid-syscall. Reads never fault (recovery runs post-mortem). WAL
+/// appends go through the real env's held descriptor, one mutation each.
 class CrashEnv : public StorageEnv {
  public:
   CrashEnv() : base_(RealEnv()) {}
@@ -75,17 +76,10 @@ class CrashEnv : public StorageEnv {
     }
     return false;
   }
-  bool AppendFile(const std::string& path, std::string_view bytes) override {
-    switch (Tick('a')) {
-      case Fate::kFail:
-        return false;
-      case Fate::kTear:
-        base_->AppendFile(path, bytes.substr(0, bytes.size() / 2));
-        return false;
-      case Fate::kRun:
-        return base_->AppendFile(path, bytes);
-    }
-    return false;
+  std::unique_ptr<Appender> OpenAppender(const std::string& path) override {
+    std::unique_ptr<Appender> base = base_->OpenAppender(path);
+    if (base == nullptr) return nullptr;
+    return std::make_unique<CrashAppender>(this, std::move(base));
   }
   bool Rename(const std::string& from, const std::string& to) override {
     // Renames are atomic: a crash either skips or completes them, never
@@ -110,6 +104,29 @@ class CrashEnv : public StorageEnv {
 
  private:
   enum class Fate { kRun, kFail, kTear };
+
+  // Opening creates no record; each append is the mutation.
+  class CrashAppender : public Appender {
+   public:
+    CrashAppender(CrashEnv* env, std::unique_ptr<Appender> base)
+        : env_(env), base_(std::move(base)) {}
+    bool Append(std::string_view bytes) override {
+      switch (env_->Tick('a')) {
+        case Fate::kFail:
+          return false;
+        case Fate::kTear:
+          base_->Append(bytes.substr(0, bytes.size() / 2));
+          return false;
+        case Fate::kRun:
+          return base_->Append(bytes);
+      }
+      return false;
+    }
+
+   private:
+    CrashEnv* env_;
+    std::unique_ptr<Appender> base_;
+  };
 
   Fate Tick(char kind) {
     ops_.push_back(kind);
@@ -222,6 +239,89 @@ TEST(LsmRecovery, WalReplayRecoversUnflushedAckedOps) {
     if (k == 7) continue;
     ASSERT_EQ(db->Get(k), std::optional<uint64_t>(ValueOf(k))) << k;
   }
+  std::filesystem::remove_all(o.dir);
+}
+
+// Descriptors of this process that name `dir`'s WAL: the live file, or
+// an unlinked one (" (deleted)"), counted in `*stale`.
+uint64_t WalDescriptors(const std::string& dir, uint64_t* stale) {
+  namespace fs = std::filesystem;
+  const std::string wal =
+      (fs::canonical(dir) / std::string(kWalFileName)).string();
+  uint64_t held = 0;
+  *stale = 0;
+  std::error_code ec;
+  for (const auto& fd : fs::directory_iterator("/proc/self/fd", ec)) {
+    const std::string target = fs::read_symlink(fd.path(), ec).string();
+    if (ec || target.rfind(wal, 0) != 0) continue;
+    if (target == wal) {
+      ++held;
+    } else if (target == wal + " (deleted)") {
+      ++*stale;
+    }
+  }
+  return held + *stale;
+}
+
+TEST(LsmRecovery, AppendsAfterCommitReachTheNewWal) {
+  // The commit replaces the WAL by a rename; a descriptor held across it
+  // would send later records to the unlinked old file, which the reopen
+  // never reads.
+  constexpr uint64_t kMemtable = 64;
+  constexpr uint64_t kAfter = 37;
+  LsmOptions o;
+  o.memtable_entries = kMemtable;
+  o.dir = FreshDir("wal_swap");
+  {
+    auto db = LsmTree::Open(o);
+    ASSERT_NE(db, nullptr);
+    for (uint64_t k = 1; k <= kMemtable; ++k) {
+      ASSERT_TRUE(db->Put(k, ValueOf(k)));
+    }
+    ASSERT_EQ(db->generation(), 1u);  // The full memtable committed.
+    for (uint64_t k = kMemtable + 1; k <= kMemtable + kAfter; ++k) {
+      ASSERT_TRUE(db->Put(k, ValueOf(k)));
+    }
+    EXPECT_EQ(db->generation(), 1u);
+  }  // Dropped without a flush: the last records live only in the WAL.
+  auto db = LsmTree::Open(o);
+  ASSERT_NE(db, nullptr);
+  EXPECT_EQ(db->recovery().wal_records_replayed, kAfter);
+  for (uint64_t k = 1; k <= kMemtable + kAfter; ++k) {
+    ASSERT_EQ(db->Get(k), std::optional<uint64_t>(ValueOf(k))) << k;
+  }
+  std::filesystem::remove_all(o.dir);
+}
+
+TEST(LsmRecovery, TreeHoldsAtMostOneLiveWalDescriptor) {
+  LsmOptions o;
+  o.memtable_entries = 64;
+  o.dir = FreshDir("wal_fd");
+  uint64_t stale = 0;
+  {
+    auto db = LsmTree::Open(o);
+    ASSERT_NE(db, nullptr);
+    // The first append opens the WAL.
+    EXPECT_EQ(WalDescriptors(o.dir, &stale), 0u);
+    for (uint64_t k = 1; k <= 300; ++k) {  // Four commits.
+      ASSERT_TRUE(db->Put(k, ValueOf(k)));
+      ASSERT_LE(WalDescriptors(o.dir, &stale), 1u) << k;
+      ASSERT_EQ(stale, 0u) << k;
+    }
+    EXPECT_EQ(db->generation(), 4u);
+    EXPECT_EQ(WalDescriptors(o.dir, &stale), 1u);
+  }
+  EXPECT_EQ(WalDescriptors(o.dir, &stale), 0u);
+  // Recovery rewrites the WAL before any append, and holds nothing.
+  auto db = LsmTree::Open(o);
+  ASSERT_NE(db, nullptr);
+  EXPECT_EQ(db->recovery().wal_records_replayed, 300u - 4 * 64);
+  EXPECT_EQ(WalDescriptors(o.dir, &stale), 0u);
+  ASSERT_TRUE(db->Delete(1));
+  EXPECT_EQ(WalDescriptors(o.dir, &stale), 1u);
+  EXPECT_EQ(stale, 0u);
+  db.reset();
+  EXPECT_EQ(WalDescriptors(o.dir, &stale), 0u);
   std::filesystem::remove_all(o.dir);
 }
 

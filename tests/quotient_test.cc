@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -15,6 +16,8 @@
 #include "core/key.h"
 #include "quotient/quotient_filter.h"
 #include "quotient/quotient_maplet.h"
+#include "quotient/quotient_table.h"
+#include "test_seed.h"
 #include "util/hash.h"
 #include "util/random.h"
 #include "workload/generators.h"
@@ -247,6 +250,146 @@ TEST(QuotientFilter, ForCapacitySizing) {
   uint64_t fp = 0;
   for (uint64_t k : negatives) fp += f.Contains(k);
   EXPECT_LT(static_cast<double>(fp) / negatives.size(), 0.02);
+}
+
+// --- Run lookup against an independent oracle -------------------------------
+
+// ForEachSlot assigns every stored slot its quotient with a queue walk of
+// its own and never calls FindRunStart, so ScanRun(q) must visit exactly
+// the slots it assigns to q, in order. Returns how many occupied
+// quotients sit behind QuotientTable::kWalkSlots shifted slots, which
+// FindRunStart resolves with word operations instead of the walk.
+uint64_t ExpectRunsMatchOracle(const QuotientTable& t) {
+  const uint64_t n = t.num_slots();
+  std::vector<std::vector<uint64_t>> runs(n);
+  t.ForEachSlot([&](uint64_t q, uint64_t s) { runs[q].push_back(s); });
+  // Slot s is shifted when it holds a slot of another quotient's run, or
+  // any but the first slot of its own.
+  std::vector<bool> shifted(n, false);
+  for (uint64_t q = 0; q < n; ++q) {
+    for (size_t i = 0; i < runs[q].size(); ++i) {
+      shifted[runs[q][i]] = i > 0 || runs[q][i] != q;
+    }
+  }
+  uint64_t word_path = 0;
+  for (uint64_t q = 0; q < n; ++q) {
+    std::vector<uint64_t> scanned;
+    const uint64_t visited = t.ScanRun(q, [&](uint64_t s) {
+      scanned.push_back(s);
+      return true;
+    });
+    EXPECT_EQ(visited, scanned.size());
+    EXPECT_EQ(scanned, runs[q]) << "q=" << q << " of " << n << " slots";
+    if (runs[q].empty()) continue;
+    uint64_t back = 0;
+    while (back < n && shifted[(q - back) & (n - 1)]) ++back;
+    word_path += back >= QuotientTable::kWalkSlots;
+  }
+  return word_path;
+}
+
+// Inserts `rem` at quotient `q`, keeping the run sorted as the filter does.
+bool InsertSorted(QuotientTable* t, uint64_t q, uint64_t rem) {
+  return t->InsertIntoRun(
+      q, rem, [&](uint64_t s) { return t->remainder(s) >= rem; });
+}
+
+TEST(QuotientTable, ScanRunMatchesOracleAtEveryLoad) {
+  const uint64_t seed = TestSeed(281);
+  BBF_ANNOUNCE_SEED(seed);
+  SplitMix64 rng(seed);
+  for (int q_bits = 6; q_bits <= 12; ++q_bits) {
+    const uint64_t n = uint64_t{1} << q_bits;
+    for (double load : {0.25, 0.5, 0.8, 0.9, 0.94}) {
+      QuotientTable t(q_bits, 8);
+      const uint64_t target = static_cast<uint64_t>(load * n);
+      while (t.num_used_slots() < target) {
+        ASSERT_TRUE(InsertSorted(&t, rng.NextBelow(n), rng.NextBelow(256)));
+      }
+      ASSERT_TRUE(t.CheckInvariants());
+      SCOPED_TRACE(::testing::Message()
+                   << "q_bits " << q_bits << " load " << load);
+      const uint64_t word_path = ExpectRunsMatchOracle(t);
+      if (load >= 0.9) {
+        EXPECT_GT(word_path, 0u);
+      }
+    }
+  }
+}
+
+TEST(QuotientTable, ScanRunMatchesOracleOnClustersWrappingPastLastSlot) {
+  // Runs homed in the last slots overflow into slot 0 and on, so the
+  // quotients homed there find their cluster start by wrapping the
+  // downward word scan, and the run heads by wrapping the forward one.
+  // 64 slots is one word: the scans wrap inside it.
+  const uint64_t seed = TestSeed(282);
+  BBF_ANNOUNCE_SEED(seed);
+  SplitMix64 rng(seed);
+  for (int q_bits : {6, 7, 8, 10}) {
+    const uint64_t n = uint64_t{1} << q_bits;
+    QuotientTable t(q_bits, 8);
+    for (uint64_t i = 0; i < 24; ++i) {
+      ASSERT_TRUE(InsertSorted(&t, n - 1 - rng.NextBelow(4),
+                               rng.NextBelow(256)));
+    }
+    for (uint64_t i = 0; i < 20; ++i) {
+      ASSERT_TRUE(InsertSorted(&t, rng.NextBelow(12), rng.NextBelow(256)));
+    }
+    ASSERT_TRUE(t.CheckInvariants());
+    SCOPED_TRACE(::testing::Message() << "q_bits " << q_bits);
+    EXPECT_GT(ExpectRunsMatchOracle(t), 0u);
+    uint64_t wrapped = 0;
+    t.ForEachSlot([&](uint64_t q, uint64_t s) { wrapped += s < q; });
+    EXPECT_GT(wrapped, 0u);
+  }
+}
+
+TEST(QuotientFilter, WordPathAnswersMatchFingerprintModel) {
+  // Count, Contains and Erase are exact in the fingerprint domain: a
+  // model of (quotient, remainder) multiplicities predicts every answer,
+  // at loads where most probes take the word path.
+  const uint64_t seed = TestSeed(283);
+  BBF_ANNOUNCE_SEED(seed);
+  SplitMix64 rng(seed);
+  for (int q_bits : {6, 9, 12}) {
+    QuotientFilter f(q_bits, 6);
+    std::map<std::pair<uint64_t, uint64_t>, uint64_t> model;
+    const auto fp = [&](uint64_t key) {
+      std::pair<uint64_t, uint64_t> p;
+      f.Fingerprint(HashedKey(key), &p.first, &p.second);
+      return p;
+    };
+    const uint64_t key_space = uint64_t{2} << q_bits;
+    const auto check_all = [&] {
+      for (uint64_t k = 0; k < key_space; ++k) {
+        const auto it = model.find(fp(k));
+        const uint64_t want = it == model.end() ? 0 : it->second;
+        ASSERT_EQ(f.Count(k), want) << "key " << k;
+        ASSERT_EQ(f.Contains(k), want > 0) << "key " << k;
+      }
+    };
+    // Churn near the maximum load with repeated keys, then fill up.
+    for (int op = 0; op < 40 << q_bits; ++op) {
+      const uint64_t key = rng.NextBelow(key_space);
+      if (rng.NextDouble() < 0.6) {
+        if (f.Insert(key)) ++model[fp(key)];
+      } else {
+        const auto it = model.find(fp(key));
+        ASSERT_EQ(f.Erase(key), it != model.end()) << "op " << op;
+        if (it != model.end() && --it->second == 0) model.erase(it);
+      }
+    }
+    for (uint64_t key = rng.NextBelow(key_space); f.Insert(key);
+         key = rng.NextBelow(key_space)) {
+      ++model[fp(key)];
+    }
+    EXPECT_GE(f.LoadFactor(), 0.9);
+    ASSERT_TRUE(f.table().CheckInvariants());
+    check_all();
+    uint64_t stored = 0;
+    for (const auto& [key, count] : model) stored += count;
+    EXPECT_EQ(f.NumKeys(), stored);
+  }
 }
 
 // --- Counting quotient filter ---------------------------------------------
