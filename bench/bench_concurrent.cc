@@ -17,15 +17,29 @@
 // a baseline of one cuckoo filter behind one global lock, both sized for
 // 4x the key count.
 //
+// E32's batch-mix row is wire_large's filter (16 quotient shards sized
+// for 4M keys, 2M stored) under a served mix of batches: two threads loop
+// 1,024-key ContainsMany over stored keys while one writer alternates a
+// 1,024-key InsertManyWithStatus of fresh keys with an EraseMany of the
+// keys it just stored, sleeping 300 us per pair. A lookup batch that
+// meets a write batch waits at the shard locks; a full run on a host
+// with 4 or more CPUs gates the lookup batches' p99 at kMaxLookupTail
+// times their p50 (DESIGN.md §9's opposite sweeps).
+//
 // Usage: bench_concurrent [--quick] [--json=PATH]
-//   --quick      256k keys instead of 1M (CI smoke run).
+//   --quick      256k keys instead of 1M, and 1 s batch-mix reps instead
+//                of 4 s (CI smoke run).
 //   --json=PATH  write machine-readable results (BENCH_concurrent.json).
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -34,6 +48,7 @@
 #include "core/sharded_filter.h"
 #include "cuckoo/cuckoo_filter.h"
 #include "harness.h"
+#include "quotient/quotient_filter.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
@@ -49,6 +64,8 @@ constexpr size_t kMixedOpsPerThread = 400'000;
 // kMinLookupSpeedup times the 1-thread rate.
 constexpr int kGateThreads = 4;
 constexpr double kMinLookupSpeedup = 3.0;
+// The batch-mix gate: lookup batch p99 at most this many times its p50.
+constexpr double kMaxLookupTail = 3.0;
 
 /// The chain policy keeps the bench honest if a shard saturates early.
 std::unique_ptr<Filter> MakeSharded(uint64_t capacity, int shards) {
@@ -106,6 +123,140 @@ void Drive(size_t total, int threads, const Fn& fn) {
 bool FindsEveryKey(const Filter& f, const std::vector<uint64_t>& keys) {
   return std::all_of(keys.begin(), keys.end(),
                      [&f](uint64_t k) { return f.Contains(k); });
+}
+
+/// Nearest-rank percentile `q` (0 < q <= 1) of `samples`, which it sorts.
+double Percentile(std::vector<double>& samples, double q) {
+  if (samples.empty()) return 0;
+  std::sort(samples.begin(), samples.end());
+  const auto rank = static_cast<size_t>(std::ceil(q * samples.size()));
+  return samples[std::clamp<size_t>(rank, 1, samples.size()) - 1];
+}
+
+/// Microseconds `fn()` took.
+template <typename Fn>
+double Micros(Fn&& fn) {
+  return Seconds(std::forward<Fn>(fn)) * 1e6;
+}
+
+/// The batch-mix row: one timed phase of `seconds` per rep over one
+/// filter that the writer's erases keep at its stored keys.
+void RunBatchMix(Harness& h, const char* ungated) {
+  constexpr uint64_t kCapacity = uint64_t{4} << 20;
+  constexpr uint64_t kStored = uint64_t{2} << 20;
+  constexpr size_t kFrame = 1024;
+  constexpr int kReaders = 2;
+  const auto seconds = std::chrono::seconds(h.quick() ? 1 : 4);
+  ShardedFilter f(kCapacity, 16, [](uint64_t cap) -> std::unique_ptr<Filter> {
+    return std::make_unique<QuotientFilter>(
+        QuotientFilter::ForCapacity(cap, 0.01));
+  });
+  std::vector<HashedKey> stored;
+  for (uint64_t k : GenerateDistinctKeys(kStored, 83)) stored.emplace_back(k);
+  h.Check(f.InsertMany(stored) == kStored, "batch-mix stored every key");
+  std::printf("batch-mix: 16-shard quotient, %llu keys, %d lookup threads, "
+              "1 writer\n",
+              static_cast<unsigned long long>(kStored), kReaders);
+
+  std::vector<double> lookup_p50, lookup_p99, tail, write_p50, write_p99,
+      lookup_batches, write_batches;
+  uint64_t misses = 0;
+  uint64_t erase_misses = 0;
+  SplitMix64 churn_rng(84);
+  for (int rep = 0; rep < h.reps(); ++rep) {
+    std::atomic<bool> done{false};
+    std::vector<std::vector<double>> lookup_us(kReaders);
+    std::vector<uint64_t> reader_misses(kReaders, 0);
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        // Thread-local tallies, handed over at the end: the readers share
+        // no line while they are timed.
+        std::vector<double> us;
+        uint64_t missed = 0;
+        std::vector<uint8_t> out(kFrame);
+        const std::span<const HashedKey> keys(stored);
+        size_t off = (kStored / kReaders) * r;
+        while (!done.load(std::memory_order_relaxed)) {
+          const auto batch = keys.subspan(off, kFrame);
+          us.push_back(Micros([&] { f.ContainsMany(batch, out.data()); }));
+          for (uint8_t hit : out) missed += hit == 0;
+          off = (off + kFrame) % kStored;
+        }
+        lookup_us[r] = std::move(us);
+        reader_misses[r] = missed;
+      });
+    }
+    std::vector<double> write_us;
+    std::vector<HashedKey> churn(kFrame);
+    std::vector<HashedKey> acked;
+    std::vector<InsertOutcome> outcomes(kFrame);
+    std::vector<uint8_t> erased(kFrame);
+    const auto end = std::chrono::steady_clock::now() + seconds;
+    while (std::chrono::steady_clock::now() < end) {
+      for (HashedKey& key : churn) key = HashedKey(churn_rng.Next());
+      write_us.push_back(Micros(
+          [&] { f.InsertManyWithStatus(churn, outcomes.data()); }));
+      acked.clear();
+      for (size_t i = 0; i < kFrame; ++i) {
+        if (Accepted(outcomes[i])) acked.push_back(churn[i]);
+      }
+      write_us.push_back(
+          Micros([&] { f.EraseMany(acked, erased.data()); }));
+      for (size_t i = 0; i < acked.size(); ++i) {
+        erase_misses += erased[i] == 0;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    }
+    done.store(true, std::memory_order_relaxed);
+    for (auto& t : readers) t.join();
+
+    std::vector<double> lookups;
+    for (int r = 0; r < kReaders; ++r) {
+      lookups.insert(lookups.end(), lookup_us[r].begin(), lookup_us[r].end());
+      misses += reader_misses[r];
+    }
+    lookup_batches.push_back(static_cast<double>(lookups.size()));
+    write_batches.push_back(static_cast<double>(write_us.size()));
+    lookup_p50.push_back(Percentile(lookups, 0.5));
+    lookup_p99.push_back(Percentile(lookups, 0.99));
+    tail.push_back(lookup_p99.back() / lookup_p50.back());
+    write_p50.push_back(Percentile(write_us, 0.5));
+    write_p99.push_back(Percentile(write_us, 0.99));
+  }
+  h.Check(misses == 0, "batch-mix lookups find every stored key");
+  h.Check(erase_misses == 0, "batch-mix erases every acked key");
+  h.Check(f.NumKeys() == kStored, "batch-mix ends with the stored keys");
+
+  const Spread ratio = SpreadOf(tail);
+  Row& row = h.AddRow()
+                 .Text("filter", "sharded-quotient")
+                 .Int("threads", kReaders + 1)
+                 .Int("n", kStored)
+                 .Text("op", "batch-mix")
+                 .Text("mode", "batch1024")
+                 .Num("seconds_per_rep", static_cast<double>(seconds.count()))
+                 .Cell("lookup_p50_us", SpreadOf(lookup_p50))
+                 .Cell("lookup_p99_us", SpreadOf(lookup_p99))
+                 .Cell("lookup_p99_over_p50", ratio)
+                 .Cell("write_p50_us", SpreadOf(write_p50))
+                 .Cell("write_p99_us", SpreadOf(write_p99))
+                 .Cell("lookup_batches", SpreadOf(lookup_batches))
+                 .Cell("write_batches", SpreadOf(write_batches));
+  std::printf("  lookup batch p50 %.1f us p99 %.1f us (p99/p50 %.2f [%.2f, "
+              "%.2f]), write batch p50 %.1f us p99 %.1f us, %.0f lookup and "
+              "%.0f write batches per rep\n",
+              SpreadOf(lookup_p50).median, SpreadOf(lookup_p99).median,
+              ratio.median, ratio.p10, ratio.p90, SpreadOf(write_p50).median,
+              SpreadOf(write_p99).median, SpreadOf(lookup_batches).median,
+              SpreadOf(write_batches).median);
+  const std::string gate = "batch-mix lookup batch p99 / p50";
+  if (ungated == nullptr) {
+    h.Gate(gate, ratio.median, Cmp::kAtMost, kMaxLookupTail);
+  } else {
+    row.Text("ungated", ungated);
+    std::printf("  %s: ungated (%s)\n", gate.c_str(), ungated);
+  }
 }
 
 }  // namespace
@@ -236,5 +387,7 @@ int main(int argc, char** argv) {
              }));
     }
   }
+
+  RunBatchMix(h, ungated);
   return h.Finish();
 }

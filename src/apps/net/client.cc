@@ -7,11 +7,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 
-#include "util/hash.h"
-
 namespace bbf::net {
+namespace {
+
+// The receive buffer's least size: a reply of a few thousand keys' status
+// bytes arrives whole in one recv.
+constexpr size_t kRecvChunk = size_t{64} << 10;
+
+}  // namespace
 
 SyncClient::~SyncClient() {
   if (fd_ >= 0) ::close(fd_);
@@ -54,104 +60,142 @@ bool SyncClient::WriteAll(std::string_view bytes) {
   return true;
 }
 
-bool SyncClient::ReadExactly(char* buf, size_t len) {
-  size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::recv(fd_, buf + off, len - off, 0);
-    if (n == 0) return false;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
+bool SyncClient::Receive() {
+  size_t want = kRecvChunk;
+  if (in_len_ >= kWireHeaderBytes) {
+    // CutFrame asked for more after checking this header, so its
+    // payload_len is within the cap.
+    const FrameHeader h = PeekHeader(std::string_view(in_.data(), in_len_));
+    want = std::max(want,
+                    kWireHeaderBytes + static_cast<size_t>(h.payload_len));
   }
-  return true;
+  if (in_.size() < want) in_.resize(want);
+  while (true) {
+    const ssize_t n =
+        ::recv(fd_, in_.data() + in_len_, in_.size() - in_len_, 0);
+    if (n > 0) {
+      in_len_ += static_cast<size_t>(n);
+      return true;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return false;
+  }
 }
 
-FrameStatus SyncClient::Call(Opcode op, uint32_t count,
-                             std::string_view payload,
-                             std::string* response_payload) {
+char* SyncClient::StartRequest(size_t payload_len) {
+  request_.resize(kWireHeaderBytes + payload_len);
+  return request_.data() + kWireHeaderBytes;
+}
+
+FrameStatus SyncClient::Exchange(Opcode op, uint32_t count,
+                                 std::string_view* reply) {
   if (fd_ < 0) return FrameStatus::kTransportError;
   const uint64_t seq = ++seq_;
-  if (!WriteAll(EncodeFrame(op, FrameStatus::kOk, count, seq, payload))) {
+  SealFrame(request_.data(), request_.size() - kWireHeaderBytes, op,
+            FrameStatus::kOk, count, seq);
+  if (!WriteAll(request_)) {
     Fail();
     return FrameStatus::kTransportError;
   }
-  char header_buf[kWireHeaderBytes];
-  if (!ReadExactly(header_buf, sizeof(header_buf))) {
+  // The last reply's bytes go; any that arrived after it stay buffered.
+  std::memmove(in_.data(), in_.data() + reply_len_, in_len_ - reply_len_);
+  in_len_ -= reply_len_;
+  reply_len_ = 0;
+  // The client applies the server's own defensive discipline: CutFrame
+  // checks the header (caps included) before trusting payload_len, then
+  // the checksum, and any mismatch is a dead connection.
+  FrameHeader h;
+  std::string_view payload;
+  size_t consumed = 0;
+  while (true) {
+    const CutResult cut = CutFrame(std::string_view(in_.data(), in_len_), &h,
+                                   &payload, &consumed);
+    if (cut == CutResult::kFrame) break;
+    if (cut == CutResult::kMalformed || !Receive()) {
+      Fail();
+      return FrameStatus::kTransportError;
+    }
+  }
+  if (h.seq != seq) {
     Fail();
     return FrameStatus::kTransportError;
   }
-  const FrameHeader h =
-      PeekHeader(std::string_view(header_buf, sizeof(header_buf)));
-  // The client applies the server's own defensive discipline: validate
-  // the header (caps included) before trusting payload_len, verify the
-  // checksum, and treat any mismatch as a dead connection.
-  if (CheckHeader(h) != HeaderCheck::kOk || h.seq != seq) {
-    Fail();
-    return FrameStatus::kTransportError;
-  }
-  std::string body(static_cast<size_t>(h.payload_len), '\0');
-  if (!body.empty() && !ReadExactly(body.data(), body.size())) {
-    Fail();
-    return FrameStatus::kTransportError;
-  }
-  if (HashBytes(body.data(), body.size(), kWireChecksumSeed) != h.checksum) {
-    Fail();
-    return FrameStatus::kTransportError;
-  }
-  if (response_payload != nullptr) *response_payload = std::move(body);
+  reply_len_ = consumed;
+  if (reply != nullptr) *reply = payload;
   return static_cast<FrameStatus>(h.status);
 }
 
-FrameStatus SyncClient::Ping() { return Call(Opcode::kPing, 0, "", nullptr); }
+FrameStatus SyncClient::CallText(Opcode op, uint32_t count,
+                                 std::string_view payload, std::string* text) {
+  std::memcpy(StartRequest(payload.size()), payload.data(), payload.size());
+  std::string_view reply;
+  const FrameStatus st = Exchange(op, count, &reply);
+  if (st != FrameStatus::kTransportError && text != nullptr) {
+    text->assign(reply);
+  }
+  return st;
+}
 
 FrameStatus SyncClient::CallItems(Opcode op, size_t count,
-                                  std::string_view payload,
                                   std::vector<uint8_t>* out) {
-  std::string body;
-  const FrameStatus st =
-      Call(op, static_cast<uint32_t>(count), payload, &body);
+  std::string_view reply;
+  const FrameStatus st = Exchange(op, static_cast<uint32_t>(count), &reply);
   if (st != FrameStatus::kOk) return st;
-  if (body.size() != count) return FrameStatus::kTransportError;
-  out->assign(body.begin(), body.end());
+  if (reply.size() != count) return FrameStatus::kTransportError;
+  out->assign(reply.begin(), reply.end());
   return st;
+}
+
+FrameStatus SyncClient::CallKeys(Opcode op, std::span<const uint64_t> keys,
+                                 std::vector<uint8_t>* out) {
+  EncodeKeysInto(keys, StartRequest(keys.size() * 8));
+  return CallItems(op, keys.size(), out);
+}
+
+FrameStatus SyncClient::CallStrings(Opcode op,
+                                    const std::vector<std::string>& items,
+                                    std::vector<uint8_t>* out) {
+  const std::string payload = EncodeStringsPayload(items);
+  std::memcpy(StartRequest(payload.size()), payload.data(), payload.size());
+  return CallItems(op, items.size(), out);
+}
+
+FrameStatus SyncClient::Ping() {
+  return CallText(Opcode::kPing, 0, "", nullptr);
 }
 
 FrameStatus SyncClient::Lookup(std::span<const uint64_t> keys,
                                std::vector<uint8_t>* out) {
-  return CallItems(Opcode::kLookup, keys.size(), EncodeKeysPayload(keys), out);
+  return CallKeys(Opcode::kLookup, keys, out);
 }
 
 FrameStatus SyncClient::Insert(std::span<const uint64_t> keys,
                                std::vector<uint8_t>* out) {
-  return CallItems(Opcode::kInsert, keys.size(), EncodeKeysPayload(keys), out);
+  return CallKeys(Opcode::kInsert, keys, out);
 }
 
 FrameStatus SyncClient::Erase(std::span<const uint64_t> keys,
                               std::vector<uint8_t>* out) {
-  return CallItems(Opcode::kErase, keys.size(), EncodeKeysPayload(keys), out);
+  return CallKeys(Opcode::kErase, keys, out);
 }
 
 FrameStatus SyncClient::Metrics(std::string* text) {
-  return Call(Opcode::kMetrics, 0, "", text);
+  return CallText(Opcode::kMetrics, 0, "", text);
 }
 
 FrameStatus SyncClient::TunerCtl(uint8_t cmd, std::string* text) {
   const char payload[1] = {static_cast<char>(cmd)};
-  return Call(Opcode::kTunerCtl, 1, std::string_view(payload, 1), text);
+  return CallText(Opcode::kTunerCtl, 1, std::string_view(payload, 1), text);
 }
 
 FrameStatus SyncClient::BlockCheck(const std::vector<std::string>& urls,
                                    std::vector<uint8_t>* out) {
-  return CallItems(Opcode::kBlockCheck, urls.size(),
-                   EncodeStringsPayload(urls), out);
+  return CallStrings(Opcode::kBlockCheck, urls, out);
 }
 
 FrameStatus SyncClient::ReportFalseBlock(const std::vector<std::string>& urls,
                                          std::vector<uint8_t>* out) {
-  return CallItems(Opcode::kReportFalseBlock, urls.size(),
-                   EncodeStringsPayload(urls), out);
+  return CallStrings(Opcode::kReportFalseBlock, urls, out);
 }
 
 }  // namespace bbf::net

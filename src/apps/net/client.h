@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "apps/net/wire.h"
@@ -16,15 +18,23 @@ namespace bbf::net {
 /// server (a hostile or corrupt *server* cannot crash a client either) and
 /// reports transport failure as FrameStatus::kTransportError, after which
 /// the connection is closed and every later call fails fast.
+///
+/// A call encodes its request straight into one reused frame buffer and
+/// reads its reply into one reused receive buffer, usually with a single
+/// recv; the reply's payload is copied once, into the caller's output.
 class SyncClient {
  public:
   /// Takes ownership of a connected socket (socketpair end, TCP socket).
   explicit SyncClient(int fd) : fd_(fd) {}
   ~SyncClient();
 
-  SyncClient(SyncClient&& other) noexcept : fd_(other.fd_), seq_(other.seq_) {
-    other.fd_ = -1;
-  }
+  SyncClient(SyncClient&& other) noexcept
+      : fd_(std::exchange(other.fd_, -1)),
+        seq_(other.seq_),
+        request_(std::move(other.request_)),
+        in_(std::move(other.in_)),
+        in_len_(other.in_len_),
+        reply_len_(other.reply_len_) {}
   SyncClient& operator=(SyncClient&&) = delete;
   SyncClient(const SyncClient&) = delete;
   SyncClient& operator=(const SyncClient&) = delete;
@@ -60,17 +70,34 @@ class SyncClient {
   FrameStatus TunerCtl(uint8_t cmd, std::string* text);
 
  private:
-  FrameStatus Call(Opcode op, uint32_t count, std::string_view payload,
-                   std::string* response_payload);
-  // A frame of `count` items answered by one status byte per item.
-  FrameStatus CallItems(Opcode op, size_t count, std::string_view payload,
-                        std::vector<uint8_t>* out);
+  // Sizes the request frame for a payload of `payload_len` bytes and
+  // returns where the payload goes, after the header space.
+  char* StartRequest(size_t payload_len);
+  // Seals and sends the request frame, then reads its reply. On kOk and
+  // the other frame statuses, *reply (when non-null) views the reply's
+  // payload inside in_, valid until the next call.
+  FrameStatus Exchange(Opcode op, uint32_t count, std::string_view* reply);
+  // A frame whose payload is `payload`, answered by text (or nothing).
+  FrameStatus CallText(Opcode op, uint32_t count, std::string_view payload,
+                       std::string* text);
+  // The request frame already holds `count` items, each answered by one
+  // status byte.
+  FrameStatus CallItems(Opcode op, size_t count, std::vector<uint8_t>* out);
+  FrameStatus CallKeys(Opcode op, std::span<const uint64_t> keys,
+                       std::vector<uint8_t>* out);
+  FrameStatus CallStrings(Opcode op, const std::vector<std::string>& items,
+                          std::vector<uint8_t>* out);
   bool WriteAll(std::string_view bytes);
-  bool ReadExactly(char* buf, size_t len);
+  // One recv into in_, with room for the whole frame once its header is in.
+  bool Receive();
   void Fail();
 
   int fd_;
   uint64_t seq_ = 0;
+  std::string request_;   // One request frame, encoded in place.
+  std::string in_;        // Receive buffer; in_[0, in_len_) holds bytes.
+  size_t in_len_ = 0;
+  size_t reply_len_ = 0;  // Leading bytes of in_ the last reply took.
 };
 
 }  // namespace bbf::net

@@ -47,6 +47,8 @@ static_assert(
         static_cast<uint8_t>(InsertOutcome::kExpanded) == kInsertExpanded &&
         static_cast<uint8_t>(InsertOutcome::kRejectedFull) == kInsertNacked,
     "InsertOutcome values are the wire's kInsert* bytes");
+static_assert(kEraseMiss == 0 && kEraseDone == 1,
+              "EraseMany's answer bytes are the wire's kErase* bytes");
 
 /// The drain flag installed by InstallDrainOnSignal. A signal handler may
 /// only touch lock-free state; storing one atomic flag that the loops
@@ -97,6 +99,7 @@ struct Server::Worker {
     bool closing = false;  // Flush `out`, then close.
     bool paused = false;   // Over budget: EPOLLIN disabled until drained.
     bool peer_eof = false;  // Peer half-closed; serve what we hold, then go.
+    uint32_t events = EPOLLIN;  // The mask registered with epoll.
     int64_t last_activity_ms = 0;
     int64_t deadline_ms = 0;  // 0 = no armed deadline.
   };
@@ -146,11 +149,16 @@ struct Server::Worker {
   }
 
   void UpdateEpoll(Conn& conn) {
+    uint32_t events = 0;
+    if (!conn.paused && !conn.closing && !conn.peer_eof) events |= EPOLLIN;
+    if (PendingBytes(conn) > 0) events |= EPOLLOUT;
+    // Every flushed reply lands here with the mask it already has; only a
+    // change is worth the syscall.
+    if (events == conn.events) return;
+    conn.events = events;
     epoll_event ev{};
     ev.data.fd = conn.fd;
-    ev.events = 0;
-    if (!conn.paused && !conn.closing && !conn.peer_eof) ev.events |= EPOLLIN;
-    if (PendingBytes(conn) > 0) ev.events |= EPOLLOUT;
+    ev.events = events;
     epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
   }
 
@@ -344,10 +352,8 @@ struct Server::Worker {
           }
           s.metrics_.keys_inserted.Add(n - nacked);
           s.metrics_.keys_insert_nacked.Add(nacked);
-        } else {
-          for (size_t i = 0; i < n; ++i) {
-            res[i] = s.filter_->Erase(keys[i]) ? kEraseDone : kEraseMiss;
-          }
+        } else if (n > 0) {
+          s.filter_->EraseMany(keys, res);
         }
         return reply(FrameStatus::kOk, n, body);
       }
@@ -533,6 +539,9 @@ struct Server::Worker {
         conn.deadline_ms = NowMs() + server_->config_.io_deadline_ms;
       }
       if (conn.paused || conn.closing) break;
+      // A short read emptied the socket: the next recv would only say
+      // EAGAIN. Level-triggered epoll reports later bytes, or EOF.
+      if (static_cast<size_t>(n) < sizeof(chunk)) break;
     }
     if (conn.peer_eof) {
       if (conn.http || !conn.mode_known) {

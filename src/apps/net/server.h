@@ -79,10 +79,11 @@ struct ServerMetrics {
 
 /// Filter-as-a-service (DESIGN.md §14): a thread-per-core epoll front end
 /// that carries the wire protocol's batched lookup/insert/erase frames
-/// straight into ShardedFilter::ContainsMany / InsertManyWithStatus, and
-/// optionally fronts a Blocklist (kBlockCheck / kReportFalseBlock) and a
-/// Prometheus text endpoint — both over the binary protocol (kMetrics)
-/// and as a plain "GET ..." HTTP scrape on the same port.
+/// straight into ShardedFilter::ContainsMany / InsertManyWithStatus /
+/// EraseMany, and optionally fronts a Blocklist (kBlockCheck /
+/// kReportFalseBlock) and a Prometheus text endpoint — both over the
+/// binary protocol (kMetrics) and as a plain "GET ..." HTTP scrape on the
+/// same port.
 ///
 /// Robustness contract (enforced by tests/net_test.cc's fault sweep):
 ///  - a hostile or flaky peer can never crash the loop or corrupt filter

@@ -45,7 +45,6 @@ void PutLe(std::string* out, T v) {
   out->append(bytes, sizeof(T));
 }
 
-void PutU64(std::string* out, uint64_t v) { PutLe(out, v); }
 void PutU32(std::string* out, uint32_t v) { PutLe(out, v); }
 uint64_t GetU64(const char* p) { return LoadLe<uint64_t>(p); }
 uint32_t GetU32(const char* p) { return LoadLe<uint32_t>(p); }
@@ -70,17 +69,25 @@ bool DecodeKeys(const FrameHeader& h, std::string_view payload,
 
 void AppendFrame(std::string* out, Opcode opcode, FrameStatus status,
                  uint32_t count, uint64_t seq, std::string_view payload) {
-  out->reserve(out->size() + kWireHeaderBytes + payload.size());
-  PutU64(out, kWireMagic);
-  out->push_back(static_cast<char>(kWireVersion));
-  out->push_back(static_cast<char>(opcode));
-  out->push_back(static_cast<char>(status));
-  out->push_back('\0');  // flags
-  PutU32(out, count);
-  PutU64(out, seq);
-  PutU64(out, payload.size());
-  PutU64(out, HashBytes(payload.data(), payload.size(), kWireChecksumSeed));
+  const size_t at = out->size();
+  out->reserve(at + kWireHeaderBytes + payload.size());
+  out->resize(at + kWireHeaderBytes);
   out->append(payload);
+  SealFrame(out->data() + at, payload.size(), opcode, status, count, seq);
+}
+
+void SealFrame(char* frame, size_t payload_len, Opcode opcode,
+               FrameStatus status, uint32_t count, uint64_t seq) {
+  StoreLe(frame + kWireMagicOffset, kWireMagic);
+  frame[kWireVersionOffset] = static_cast<char>(kWireVersion);
+  frame[kWireOpcodeOffset] = static_cast<char>(opcode);
+  frame[kWireStatusOffset] = static_cast<char>(status);
+  frame[kWireFlagsOffset] = '\0';
+  StoreLe(frame + kWireCountOffset, count);
+  StoreLe(frame + kWireSeqOffset, seq);
+  StoreLe(frame + kWireLenOffset, static_cast<uint64_t>(payload_len));
+  StoreLe(frame + kWireChecksumOffset,
+          HashBytes(frame + kWireHeaderBytes, payload_len, kWireChecksumSeed));
 }
 
 std::string EncodeFrame(Opcode opcode, FrameStatus status, uint32_t count,
@@ -142,10 +149,12 @@ CutResult CutFrame(std::string_view buf, FrameHeader* header,
 
 std::string EncodeKeysPayload(std::span<const uint64_t> keys) {
   std::string out(keys.size() * 8, '\0');
-  for (size_t i = 0; i < keys.size(); ++i) {
-    StoreLe(out.data() + i * 8, keys[i]);
-  }
+  EncodeKeysInto(keys, out.data());
   return out;
+}
+
+void EncodeKeysInto(std::span<const uint64_t> keys, char* dst) {
+  for (size_t i = 0; i < keys.size(); ++i) StoreLe(dst + i * 8, keys[i]);
 }
 
 bool DecodeKeysPayload(const FrameHeader& h, std::string_view payload,

@@ -141,6 +141,14 @@ enum class HeaderCheck : uint8_t {
 void AppendFrame(std::string* out, Opcode opcode, FrameStatus status,
                  uint32_t count, uint64_t seq, std::string_view payload);
 
+/// Writes the header of a frame whose payload is already in place:
+/// `frame` holds kWireHeaderBytes of header space followed by
+/// `payload_len` payload bytes, which the checksum covers. AppendFrame
+/// seals a copied payload this way; a sender that encodes its payload
+/// straight into its frame buffer (SyncClient) calls it directly.
+void SealFrame(char* frame, size_t payload_len, Opcode opcode,
+               FrameStatus status, uint32_t count, uint64_t seq);
+
 /// AppendFrame into a fresh string.
 std::string EncodeFrame(Opcode opcode, FrameStatus status, uint32_t count,
                         uint64_t seq, std::string_view payload);
@@ -172,6 +180,9 @@ CutResult CutFrame(std::string_view buf, FrameHeader* header,
 
 /// count x u64 little-endian keys, one whole word per key.
 std::string EncodeKeysPayload(std::span<const uint64_t> keys);
+
+/// The same words written to `dst`, which holds 8 * keys.size() bytes.
+void EncodeKeysInto(std::span<const uint64_t> keys, char* dst);
 
 /// Strict inverse: requires payload_len == 8 * count with count within
 /// the batch cap. False on any mismatch; `keys` untouched on failure.

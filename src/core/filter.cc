@@ -52,6 +52,10 @@ size_t Filter::InsertMany(std::span<const HashedKey> keys) {
 
 bool Filter::Erase(HashedKey /*key*/) { return false; }
 
+void Filter::EraseMany(std::span<const HashedKey> keys, uint8_t* out) {
+  for (size_t i = 0; i < keys.size(); ++i) out[i] = Erase(keys[i]) ? 1 : 0;
+}
+
 double Filter::LoadFactor() const { return 0.0; }
 
 uint64_t Filter::Count(HashedKey key) const { return Contains(key) ? 1 : 0; }

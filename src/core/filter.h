@@ -123,6 +123,12 @@ class Filter {
   /// default implementation reports lack of support.
   virtual bool Erase(HashedKey key);
 
+  /// Batched erase: writes 1 to `out[i]` when keys[i] was erased and 0
+  /// otherwise, bit-for-bit identical to calling Erase in order. The base
+  /// implementation is that loop; a wrapper that locks per key
+  /// (ShardedFilter) overrides it to lock once per batch.
+  virtual void EraseMany(std::span<const HashedKey> keys, uint8_t* out);
+
   /// Multiplicity query (counting filters, §2.6). Default: 0/1 membership.
   virtual uint64_t Count(HashedKey key) const;
 

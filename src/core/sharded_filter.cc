@@ -357,7 +357,8 @@ bool ShardedFilter::Contains(HashedKey key) const {
 
 template <typename Body>
 void ShardedFilter::ForEachShardBatch(std::span<const HashedKey> keys,
-                                      bool answers, Body&& body) const {
+                                      BatchKind kind, Body&& body) const {
+  const bool answers = kind == BatchKind::kLookup;
   const size_t num_shards = shards_.size();
   HashedKey sorted_stack[kStackKeys];
   size_t src_stack[kStackKeys];
@@ -374,7 +375,7 @@ void ShardedFilter::ForEachShardBatch(std::span<const HashedKey> keys,
   if (keys.size() > kStackKeys) {
     sorted_heap.resize(keys.size());
     src_heap.resize(keys.size());
-    // Insert batches need no answer bytes (their body gets null); a large
+    // Write batches need no answer bytes (their body gets null); a large
     // one, such as a bulk preload, would otherwise pay a byte per key.
     if (answers) res_heap.resize(keys.size());
     sorted = sorted_heap.data();
@@ -386,7 +387,13 @@ void ShardedFilter::ForEachShardBatch(std::span<const HashedKey> keys,
     start = start_heap.data();
   }
   GroupByShard(keys, num_shards, sorted, src, start);
-  for (size_t s = 0; s < num_shards; ++s) {
+  // Opposite sweeps: a lookup batch that meets a write batch passes it at
+  // one shard, so it waits behind at most one exclusive section instead
+  // of trailing the write through every shard. Batches of one kind sweep
+  // alike, and each batch holds one shard lock at a time, so no lock
+  // order between shards arises.
+  for (size_t i = 0; i < num_shards; ++i) {
+    const size_t s = answers ? i : num_shards - 1 - i;
     const size_t b = start[s];
     const size_t e = start[s + 1];
     if (b == e) continue;
@@ -397,7 +404,7 @@ void ShardedFilter::ForEachShardBatch(std::span<const HashedKey> keys,
 
 void ShardedFilter::ContainsMany(std::span<const HashedKey> keys,
                                  uint8_t* out) const {
-  // Passthrough, here and in both insert paths: a batch shallower than ~2
+  // Passthrough, here and in every write path: a batch shallower than ~2
   // keys per shard can't feed any shard's prefetch pipeline — grouping
   // would add the sort and scatter for nothing — so it routes through
   // per-key dispatch.
@@ -435,7 +442,7 @@ void ShardedFilter::ContainsMany(std::span<const HashedKey> keys,
     }
     for (size_t j = 0; j < sub.size(); ++j) out[src[j]] = res[j];
   };
-  ForEachShardBatch(keys, /*answers=*/true, probe);
+  ForEachShardBatch(keys, BatchKind::kLookup, probe);
 }
 
 size_t ShardedFilter::InsertMany(std::span<const HashedKey> keys) {
@@ -471,7 +478,7 @@ size_t ShardedFilter::InsertMany(std::span<const HashedKey> keys) {
       inserted += Accepted(InsertIntoShardLocked(shard, key));
     }
   };
-  ForEachShardBatch(keys, /*answers=*/false, insert);
+  ForEachShardBatch(keys, BatchKind::kWrite, insert);
   return inserted;
 }
 
@@ -494,12 +501,10 @@ void ShardedFilter::InsertManyWithStatus(std::span<const HashedKey> keys,
       out[src[j]] = InsertIntoShardLocked(shard, sub[j]);
     }
   };
-  ForEachShardBatch(keys, /*answers=*/false, insert);
+  ForEachShardBatch(keys, BatchKind::kWrite, insert);
 }
 
-bool ShardedFilter::Erase(HashedKey key) {
-  Shard& shard = *shards_[ShardOf(key)];
-  WriteLock lock(shard);
+bool ShardedFilter::EraseLocked(Shard& shard, HashedKey key) {
   // Newest first: recent inserts are the likeliest erase targets.
   for (auto it = shard.gens.rbegin(); it != shard.gens.rend(); ++it) {
     if ((*it)->Erase(key)) {
@@ -508,6 +513,27 @@ bool ShardedFilter::Erase(HashedKey key) {
     }
   }
   return false;
+}
+
+bool ShardedFilter::Erase(HashedKey key) {
+  Shard& shard = *shards_[ShardOf(key)];
+  WriteLock lock(shard);
+  return EraseLocked(shard, key);
+}
+
+void ShardedFilter::EraseMany(std::span<const HashedKey> keys, uint8_t* out) {
+  if (keys.size() < shards_.size() * 2) {
+    Filter::EraseMany(keys, out);
+    return;
+  }
+  const auto erase = [&](Shard& shard, std::span<const HashedKey> sub,
+                         const size_t* src, uint8_t*) {
+    WriteLock lock(shard);
+    for (size_t j = 0; j < sub.size(); ++j) {
+      out[src[j]] = EraseLocked(shard, sub[j]) ? 1 : 0;
+    }
+  };
+  ForEachShardBatch(keys, BatchKind::kWrite, erase);
 }
 
 uint64_t ShardedFilter::Count(HashedKey key) const {

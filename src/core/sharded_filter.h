@@ -153,10 +153,17 @@ class ShardedFilter : public Filter {
   /// shard filter's own prefetch-pipelined batch path. Sub-batches that
   /// fit under the load threshold go straight to the newest generation's
   /// InsertMany; near saturation the per-key policy path takes over.
+  /// Lookup batches visit the shards upward and write batches (the
+  /// inserts and EraseMany) downward, so a lookup batch that meets a
+  /// write batch waits behind at most one of its exclusive sections
+  /// (DESIGN.md §9).
   void ContainsMany(std::span<const HashedKey> keys,
                     uint8_t* out) const override;
   size_t InsertMany(std::span<const HashedKey> keys) override;
   bool Erase(HashedKey key) override;
+  /// One exclusive section per shard; within a shard each key is erased
+  /// newest generation first and journaled, exactly as Erase does.
+  void EraseMany(std::span<const HashedKey> keys, uint8_t* out) override;
   uint64_t Count(HashedKey key) const override;
   size_t SpaceBits() const override;
   uint64_t NumKeys() const override;
@@ -361,18 +368,26 @@ class ShardedFilter : public Filter {
   static void Publish(Shard& shard);
 
   size_t ShardOf(HashedKey key) const;
+  // What a grouped batch does to its shards. A lookup batch takes each
+  // shard's shared lock in ascending shard order and gets a scratch
+  // answer byte per key; a write batch takes each exclusive lock in
+  // descending order and scatters its own results.
+  enum class BatchKind : uint8_t { kLookup, kWrite };
   // Groups a batch by shard and calls body(shard, sub, src, res) once per
-  // shard that has keys: `sub` is the shard's keys in batch order, src[j]
-  // the batch position of sub[j], and res a scratch byte per key (null
-  // without `answers`). Scratch lives on the stack up to 1,024 keys and
-  // 128 shards.
+  // shard that has keys, in `kind`'s shard order: `sub` is the shard's
+  // keys in batch order, src[j] the batch position of sub[j], and res the
+  // scratch bytes (null for a write batch). Scratch lives on the stack up
+  // to 1,024 keys and 128 shards.
   template <typename Body>
-  void ForEachShardBatch(std::span<const HashedKey> keys, bool answers,
+  void ForEachShardBatch(std::span<const HashedKey> keys, BatchKind kind,
                          Body&& body) const;
   // The policy-driven insert path; requires shard.mutex held exclusively.
   InsertOutcome InsertIntoShardLocked(Shard& shard, HashedKey key);
   // InsertIntoShardLocked without the journal/estimator bookkeeping.
   InsertOutcome InsertPolicyLocked(Shard& shard, HashedKey key);
+  // Erases `key` from the newest generation that holds it and journals
+  // the erase; false when none does. Requires shard.mutex held exclusively.
+  bool EraseLocked(Shard& shard, HashedKey key);
   // Records one acked insert or erase in the shard's journal and FPR
   // estimator. Requires the lock.
   void JournalLocked(Shard& shard, HashedKey key, bool erase);

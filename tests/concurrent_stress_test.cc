@@ -11,14 +11,17 @@
 // cases race unlocked scalar lookups (the seqlock read path, DESIGN.md
 // §9) against cuckoo kicks, chaining and migration swaps; the `sanitize`
 // job runs them under ASan, which sees a stale reader probe a freed
-// generation. The last case checks that the shard lock queues new
-// readers behind a waiting writer.
+// generation. A lock-queue case checks that the shard lock queues new
+// readers behind a waiting writer; the last two check the batch paths'
+// opposite shard sweeps and race lookup batches against write batches.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -764,6 +767,242 @@ TEST(ConcurrentStress, ShardLockQueuesNewReadersBehindAWaitingWriter) {
   EXPECT_EQ(writer_order.load(), 1) << "the writer came after a reader that "
                                        "arrived after it";
   EXPECT_EQ(late_reader_order.load(), 2);
+}
+
+// Holds a reader inside one shard: a membership family (an exact multiset)
+// whose ContainsMany, while `block` is set, signals `inside` and waits for
+// `release` before it answers. ShardedFilter::ContainsMany calls it under
+// the shard's shared lock. `writes` counts the keys inserted and erased.
+struct ReaderGate {
+  std::atomic<bool> block{false};
+  std::atomic<bool> inside{false};
+  std::atomic<bool> release{false};
+};
+
+class GateFamily : public Filter {
+ public:
+  explicit GateFamily(ReaderGate* gate) : gate_(gate) {}
+
+  using Filter::Contains;
+  using Filter::ContainsMany;
+  using Filter::Erase;
+  using Filter::Insert;
+
+  bool Insert(HashedKey key) override {
+    keys_.insert(key.value());
+    writes.fetch_add(1, std::memory_order_release);
+    return true;
+  }
+  bool Contains(HashedKey key) const override {
+    return keys_.count(key.value()) > 0;
+  }
+  void ContainsMany(std::span<const HashedKey> keys,
+                    uint8_t* out) const override {
+    if (gate_->block.load(std::memory_order_acquire)) {
+      gate_->inside.store(true, std::memory_order_release);
+      while (!gate_->release.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    }
+    Filter::ContainsMany(keys, out);
+  }
+  bool Erase(HashedKey key) override {
+    const auto it = keys_.find(key.value());
+    if (it == keys_.end()) return false;
+    keys_.erase(it);
+    writes.fetch_add(1, std::memory_order_release);
+    return true;
+  }
+  size_t SpaceBits() const override { return keys_.size() * 64; }
+  uint64_t NumKeys() const override { return keys_.size(); }
+  FilterClass Class() const override { return FilterClass::kDynamic; }
+  std::string_view Name() const override { return "gate"; }
+
+  std::atomic<uint64_t> writes{0};
+
+ private:
+  ReaderGate* gate_;
+  std::multiset<uint64_t> keys_;
+};
+
+// The sweep order (DESIGN.md §9): lookup batches take the shard locks
+// upward and write batches downward, so a lookup batch inside shard 0
+// holds up a write batch only once that batch has written every other
+// shard. A reader parks in shard 0's ContainsMany, holding its shared
+// lock; a write batch with keys in every shard then runs on a second
+// thread and must finish shards 1-7 before it waits at shard 0. A write
+// batch that swept upward would wait at shard 0 first, and the poll below
+// would time out before the reader is released.
+TEST(ConcurrentStress, WriteBatchesSweepShardsOppositeToLookupBatches) {
+  constexpr int kShards = 8;
+  constexpr size_t kPerShard = 4;
+  // Reader keys all route to shard 0, writer keys to every shard; both
+  // batches are at least 2 keys per shard, so both are grouped.
+  std::vector<HashedKey> reader_keys;
+  std::vector<HashedKey> write_keys;
+  std::vector<size_t> per_shard(kShards, 0);
+  for (uint64_t k = 1; reader_keys.size() < 2 * kShards ||
+                       write_keys.size() < kShards * kPerShard;
+       ++k) {
+    const HashedKey key(k);
+    const size_t s = key.value() % kShards;
+    if (s == 0 && reader_keys.size() < 2 * kShards) {
+      reader_keys.push_back(key);
+    } else if (per_shard[s] < kPerShard) {
+      ++per_shard[s];
+      write_keys.push_back(key);
+    }
+  }
+  enum class Path { kInsertMany, kInsertManyWithStatus, kEraseMany };
+  for (const Path path :
+       {Path::kInsertMany, Path::kInsertManyWithStatus, Path::kEraseMany}) {
+    SCOPED_TRACE(path == Path::kInsertMany ? "InsertMany"
+                 : path == Path::kInsertManyWithStatus
+                     ? "InsertManyWithStatus"
+                     : "EraseMany");
+    ReaderGate gate;
+    std::vector<GateFamily*> shards;  // Built in shard order.
+    ShardedFilter f(1 << 12, kShards,
+                    [&](uint64_t) -> std::unique_ptr<Filter> {
+                      auto family = std::make_unique<GateFamily>(&gate);
+                      shards.push_back(family.get());
+                      return family;
+                    });
+    ASSERT_EQ(shards.size(), static_cast<size_t>(kShards));
+    if (path == Path::kEraseMany) {
+      ASSERT_EQ(f.InsertMany(write_keys), write_keys.size());
+    }
+    std::vector<uint64_t> before(kShards);
+    for (int s = 0; s < kShards; ++s) before[s] = shards[s]->writes.load();
+
+    gate.block.store(true, std::memory_order_release);
+    std::vector<uint8_t> answers(reader_keys.size());
+    std::thread reader([&] { f.ContainsMany(reader_keys, answers.data()); });
+    while (!gate.inside.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    std::vector<uint8_t> out(write_keys.size());
+    std::vector<InsertOutcome> outcomes(write_keys.size());
+    std::thread writer([&] {
+      switch (path) {
+        case Path::kInsertMany:
+          f.InsertMany(write_keys);
+          break;
+        case Path::kInsertManyWithStatus:
+          f.InsertManyWithStatus(write_keys, outcomes.data());
+          break;
+        case Path::kEraseMany:
+          f.EraseMany(write_keys, out.data());
+          break;
+      }
+    });
+    const auto others_written = [&] {
+      for (int s = 1; s < kShards; ++s) {
+        if (shards[s]->writes.load(std::memory_order_acquire) !=
+            before[s] + kPerShard) {
+          return false;
+        }
+      }
+      return true;
+    };
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    bool finished = others_written();
+    while (!finished && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      finished = others_written();
+    }
+    const uint64_t shard0_while_held = shards[0]->writes.load();
+    gate.release.store(true, std::memory_order_release);
+    reader.join();
+    writer.join();
+
+    EXPECT_TRUE(finished) << "the write batch waited at shard 0 before "
+                             "writing every other shard";
+    EXPECT_EQ(shard0_while_held, before[0])
+        << "the write batch entered the shard a reader held";
+    for (int s = 0; s < kShards; ++s) {
+      EXPECT_EQ(shards[s]->writes.load(), before[s] + kPerShard)
+          << "shard " << s;
+    }
+    if (path == Path::kEraseMany) {
+      for (uint8_t done : out) EXPECT_EQ(done, 1);
+    }
+  }
+}
+
+// Lookup batches against write batches, the traffic of a served filter:
+// two readers loop ContainsMany over stable keys while a writer inserts
+// churn keys with InsertManyWithStatus and erases each acked batch with
+// EraseMany. The sweeps pass each other at every shard; no stable key may
+// read absent, and every acked churn key must erase.
+TEST(ConcurrentStress, LookupBatchesMissNoKeyWhileWriteBatchesChurn) {
+  const uint64_t seed = TestSeed(2031);
+  BBF_ANNOUNCE_SEED(seed);
+  constexpr size_t kStable = 16384;
+  constexpr size_t kBatch = 1024;
+  ShardedFilter f(4 * kStable, 16,
+                  [](uint64_t cap) -> std::unique_ptr<Filter> {
+                    return std::make_unique<QuotientFilter>(
+                        QuotientFilter::ForCapacity(cap, 0.01));
+                  });
+  SplitMix64 rng(seed);
+  std::vector<HashedKey> stable(kStable);
+  for (HashedKey& key : stable) key = HashedKey(rng.Next());
+  ASSERT_EQ(f.InsertMany(stable), kStable);
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> misses{0};
+  std::atomic<uint64_t> lookups{0};
+  const std::span<const HashedKey> all(stable);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      std::vector<uint8_t> out(kBatch);
+      uint64_t local_misses = 0;
+      uint64_t local_lookups = 0;
+      while (!done.load(std::memory_order_acquire)) {
+        for (size_t off = 0; off < kStable; off += kBatch) {
+          f.ContainsMany(all.subspan(off, kBatch), out.data());
+          for (uint8_t hit : out) local_misses += hit == 0;
+          local_lookups += kBatch;
+        }
+      }
+      misses.fetch_add(local_misses, std::memory_order_relaxed);
+      lookups.fetch_add(local_lookups, std::memory_order_relaxed);
+    });
+  }
+
+  uint64_t rounds = 0;
+  uint64_t acked = 0;
+  uint64_t erase_misses = 0;
+  std::vector<HashedKey> churn(kBatch);
+  std::vector<HashedKey> live;
+  std::vector<InsertOutcome> outcomes(kBatch);
+  std::vector<uint8_t> erased(kBatch);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (std::chrono::steady_clock::now() < deadline) {
+    for (HashedKey& key : churn) key = HashedKey(rng.Next());
+    f.InsertManyWithStatus(churn, outcomes.data());
+    live.clear();
+    for (size_t i = 0; i < kBatch; ++i) {
+      if (Accepted(outcomes[i])) live.push_back(churn[i]);
+    }
+    acked += live.size();
+    f.EraseMany(live, erased.data());
+    for (size_t i = 0; i < live.size(); ++i) erase_misses += erased[i] == 0;
+    ++rounds;
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+
+  EXPECT_EQ(misses.load(), 0u) << "over " << lookups.load() << " lookups and "
+                               << rounds << " write rounds";
+  EXPECT_GT(lookups.load(), 0u);
+  EXPECT_EQ(acked, rounds * kBatch) << "a churn insert was refused";
+  EXPECT_EQ(erase_misses, 0u);
+  EXPECT_EQ(f.NumKeys(), kStable);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <fstream>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -543,6 +544,62 @@ TEST(WireServer, ReplyBytesArePinned) {
   EXPECT_EQ(insert_bytes.size(), 3u) << "accepted, expanded and NACKed";
   EXPECT_EQ(replies.size(), 14046u);
   EXPECT_EQ(HashBytes(replies), 0x49cc2d3d8bf69e5dull);
+}
+
+// SyncClient encodes keys straight into its reused request frame and
+// reads replies into one receive buffer. Its requests must be the
+// codec's bytes. A peer that answers two requests in one write leaves
+// the second reply buffered: the next call must take it from the buffer,
+// since a recv would wait for bytes the peer sends only later. A reply
+// larger than one read, arriving in two writes, must reassemble.
+TEST(WireClient, EncodesInPlaceAndKeepsBytesPastAReply) {
+  int sp[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sp), 0);
+  timeval tv{};
+  tv.tv_sec = 5;
+  setsockopt(sp[0], SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  setsockopt(sp[1], SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  const auto keys = GenerateDistinctKeys(kMaxWireBatchCount, 0x5C1E);
+  const std::span<const uint64_t> all(keys);
+  const std::string want_requests =
+      EncodeFrame(Opcode::kLookup, FrameStatus::kOk, 3, 1,
+                  EncodeKeysPayload(all.first(3))) +
+      EncodeFrame(Opcode::kErase, FrameStatus::kOk, 2, 2,
+                  EncodeKeysPayload(all.subspan(3, 2))) +
+      EncodeFrame(Opcode::kLookup, FrameStatus::kOk, kMaxWireBatchCount, 3,
+                  EncodeKeysPayload(all));
+  std::string got_requests;
+  std::thread peer([&] {
+    RawWrite(sp[1], EncodeFrame(Opcode::kLookup, FrameStatus::kOk, 3, 1,
+                                std::string_view("\1\0\1", 3)) +
+                        EncodeFrame(Opcode::kErase, FrameStatus::kOk, 2, 2,
+                                    std::string_view("\1\0", 2)));
+    char chunk[4096];
+    while (got_requests.size() < want_requests.size()) {
+      const ssize_t n = ::recv(sp[1], chunk, sizeof(chunk), 0);
+      if (n <= 0) return;
+      got_requests.append(chunk, static_cast<size_t>(n));
+    }
+    const std::string big =
+        EncodeFrame(Opcode::kLookup, FrameStatus::kOk, kMaxWireBatchCount, 3,
+                    std::string(kMaxWireBatchCount, '\1'));
+    RawWrite(sp[1], std::string_view(big).substr(0, 1000));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    RawWrite(sp[1], std::string_view(big).substr(1000));
+  });
+  {
+    SyncClient client(sp[0]);
+    std::vector<uint8_t> out;
+    EXPECT_EQ(client.Lookup(all.first(3), &out), FrameStatus::kOk);
+    EXPECT_EQ(out, (std::vector<uint8_t>{1, 0, 1}));
+    EXPECT_EQ(client.Erase(all.subspan(3, 2), &out), FrameStatus::kOk);
+    EXPECT_EQ(out, (std::vector<uint8_t>{1, 0}));
+    EXPECT_EQ(client.Lookup(all, &out), FrameStatus::kOk);
+    EXPECT_EQ(out, std::vector<uint8_t>(kMaxWireBatchCount, 1));
+    peer.join();
+  }
+  ::close(sp[1]);
+  EXPECT_TRUE(got_requests == want_requests) << "request bytes differ";
 }
 
 TEST(WireServer, HostileLengthIsRejectedBeforeBuffering) {

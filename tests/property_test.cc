@@ -316,7 +316,7 @@ TEST(BatchParity, CuckooFullFilterReturnPath) {
 
 // --- Sharded batch paths against a per-key twin ------------------------------
 
-// ShardedFilter's three batch paths share one grouping helper. Fed the
+// ShardedFilter's four batch paths share one grouping helper. Fed the
 // same keys, a filter driven through them and a twin driven key by key
 // must agree on every answer and outcome, on every shard's counters and
 // on every saved byte, whatever scratch the batch takes: the per-key
@@ -325,6 +325,8 @@ TEST(BatchParity, CuckooFullFilterReturnPath) {
 // chain up to two generations, then refuse keys. With `armed`, migration
 // journaling and FPR tracking run as in a serving filter; without, the
 // InsertMany fast path runs while a sub-batch fits under the threshold.
+// The erase phase runs EraseMany against per-key Erase; each batch mixes
+// inserted and never-inserted keys and ends in a repeat of its first.
 void CheckShardedBatchTwin(uint64_t expected, int num_shards, uint64_t n,
                            const std::vector<size_t>& batches, bool armed,
                            uint64_t default_seed) {
@@ -389,12 +391,40 @@ void CheckShardedBatchTwin(uint64_t expected, int num_shards, uint64_t n,
     }
   }
 
+  // A third of the keys, each beside a never-inserted one (the negatives
+  // lead `queries`).
+  std::vector<HashedKey> erasable;
+  for (size_t i = 0; i < n / 3; ++i) {
+    erasable.push_back(keys[i]);
+    erasable.push_back(queries[i]);
+  }
+  uint64_t erased = 0;
+  for (size_t off = 0; off < erasable.size(); ++b) {
+    const size_t size = batches[b % batches.size()];
+    const size_t fresh = std::min(std::max<size_t>(size - 1, 1),
+                                  erasable.size() - off);
+    std::vector<HashedKey> batch(erasable.begin() + off,
+                                 erasable.begin() + off + fresh);
+    off += fresh;
+    if (size > 1) batch.push_back(batch.front());
+    std::vector<uint8_t> got(batch.size(), 2);
+    batched->EraseMany(batch, got.data());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_EQ(got[i], twin->Erase(batch[i]) ? 1 : 0)
+          << "batch " << b << " erase " << i;
+      erased += got[i];
+    }
+  }
+  EXPECT_GT(erased, 0u) << "no erase found its key";
+  EXPECT_LT(erased, erasable.size()) << "every erase found a key";
+
   const auto got = batched->Stats();
   const auto want = twin->Stats();
   ASSERT_EQ(got.size(), want.size());
   uint64_t expanded = 0;
   uint64_t rejected = 0;
   for (size_t s = 0; s < got.size(); ++s) {
+    EXPECT_EQ(got[s].num_keys, want[s].num_keys) << "shard " << s;
     EXPECT_EQ(got[s].accepted, want[s].accepted) << "shard " << s;
     EXPECT_EQ(got[s].expanded, want[s].expanded) << "shard " << s;
     EXPECT_EQ(got[s].rejected, want[s].rejected) << "shard " << s;
@@ -428,9 +458,10 @@ TEST(BatchParity, ShardedBatchPathsMatchPerKeyTwinPast128Shards) {
 }
 
 TEST(ShardRouting, EveryInsertPathRoutesByValueModuloShards) {
-  // Power-of-two counts route by mask, others by `%`: each insert path
-  // must land every key in shard value() % n. The batch twin test above
-  // compares paths that share one router, so it cannot see this.
+  // Power-of-two counts route by mask, others by `%`: each insert path,
+  // and EraseMany, must find every key in shard value() % n. The batch
+  // twin test above compares paths that share one router, so it cannot
+  // see this.
   const uint64_t seed = TestSeed(390);
   BBF_ANNOUNCE_SEED(seed);
   const auto raw = GenerateDistinctKeys(9000, seed);
@@ -442,8 +473,12 @@ TEST(ShardRouting, EveryInsertPathRoutesByValueModuloShards) {
           QuotientFilter::ForCapacity(cap, 0.01));
     });
     std::vector<uint64_t> want(n, 0);
-    const auto check = [&](size_t begin, size_t end, const char* path) {
-      for (size_t i = begin; i < end; ++i) ++want[keys[i].value() % n];
+    const auto check = [&](size_t begin, size_t end, const char* path,
+                           bool erased = false) {
+      for (size_t i = begin; i < end; ++i) {
+        uint64_t& count = want[keys[i].value() % n];
+        count = erased ? count - 1 : count + 1;
+      }
       const auto stats = f.Stats();
       ASSERT_EQ(stats.size(), static_cast<size_t>(n));
       for (int s = 0; s < n; ++s) {
@@ -465,6 +500,14 @@ TEST(ShardRouting, EveryInsertPathRoutesByValueModuloShards) {
       ASSERT_EQ(out[i], InsertOutcome::kAccepted) << "key " << i;
     }
     check(6000, 9000, "InsertManyWithStatus");
+    // A third of the keys leave again, on stack and on heap scratch.
+    std::vector<uint8_t> done(3000, 2);
+    f.EraseMany(all.subspan(0, 1000), done.data());
+    f.EraseMany(all.subspan(1000, 2000), done.data() + 1000);
+    for (size_t i = 0; i < 3000; ++i) {
+      ASSERT_EQ(done[i], 1) << "key " << i;
+    }
+    check(0, 3000, "EraseMany", /*erased=*/true);
   }
 }
 
