@@ -11,7 +11,9 @@
 // budget. This bench measures both and fails loudly if either breaks.
 //
 // Usage: bench_tuner [--quick] [--json=PATH]
-//   --quick      fewer lookups per phase and a smaller filter.
+//   --quick      a smaller filter for the FPR-recovery phase. The pause
+//                phase runs at one size: its p99 ratio needs the full
+//                2M-lookup sample to stay inside the 10x gate.
 //   --json=PATH  machine-readable results (BENCH_tuner.json).
 
 #include <algorithm>
@@ -95,13 +97,12 @@ struct PauseResult {
 
 // --- Phase 1: lookup latency while every shard migrates under load. ------
 PauseResult MeasureMigrationPause(Harness& h) {
-  const uint64_t pool_size =
-      h.quick() ? (uint64_t{1} << 16) : (uint64_t{1} << 18);
-  const uint64_t lookups = h.quick() ? 200'000 : 2'000'000;
+  constexpr uint64_t pool_size = uint64_t{1} << 18;
+  constexpr uint64_t lookups = 2'000'000;
   constexpr size_t kShards = 8;
 
-  ShardedFilter filter(pool_size, kShards, FamilyFactory("quotient", 0.01));
-  if (!h.Check(filter.EnableMigration(), "enable migration")) return {};
+  ShardedFilter filter(pool_size, kShards, FamilyFactory("quotient", 0.01), {},
+                       ShardedFilter::kDefaultJournalCap);
   const auto pool = GenerateDistinctKeys(pool_size, 42);
   for (size_t i = 0; i < pool.size() / 2; ++i) filter.Insert(pool[i]);
 
@@ -164,8 +165,8 @@ RecoveryResult MeasureFprRecovery(Harness& h) {
   // A deliberately loose blocked-bloom shard (the kind a static sizing
   // guess leaves behind) so abusive false positives are easy to find.
   auto inner = std::make_unique<ShardedFilter>(
-      num_keys * 2, 1, FamilyFactory("blocked-bloom", 0.25));
-  if (!h.Check(inner->EnableMigration(), "enable migration")) return {};
+      num_keys * 2, 1, FamilyFactory("blocked-bloom", 0.25),
+      bbf::SaturationConfig{}, ShardedFilter::kDefaultJournalCap);
   bbf::obs::InstrumentedFilter filter(std::move(inner), 0.25);
 
   const auto keys = GenerateDistinctKeys(num_keys, 7);

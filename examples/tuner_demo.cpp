@@ -43,14 +43,12 @@ int main() {
   // 25% epsilon, while the service promises 1%.
   constexpr uint64_t kNumKeys = 20'000;
   constexpr double kBudget = 0.01;
+  // Built with a journal cap, so its shard journals every acked op and
+  // can migrate online.
   auto inner = std::make_unique<ShardedFilter>(
-      kNumKeys, 1, [](uint64_t cap) {
-        return CreateFilter("blocked-bloom", cap, 0.25);
-      });
-  if (!inner->EnableMigration()) {
-    std::fprintf(stderr, "EnableMigration failed\n");
-    return 1;
-  }
+      kNumKeys, 1,
+      [](uint64_t cap) { return CreateFilter("blocked-bloom", cap, 0.25); },
+      bbf::SaturationConfig{}, ShardedFilter::kDefaultJournalCap);
   bbf::obs::InstrumentedFilter filter(std::move(inner), 0.25);
 
   const auto keys = GenerateDistinctKeys(kNumKeys, 7);

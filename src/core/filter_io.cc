@@ -38,10 +38,10 @@ std::unique_ptr<Filter> LoadShardedSnapshot(std::istream& is,
   if (!ReadU64(dir, &version) ||
       !ReadU64Capped(dir, &capacity, kMaxSnapshotElements) ||
       !ReadU64Capped(dir, &tag_len, kMaxSnapshotTagBytes) ||
-      !ReadBytes(dir, &inner_tag, tag_len)) {
+      !ReadBytes(dir, &inner_tag, tag_len) ||
+      FindFilterEntry(inner_tag) == nullptr) {
     return nullptr;
   }
-  if (!CreateFilterForTag(inner_tag, capacity)) return nullptr;
   auto sharded = std::make_unique<ShardedFilter>(
       1, 1, [inner_tag](uint64_t shard_capacity) {
         return CreateFilterForTag(inner_tag, shard_capacity);

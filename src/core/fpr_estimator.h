@@ -34,7 +34,7 @@ namespace bbf {
 /// can be alerted on, expected to stay 0).
 ///
 /// Lives in core (not obs) because ShardedFilter hosts one estimator per
-/// shard when migration instrumentation is enabled; the obs layer's
+/// tracked shard (built with a journal cap); the obs layer's
 /// FilterMetrics embeds the same class for whole-filter estimates.
 ///
 /// Caveats (documented, deliberate): after a partial batch insert every

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <mutex>
 #include <shared_mutex>
 #include <sstream>
@@ -148,9 +147,9 @@ class ShardedFilter::WriteLock {
   }
   ~WriteLock() {
     if (!published_) return;
-    // Chaining a generation or arming migration ends the publication;
-    // nothing in a section starts one.
-    if (shard_.tracking != nullptr || shard_.gens.size() != 1) {
+    // Chaining a generation ends the publication; nothing in a section
+    // starts one.
+    if (shard_.gens.size() != 1) {
       shard_.published.store(nullptr, std::memory_order_release);
     }
     Bump(std::memory_order_release);
@@ -189,21 +188,23 @@ std::unique_ptr<ShardedFilter::Shard> ShardedFilter::MakeShard() const {
   SetNewestCapacity(*shard, per_shard_capacity_);
   // A freshly built shard is empty, so its (empty) journal is a complete
   // op history — quarantine rebuilds stay migratable.
-  if (migration_enabled_) shard->tracking = std::make_unique<Tracking>();
+  if (journal_cap_ > 0) shard->tracking = std::make_unique<Tracking>();
   Publish(*shard);
   return shard;
 }
 
 ShardedFilter::ShardedFilter(uint64_t expected_keys, int num_shards,
                              ShardFactory factory,
-                             const SaturationConfig& config)
-    : factory_(std::move(factory)), config_(config) {
+                             const SaturationConfig& config,
+                             size_t journal_cap)
+    : factory_(std::move(factory)), config_(config), journal_cap_(journal_cap) {
   shards_.reserve(num_shards);
   per_shard_capacity_ =
       expected_keys / num_shards + expected_keys / (num_shards * 4) + 16;
   for (int s = 0; s < num_shards; ++s) {
     shards_.push_back(MakeShard());
   }
+  factory_tag_ = shards_.front()->gens.front()->Name();
 }
 
 size_t ShardedFilter::ShardOf(HashedKey key) const {
@@ -629,25 +630,6 @@ uint64_t ShardedFilter::TotalMigrations() const {
   return migrations;
 }
 
-bool ShardedFilter::EnableMigration(size_t journal_cap) {
-  // All shard locks held at once (ordered, so no deadlock risk) so the
-  // emptiness check and the arm are one atomic step across the filter.
-  // Arming unpublishes every shard's generation as the locks close.
-  std::deque<WriteLock> locks;
-  for (const auto& shard : shards_) locks.emplace_back(*shard);
-  for (const auto& shard : shards_) {
-    for (const auto& gen : shard->gens) {
-      if (gen->NumKeys() > 0) return false;
-    }
-  }
-  migration_enabled_ = true;
-  journal_cap_ = journal_cap;
-  for (const auto& shard : shards_) {
-    shard->tracking = std::make_unique<Tracking>();
-  }
-  return true;
-}
-
 ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
     size_t shard_idx, ShardFactory successor_factory) {
   // Default successor builder: construct empty via the factory and replay
@@ -684,7 +666,7 @@ ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
   std::vector<FilterJournalOp> snapshot_ops;
   {
     WriteLock lock(shard);
-    if (!migration_enabled_ || shard.tracking == nullptr) {
+    if (shard.tracking == nullptr) {
       report.error = "migration not enabled for this shard";
       return report;
     }
@@ -769,13 +751,8 @@ ShardedFilter::MigrationReport ShardedFilter::MigrateShard(
     report.replayed_ops += t.journal.size() - cursor;
     successor->AttachMetricsSink(sink_);
     report.to_family = std::string(successor->Name());
-    // Only an untracked shard publishes, so only the generations of a
-    // shard's first migration can have been published; an unlocked
-    // reader may still be probing one of them. Later successors were
-    // built tracked and are freed when swapped out.
-    if (shard.migrations == 0) {
-      for (auto& gen : shard.gens) shard.parked.push_back(std::move(gen));
-    }
+    // A tracked shard never published, so no unlocked reader can be
+    // probing the generations this swap frees.
     shard.gens.clear();
     shard.gens.push_back(std::move(successor));
     SetNewestCapacity(shard, capacity);
@@ -823,17 +800,16 @@ bool ShardedFilter::Save(std::ostream& os) const {
     }
   }
   // The directory leads with the *factory* family's tag (not a
-  // generation's): LoadWithReport probes the factory against it, and
-  // filter_io's tag dispatcher rebuilds a matching factory from it. The
-  // per-generation tags that follow carry the real (possibly migrated)
-  // families.
-  const std::string factory_tag(factory_(1)->Name());
+  // generation's): LoadWithReport checks it against the loading filter's,
+  // and filter_io's tag dispatcher rebuilds a matching factory from it.
+  // The per-generation tags that follow carry the real (possibly
+  // migrated) families.
   std::ostringstream dir;
   WriteU64(dir, kShardedDirVersion);
   WriteU64(dir, per_shard_capacity_);
-  WriteU64(dir, factory_tag.size());
-  dir.write(factory_tag.data(),
-            static_cast<std::streamsize>(factory_tag.size()));
+  WriteU64(dir, factory_tag_.size());
+  dir.write(factory_tag_.data(),
+            static_cast<std::streamsize>(factory_tag_.size()));
   WriteU64(dir, blobs.size());
   for (size_t s = 0; s < blobs.size(); ++s) {
     WriteU64(dir, newest_caps[s]);
@@ -912,26 +888,22 @@ bool ShardedFilter::LoadWithReport(std::istream& is, LoadReport* report) {
   // caller would silently get an empty filter. Generations with *other*
   // tags (shards migrated to a new family) construct through the
   // injectable TagBuilder; without one, those shards quarantine.
-  std::string probe_tag;
-  {
-    std::unique_ptr<Filter> probe = factory_(capacity);
-    if (!probe || probe->Name() != factory_tag) return false;
-    probe_tag = std::string(probe->Name());
-  }
+  if (factory_tag != factory_tag_) return false;
   // Directory verified — from here on every defect is per-shard and
   // handled by quarantine, so committing the capacity now is safe.
   per_shard_capacity_ = capacity;
   auto build_for_tag = [&](const std::string& gen_tag,
                            uint64_t gen_capacity) -> std::unique_ptr<Filter> {
-    if (gen_tag == probe_tag) return factory_(gen_capacity);
+    if (gen_tag == factory_tag_) return factory_(gen_capacity);
     if (tag_builder_) return tag_builder_(gen_tag, gen_capacity);
     return nullptr;
   };
   std::vector<std::unique_ptr<Shard>> shards;
   shards.reserve(count);
   for (uint64_t s = 0; s < count; ++s) {
-    auto shard = MakeShard();
-    shard->gens.clear();
+    // A loaded shard carries keys with no op history: it stays untracked
+    // (no journal, no FPR scoring) for its life.
+    auto shard = std::make_unique<Shard>();
     bool healthy = true;
     for (size_t g = 0; g < meta[s].gens.size(); ++g) {
       std::string blob;
@@ -953,13 +925,9 @@ bool ShardedFilter::LoadWithReport(std::istream& is, LoadReport* report) {
         healthy = false;
       }
     }
-    if (healthy && !shard->gens.empty()) {
+    if (healthy) {
       shard->newest_capacity = meta[s].newest_capacity;
       shard->next_capacity = std::max<uint64_t>(1, meta[s].next_capacity);
-      // A loaded shard carries keys with no op history: it stays
-      // untracked (no journal, no FPR scoring) until the filter is emptied
-      // and EnableMigration runs again.
-      shard->tracking.reset();
       Publish(*shard);
       ++report->healthy_shards;
     } else {

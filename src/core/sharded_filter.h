@@ -107,12 +107,24 @@ class ShardedFilter : public Filter {
   using ShardFactory =
       std::function<std::unique_ptr<Filter>(uint64_t shard_capacity)>;
 
+  /// Journal cap for callers that want migration and have no tighter
+  /// bound: 2^22 ops per shard.
+  static constexpr size_t kDefaultJournalCap = size_t{1} << 22;
+
   /// `num_shards` should be a power of two near the expected thread count;
   /// `factory` builds one shard sized for `expected_keys / num_shards`.
   /// Default saturation policy is kChain — the filter keeps serving past
   /// capacity at a bounded FPR cost.
+  ///
+  /// A nonzero `journal_cap` builds a *tracked* filter (DESIGN.md §15):
+  /// every shard journals its acked inserts and erases, so MigrateShard
+  /// can rebuild a successor online, and carries an ObservedFprEstimator,
+  /// so Stats() grows the observed-FPR column. `journal_cap` bounds one
+  /// shard's journal; past it the journal is marked broken and that shard
+  /// refuses migration (serving is unaffected). Zero builds untracked
+  /// shards, which refuse migration and may serve scalar lookups unlocked.
   ShardedFilter(uint64_t expected_keys, int num_shards, ShardFactory factory,
-                const SaturationConfig& config = {});
+                const SaturationConfig& config = {}, size_t journal_cap = 0);
 
   /// Structured insert: kAccepted below the threshold, kExpanded when the
   /// key was only admitted by chaining/expanding a generation,
@@ -195,10 +207,10 @@ class ShardedFilter : public Filter {
     /// Newest generation's family tag — shards diverge after migration.
     std::string family;
     uint64_t migrations = 0;  // Completed online migrations of this shard.
-    /// Observed-FPR column, armed by EnableMigration: negative = shard
-    /// not tracked (migration never armed, or the shard was loaded from a
-    /// snapshot). The per-shard twin of HottestShard() — triage by FPR,
-    /// not just by load.
+    /// Observed-FPR column of a tracked shard: negative = shard not
+    /// tracked (the filter was built without a journal cap, or the shard
+    /// was loaded from a snapshot). The per-shard twin of HottestShard() —
+    /// triage by FPR, not just by load.
     double observed_fpr = -1.0;
     double fpr_ci_low = 0.0;   // 95% Wilson bounds on observed_fpr.
     double fpr_ci_high = 0.0;
@@ -216,19 +228,6 @@ class ShardedFilter : public Filter {
   uint64_t TotalRejected() const;
 
   // --- Online migration (DESIGN.md §15) -------------------------------------
-
-  /// Arms the migration seam: every shard starts journaling acked
-  /// inserts/erases so a successor filter can be rebuilt online, and
-  /// carries an ObservedFprEstimator so Stats() grows the observed-FPR
-  /// column. `journal_cap` bounds one shard's journal; past it the
-  /// journal is marked broken and that shard refuses migration (serving
-  /// is unaffected). Must be called while the filter is empty (the
-  /// journal cannot reconstruct history it never saw) — returns false
-  /// otherwise. Loading a snapshot disarms journaling and FPR scoring for
-  /// the loaded shards (snapshots persist structure, not op history);
-  /// re-enable only on an empty filter.
-  bool EnableMigration(size_t journal_cap = size_t{1} << 22);
-  bool migration_enabled() const { return migration_enabled_; }
 
   /// What happened during one MigrateShard call.
   struct MigrationReport {
@@ -259,7 +258,10 @@ class ShardedFilter : public Filter {
   ///      only pause serving ever sees, reported as pause_ns.
   /// On any failure (successor refuses a replay op, a backlog of more
   /// than 2^16 ops) the old generations are untouched and every acked key
-  /// is still served: migration is abort-safe by construction.
+  /// is still served: migration is abort-safe by construction. Only a
+  /// tracked shard migrates: one a tracked filter built empty, at
+  /// construction or in a quarantine rebuild. A shard loaded from a
+  /// snapshot is untracked (its keys have no op history) and refuses.
   /// `successor_factory` becomes the shard's factory afterwards, so
   /// chained generations and quarantine rebuilds stay in the new family.
   MigrationReport MigrateShard(size_t shard, ShardFactory successor_factory);
@@ -306,8 +308,10 @@ class ShardedFilter : public Filter {
   /// truncated generation frame is *quarantined*: it is rebuilt empty via
   /// the shard factory and listed in the report, while every healthy
   /// shard loads normally. Returns false only when the directory frame
-  /// itself is unusable (the filter is left untouched in that case). Not
-  /// thread-safe; callers must quiesce concurrent readers first.
+  /// itself is unusable or names another factory family (the filter is
+  /// left untouched in that case). Builds one filter per generation it
+  /// loads, plus one per quarantined shard. Not thread-safe; callers must
+  /// quiesce concurrent readers first.
   bool LoadWithReport(std::istream& is, LoadReport* report);
   bool Load(std::istream& is) override;
 
@@ -348,19 +352,15 @@ class ShardedFilter : public Filter {
     uint64_t migrations = 0;
     // Post-migration family factory; empty -> the filter-level factory_.
     ShardFactory factory;
-    // Present while the shard is tracked since it was last empty: armed
-    // by EnableMigration and by an empty rebuild after it, absent on a
-    // shard loaded from a snapshot (its keys have no op history).
+    // Present exactly when a tracked filter built this shard empty; set
+    // before the shard is shared and kept for its life, so a tracked shard
+    // never publishes and an untracked one never migrates.
     std::unique_ptr<Tracking> tracking;
-    // Generations a shard's first migration swapped out: one of them may
-    // have been published, and an unlocked reader never registers, so
-    // they live until the shard is freed (Load or destruction).
-    std::vector<std::unique_ptr<Filter>> parked;
   };
 
   // A shard's exclusive section: holds its mutex and, on a publishing
   // shard, keeps its counter odd and withdraws the publication when the
-  // section ends it, before the closing even store.
+  // section chains a generation, before the closing even store.
   class WriteLock;
 
   // Sets shard.published on a shard no other thread can see yet (built,
@@ -395,6 +395,7 @@ class ShardedFilter : public Filter {
   void SetNewestCapacity(Shard& shard, uint64_t capacity) const;
   // Chains a fresh generation onto `shard` (kChain). Requires the lock.
   Filter& AddGenerationLocked(Shard& shard);
+  // An empty shard of the factory family, tracked when the filter is.
   std::unique_ptr<Shard> MakeShard() const;
   // The factory chained generations of `shard` build from.
   const ShardFactory& FactoryFor(const Shard& shard) const {
@@ -403,11 +404,13 @@ class ShardedFilter : public Filter {
 
   std::vector<std::unique_ptr<Shard>> shards_;
   ShardFactory factory_;          // Kept for chaining + quarantine rebuilds.
+  // Name() of the factory's family, read off the first shard: the
+  // directory tag Save writes and LoadWithReport requires.
+  std::string factory_tag_;
   uint64_t per_shard_capacity_;   // Capacity each shard was built with.
   SaturationConfig config_;
   uint64_t shards_quarantined_total_ = 0;  // Not reset by Load.
-  bool migration_enabled_ = false;
-  size_t journal_cap_ = 0;  // Set by EnableMigration.
+  size_t journal_cap_;  // 0: untracked shards.
   TagBuilder tag_builder_;
 };
 

@@ -25,8 +25,8 @@ struct TunerSignals {
   // --- Sharded-only signals (empty/default when the inner filter is not
   // a ShardedFilter) ---------------------------------------------------
   bool sharded = false;
-  /// Per-shard occupancy, family, migration count, and (when migration
-  /// is armed) the observed-FPR column.
+  /// Per-shard occupancy, family, migration count, and (on tracked
+  /// shards) the observed-FPR column.
   std::vector<ShardedFilter::ShardStats> shards;
   /// Index into `shards` of the first shard holding the most keys.
   size_t hottest_shard = 0;

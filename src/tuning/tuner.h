@@ -69,7 +69,7 @@ struct TunerConfig {
 /// polls an InstrumentedFilter's signals, walks a registry-driven
 /// decision table, and migrates individual shards online via
 /// ShardedFilter::MigrateShard when a policy trips. The wrapped filter's
-/// inner filter must be a ShardedFilter with EnableMigration() armed;
+/// inner filter must be a ShardedFilter built with a journal cap;
 /// otherwise every poll is a no-op with a reason.
 ///
 /// Thread-safety: Poll/Evaluate/status may be called from any thread

@@ -7,13 +7,14 @@
 //   * NumKeys accounting is exact: acks + batch counts - erase successes;
 //   * a snapshot taken mid-storm always loads back fully healthy.
 // Run under ThreadSanitizer in CI (the `tsan` job); any lock-discipline
-// slip in ShardedFilter or a shard family shows up here first. Three
+// slip in ShardedFilter or a shard family shows up here first. Two
 // cases race unlocked scalar lookups (the seqlock read path, DESIGN.md
-// §9) against cuckoo kicks, chaining and migration swaps; the `sanitize`
-// job runs them under ASan, which sees a stale reader probe a freed
-// generation. A lock-queue case checks that the shard lock queues new
-// readers behind a waiting writer; the last two check the batch paths'
-// opposite shard sweeps and race lookup batches against write batches.
+// §9) against cuckoo kicks and chaining, and a third races lookups on a
+// tracked filter against migration swaps; the `sanitize` job runs them
+// under ASan, which sees a reader probe a freed generation. A lock-queue
+// case checks that the shard lock queues new readers behind a waiting
+// writer; the last two check the batch paths' opposite shard sweeps and
+// race lookup batches against write batches.
 
 #include <algorithm>
 #include <atomic>
@@ -629,15 +630,17 @@ TEST(ConcurrentStress, ChainingUnpublishesShardsWithoutMissingAckedKeys) {
   }
 }
 
-// Parked generations (DESIGN.md §9). A reader that loaded a shard's
-// published generation just before EnableMigration may still be probing it
-// when the shard's first MigrateShard swaps it out, since unlocked readers
-// never register. The swap parks that generation rather than freeing it,
-// so such a probe reads live memory: the sanitize job runs this test under
-// ASan. Eight readers probe in a tight loop until the arm, so on fewer
-// cores some are preempted mid-probe; from the arm on they yield after
-// each probe, which lets the arm, the inserts and the migrations finish
-// while a preempted probe still holds its generation.
+// A migration swap frees the generations it replaces, which is safe only
+// because a tracked shard never publishes (DESIGN.md §9): every lookup on
+// it takes the shard lock, so no reader can still be probing a generation
+// the swap frees. Eight readers probe a tracked filter of cuckoo shards, a
+// family whose untracked shards publish, while the main thread inserts
+// into it and migrates every shard. A tracked shard that published would
+// hand readers a generation the swap then frees, which ASan reports as a
+// heap-use-after-free, so the sanitize job runs this test under ASan. The
+// readers yield after each probe so the inserts and migrations also make
+// progress on fewer cores. The name dates from when a shard's first
+// migration parked the generations it swapped out.
 TEST(ConcurrentStress, MigrationParksGenerationsThatStaleReadersMayProbe) {
   const uint64_t seed = TestSeed(2030);
   BBF_ANNOUNCE_SEED(seed);
@@ -649,11 +652,10 @@ TEST(ConcurrentStress, MigrationParksGenerationsThatStaleReadersMayProbe) {
   };
 
   for (int round = 0; round < kRounds; ++round) {
-    ShardedFilter f(kKeys, 4, cuckoo);
+    ShardedFilter f(kKeys, 4, cuckoo, {}, ShardedFilter::kDefaultJournalCap);
     // The writer fills acked[n] before it publishes n + 1.
     std::vector<uint64_t> acked(kKeys);
     std::atomic<size_t> num_acked{0};
-    std::atomic<bool> armed{false};
     std::atomic<bool> done{false};
     std::atomic<int> ready{0};
     std::atomic<uint64_t> misses{0};
@@ -662,15 +664,16 @@ TEST(ConcurrentStress, MigrationParksGenerationsThatStaleReadersMayProbe) {
       readers.emplace_back([&, r] {
         SplitMix64 rrng(seed + static_cast<uint64_t>(round * kThreads + r));
         uint64_t local_misses = 0;
-        for (uint64_t i = 0; !done.load(std::memory_order_acquire); ++i) {
+        for (bool first = true; !done.load(std::memory_order_acquire);
+             first = false) {
           const size_t n = num_acked.load(std::memory_order_acquire);
           // Before the first ack there is nothing to miss; the probe still
-          // goes through the published generation.
+          // runs.
           const bool hit = f.Contains(n == 0 ? rrng.Next()
                                              : acked[rrng.NextBelow(n)]);
           local_misses += n > 0 && !hit;
-          if (i == 256) ready.fetch_add(1, std::memory_order_release);
-          if (armed.load(std::memory_order_relaxed)) std::this_thread::yield();
+          if (first) ready.fetch_add(1, std::memory_order_release);
+          std::this_thread::yield();
         }
         misses.fetch_add(local_misses, std::memory_order_relaxed);
       });
@@ -678,8 +681,6 @@ TEST(ConcurrentStress, MigrationParksGenerationsThatStaleReadersMayProbe) {
     while (ready.load(std::memory_order_acquire) < kThreads) {
       std::this_thread::yield();
     }
-    armed.store(true, std::memory_order_relaxed);
-    ASSERT_TRUE(f.EnableMigration());
     SplitMix64 rng(seed + 1000 + static_cast<uint64_t>(round));
     size_t n = 0;
     for (size_t i = 0; i < kKeys; ++i) {

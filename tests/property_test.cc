@@ -322,30 +322,27 @@ TEST(BatchParity, CuckooFullFilterReturnPath) {
 // on every saved byte, whatever scratch the batch takes: the per-key
 // passthrough below 2 keys per shard, stack scratch up to 1,024 keys,
 // heap scratch beyond, and a heap start array past 128 shards. Shards
-// chain up to two generations, then refuse keys. With `armed`, migration
-// journaling and FPR tracking run as in a serving filter; without, the
-// InsertMany fast path runs while a sub-batch fits under the threshold.
+// chain up to two generations, then refuse keys. With `tracked`, both
+// filters are built with a journal cap, so migration journaling and FPR
+// tracking run as in a serving filter; without, the InsertMany fast path
+// runs while a sub-batch fits under the threshold.
 // The erase phase runs EraseMany against per-key Erase; each batch mixes
 // inserted and never-inserted keys and ends in a repeat of its first.
 void CheckShardedBatchTwin(uint64_t expected, int num_shards, uint64_t n,
-                           const std::vector<size_t>& batches, bool armed,
+                           const std::vector<size_t>& batches, bool tracked,
                            uint64_t default_seed) {
   const uint64_t seed = TestSeed(default_seed);
   BBF_ANNOUNCE_SEED(seed);
   SaturationConfig sat;
   sat.max_generations = 2;
   auto make = [&] {
-    auto f = std::make_unique<ShardedFilter>(
+    return std::make_unique<ShardedFilter>(
         expected, num_shards,
         [](uint64_t cap) -> std::unique_ptr<Filter> {
           return std::make_unique<QuotientFilter>(
               QuotientFilter::ForCapacity(cap, 0.05));
         },
-        sat);
-    if (armed) {
-      EXPECT_TRUE(f->EnableMigration());
-    }
-    return f;
+        sat, tracked ? ShardedFilter::kDefaultJournalCap : 0);
   };
   const auto batched = make();
   const auto twin = make();
@@ -443,10 +440,10 @@ void CheckShardedBatchTwin(uint64_t expected, int num_shards, uint64_t n,
 
 TEST(BatchParity, ShardedBatchPathsMatchPerKeyTwin) {
   // 4 shards: passthrough below 8 keys, stack scratch to 1,024, heap past.
-  for (bool armed : {true, false}) {
-    SCOPED_TRACE(armed ? "migration armed" : "migration off");
+  for (bool tracked : {true, false}) {
+    SCOPED_TRACE(tracked ? "tracked" : "untracked");
     CheckShardedBatchTwin(2000, 4, 12000,
-                          {1, 5, 7, 8, 100, 1024, 1025, 2000}, armed, 370);
+                          {1, 5, 7, 8, 100, 1024, 1025, 2000}, tracked, 370);
   }
 }
 
@@ -454,7 +451,7 @@ TEST(BatchParity, ShardedBatchPathsMatchPerKeyTwinPast128Shards) {
   // 200 shards: passthrough below 400 keys; every grouped batch puts its
   // start array on the heap, and batches past 1,024 keys the rest too.
   CheckShardedBatchTwin(20000, 200, 160000, {1, 399, 400, 1024, 1025, 3000},
-                        /*armed=*/true, 380);
+                        /*tracked=*/true, 380);
 }
 
 TEST(ShardRouting, EveryInsertPathRoutesByValueModuloShards) {

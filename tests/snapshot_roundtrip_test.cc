@@ -24,6 +24,7 @@
 #include "staticf/bloomier_filter.h"
 #include "staticf/ribbon_filter.h"
 #include "staticf/xor_filter.h"
+#include "util/hash.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
@@ -276,6 +277,68 @@ TEST(SnapshotRoundtrip, LoadKeepsTheMetricsSinkAttached) {
   for (uint64_t k : keys) ASSERT_TRUE(loaded.Contains(k));
   // One run scan per lookup, each from a loaded generation.
   EXPECT_EQ(sink.probes, keys.size());
+}
+
+ShardedFilter::ShardFactory FamilyFactory(std::string name) {
+  return [name = std::move(name)](uint64_t capacity) {
+    return CreateFilter(name, capacity, 0.01);
+  };
+}
+
+// A sharded snapshot's bytes are pinned: the directory (v3: factory tag,
+// capacities, per-generation tags and lengths) and every generation's
+// frame, from a fixed op stream on a tracked 4-shard quotient filter
+// whose shards chain a second generation, with shard 2 migrated to
+// cuckoo. The constants were computed with a library whose Save built a
+// throwaway filter to learn the factory tag.
+TEST(SnapshotRoundtrip, ShardedSnapshotBytesArePinned) {
+  ShardedFilter f(2000, 4, FamilyFactory("quotient"), {},
+                  ShardedFilter::kDefaultJournalCap);
+  SplitMix64 rng(0x5a);
+  std::vector<uint64_t> keys;
+  for (int i = 0; i < 4000; ++i) {
+    const uint64_t key = rng.Next();
+    if (f.Insert(key)) keys.push_back(key);
+  }
+  for (size_t i = 0; i < keys.size(); i += 3) f.Erase(keys[i]);
+  ASSERT_TRUE(f.MigrateShard(2, FamilyFactory("cuckoo")).ok);
+  const auto stats = f.Stats();
+  EXPECT_EQ(stats[2].family, "cuckoo");
+  EXPECT_EQ(stats[0].generations, 2u);
+  const std::string bytes = SaveToString(f);
+  EXPECT_EQ(bytes.size(), 15643u);
+  EXPECT_EQ(HashBytes(bytes), 0xa3c036e7eb0083efull);
+}
+
+// A sharded save builds no filter, and a load builds one per generation
+// it loads: the directory's factory tag is checked against the tag the
+// loading filter recorded when it was built, and each healthy shard
+// starts from an empty shard rather than a factory-built one.
+TEST(SnapshotRoundtrip, ShardedSaveAndLoadBuildOnlyTheLoadedGenerations) {
+  uint64_t built = 0;
+  const ShardedFilter::ShardFactory counting = [&built](uint64_t capacity) {
+    ++built;
+    return CreateFilter("quotient", capacity, 0.01);
+  };
+  ShardedFilter saved(16000, 16, counting);
+  for (uint64_t k : GenerateDistinctKeys(8000, 0x52)) {
+    ASSERT_TRUE(saved.Insert(k));
+  }
+  uint64_t generations = 0;
+  for (const auto& s : saved.Stats()) generations += s.generations;
+
+  built = 0;
+  std::stringstream snapshot;
+  ASSERT_TRUE(saved.Save(snapshot));
+  EXPECT_EQ(built, 0u);
+
+  ShardedFilter loaded(16000, 16, counting);
+  built = 0;
+  ShardedFilter::LoadReport report;
+  ASSERT_TRUE(loaded.LoadWithReport(snapshot, &report));
+  ASSERT_TRUE(report.AllHealthy());
+  EXPECT_EQ(built, generations);
+  EXPECT_EQ(loaded.NumKeys(), saved.NumKeys());
 }
 
 TEST(SnapshotRoundtrip, BloomierMapletReportsUnsupported) {

@@ -44,24 +44,41 @@ ShardedFilter::ShardFactory FamilyFactory(std::string name, double fpr) {
   };
 }
 
+// The journal cap that builds a tracked (migratable) filter.
+constexpr size_t kJournalCap = ShardedFilter::kDefaultJournalCap;
+
 // --- The migratable-shard seam ----------------------------------------------
 
+// Tracking is chosen when the filter is built (a journal cap), so there
+// is no live arming step left to refuse on a filter with keys. The name
+// is kept; the case now pins what the constructor decides: a cap tracks
+// every shard, and no cap tracks none and refuses migration.
 TEST(MigrationSeam, EnableMigrationRequiresEmptyFilter) {
-  ShardedFilter f(1024, 4, FamilyFactory("quotient", 0.01));
-  ASSERT_TRUE(f.Insert(uint64_t{42}));
-  EXPECT_FALSE(f.EnableMigration());
-  EXPECT_FALSE(f.migration_enabled());
+  ShardedFilter tracked(1024, 4, FamilyFactory("quotient", 0.01), {},
+                        kJournalCap);
+  ShardedFilter untracked(1024, 4, FamilyFactory("quotient", 0.01));
+  for (uint64_t k = 1; k <= 200; ++k) {
+    ASSERT_TRUE(tracked.Insert(k));
+    ASSERT_TRUE(untracked.Insert(k));
+  }
+  for (const auto& s : tracked.Stats()) EXPECT_GE(s.observed_fpr, 0.0);
+  for (const auto& s : untracked.Stats()) EXPECT_EQ(s.observed_fpr, -1.0);
 
-  ShardedFilter g(1024, 4, FamilyFactory("quotient", 0.01));
-  EXPECT_TRUE(g.EnableMigration());
-  EXPECT_TRUE(g.migration_enabled());
+  EXPECT_TRUE(tracked.MigrateShard(0, FamilyFactory("cuckoo", 0.01)).ok);
+  const auto refused = untracked.MigrateShard(0, FamilyFactory("cuckoo", 0.01));
+  EXPECT_FALSE(refused.ok);
+  EXPECT_NE(refused.error.find("not enabled"), std::string::npos)
+      << refused.error;
+  for (uint64_t k = 1; k <= 200; ++k) {
+    EXPECT_TRUE(tracked.Contains(k));
+    EXPECT_TRUE(untracked.Contains(k));
+  }
 }
 
 TEST(MigrationSeam, MigrateShardSwapsFamilyWithoutLosingAckedKeys) {
   const uint64_t seed = TestSeed(9101);
   BBF_ANNOUNCE_SEED(seed);
-  ShardedFilter f(4096, 4, FamilyFactory("quotient", 0.01));
-  ASSERT_TRUE(f.EnableMigration());
+  ShardedFilter f(4096, 4, FamilyFactory("quotient", 0.01), {}, kJournalCap);
   std::vector<uint64_t> acked;
   for (uint64_t k : GenerateDistinctKeys(3000, seed)) {
     if (Accepted(f.InsertWithStatus(k))) acked.push_back(k);
@@ -88,8 +105,7 @@ TEST(MigrationSeam, MigrateShardSwapsFamilyWithoutLosingAckedKeys) {
 }
 
 TEST(MigrationSeam, AbortedMigrationLeavesShardServing) {
-  ShardedFilter f(1024, 2, FamilyFactory("quotient", 0.01));
-  ASSERT_TRUE(f.EnableMigration());
+  ShardedFilter f(1024, 2, FamilyFactory("quotient", 0.01), {}, kJournalCap);
   for (uint64_t k = 1; k <= 500; ++k) ASSERT_TRUE(f.Insert(k));
 
   const std::string before = f.Stats()[0].family;
@@ -107,8 +123,8 @@ TEST(MigrationSeam, AbortedMigrationLeavesShardServing) {
 }
 
 TEST(MigrationSeam, JournalReplaysErasesIntoSuccessor) {
-  ShardedFilter f(2048, 1, FamilyFactory("counting-quotient", 0.01));
-  ASSERT_TRUE(f.EnableMigration());
+  ShardedFilter f(2048, 1, FamilyFactory("counting-quotient", 0.01), {},
+                  kJournalCap);
   for (uint64_t k = 1; k <= 400; ++k) ASSERT_TRUE(f.Insert(k));
   for (uint64_t k = 1; k <= 400; k += 2) ASSERT_TRUE(f.Erase(k));
 
@@ -119,16 +135,14 @@ TEST(MigrationSeam, JournalReplaysErasesIntoSuccessor) {
 }
 
 TEST(MigrationSeam, ShardIndexOutOfRangeFails) {
-  ShardedFilter f(1024, 2, FamilyFactory("quotient", 0.01));
-  ASSERT_TRUE(f.EnableMigration());
+  ShardedFilter f(1024, 2, FamilyFactory("quotient", 0.01), {}, kJournalCap);
   const auto report = f.MigrateShard(99, FamilyFactory("cuckoo", 0.01));
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.error.find("out of range"), std::string::npos);
 }
 
 TEST(MigrationSeam, BrokenJournalRefusesMigrationButKeepsServing) {
-  ShardedFilter f(4096, 1, FamilyFactory("quotient", 0.01));
-  ASSERT_TRUE(f.EnableMigration(64));
+  ShardedFilter f(4096, 1, FamilyFactory("quotient", 0.01), {}, 64);
   for (uint64_t k = 1; k <= 300; ++k) ASSERT_TRUE(f.Insert(k));
   // Serving is unaffected past the cap; only migration is refused.
   for (uint64_t k = 1; k <= 300; ++k) EXPECT_TRUE(f.Contains(k));
@@ -140,8 +154,7 @@ TEST(MigrationSeam, BrokenJournalRefusesMigrationButKeepsServing) {
 TEST(MigrationSeam, HeterogeneousSnapshotRoundTripsWithTagBuilder) {
   const uint64_t seed = TestSeed(9102);
   BBF_ANNOUNCE_SEED(seed);
-  ShardedFilter f(4096, 4, FamilyFactory("quotient", 0.01));
-  ASSERT_TRUE(f.EnableMigration());
+  ShardedFilter f(4096, 4, FamilyFactory("quotient", 0.01), {}, kJournalCap);
   std::vector<uint64_t> acked;
   for (uint64_t k : GenerateDistinctKeys(2000, seed)) {
     if (Accepted(f.InsertWithStatus(k))) acked.push_back(k);
@@ -171,8 +184,7 @@ TEST(MigrationSeam, HeterogeneousSnapshotRoundTripsWithTagBuilder) {
 }
 
 TEST(MigrationSeam, ForeignShardsQuarantineWithoutTagBuilder) {
-  ShardedFilter f(4096, 4, FamilyFactory("quotient", 0.01));
-  ASSERT_TRUE(f.EnableMigration());
+  ShardedFilter f(4096, 4, FamilyFactory("quotient", 0.01), {}, kJournalCap);
   for (uint64_t k = 1; k <= 1000; ++k) f.Insert(k);
   ASSERT_TRUE(f.MigrateShard(1, FamilyFactory("cuckoo", 0.01)).ok);
   std::ostringstream os;
@@ -191,19 +203,23 @@ TEST(MigrationSeam, ForeignShardsQuarantineWithoutTagBuilder) {
 
 TEST(MigrationSeam, EveryShardScoresItsShareOfTheFprSample) {
   // The estimator samples on bits routing leaves free, so a power-of-two
-  // shard count still spreads the sample over every shard.
+  // shard count still spreads the sample over every shard. Cuckoo shards
+  // would publish were they untracked; tracked, their lookups take the
+  // lock and are scored like quotient's.
   const uint64_t seed = TestSeed(9105);
   BBF_ANNOUNCE_SEED(seed);
-  ShardedFilter f(40000, 16, FamilyFactory("quotient", 0.01));
-  ASSERT_TRUE(f.EnableMigration());
-  const std::vector<uint64_t> keys = GenerateDistinctKeys(20000, seed);
-  for (uint64_t k : keys) ASSERT_TRUE(f.Insert(k));
-  for (uint64_t k : GenerateNegativeKeys(keys, 40000, seed + 1)) {
-    f.Contains(k);
-  }
-  const auto stats = f.Stats();
-  for (size_t s = 0; s < stats.size(); ++s) {
-    EXPECT_GT(stats[s].fpr_negative_lookups, 0u) << "shard " << s;
+  for (const char* family : {"quotient", "cuckoo"}) {
+    SCOPED_TRACE(family);
+    ShardedFilter f(40000, 16, FamilyFactory(family, 0.01), {}, kJournalCap);
+    const std::vector<uint64_t> keys = GenerateDistinctKeys(20000, seed);
+    for (uint64_t k : keys) ASSERT_TRUE(f.Insert(k));
+    for (uint64_t k : GenerateNegativeKeys(keys, 40000, seed + 1)) {
+      f.Contains(k);
+    }
+    const auto stats = f.Stats();
+    for (size_t s = 0; s < stats.size(); ++s) {
+      EXPECT_GT(stats[s].fpr_negative_lookups, 0u) << "shard " << s;
+    }
   }
 }
 
@@ -213,8 +229,8 @@ TEST(MigrationSeam, LoadedShardsAreUntrackedAndEmptyRebuildsTracked) {
   // A shard rebuilt empty by quarantine is tracked from its first op.
   const uint64_t seed = TestSeed(9106);
   BBF_ANNOUNCE_SEED(seed);
-  ShardedFilter saved(40000, 4, FamilyFactory("quotient", 0.01));
-  ASSERT_TRUE(saved.EnableMigration());
+  ShardedFilter saved(40000, 4, FamilyFactory("quotient", 0.01), {},
+                      kJournalCap);
   const std::vector<uint64_t> keys = GenerateDistinctKeys(40000, seed);
   for (uint64_t k : keys) ASSERT_TRUE(saved.Insert(k));
   // Shard 1 moves to a family the loader below cannot build.
@@ -222,8 +238,8 @@ TEST(MigrationSeam, LoadedShardsAreUntrackedAndEmptyRebuildsTracked) {
   std::stringstream snapshot;
   ASSERT_TRUE(saved.Save(snapshot));
 
-  ShardedFilter loaded(40000, 4, FamilyFactory("quotient", 0.01));
-  ASSERT_TRUE(loaded.EnableMigration());
+  ShardedFilter loaded(40000, 4, FamilyFactory("quotient", 0.01), {},
+                       kJournalCap);
   ShardedFilter::LoadReport report;
   ASSERT_TRUE(loaded.LoadWithReport(snapshot, &report));
   ASSERT_EQ(report.quarantined, (std::vector<size_t>{1}));
@@ -244,10 +260,9 @@ TEST(MigrationSeam, LoadedShardsAreUntrackedAndEmptyRebuildsTracked) {
 // --- Observability pull API -------------------------------------------------
 
 TEST(Signals, PullReadsTheShardedSurface) {
-  auto inner =
-      std::make_unique<ShardedFilter>(4096, 4, FamilyFactory("quotient", 0.01));
-  ShardedFilter* sharded = inner.get();
-  ASSERT_TRUE(sharded->EnableMigration());
+  auto inner = std::make_unique<ShardedFilter>(
+      4096, 4, FamilyFactory("quotient", 0.01), SaturationConfig{},
+      kJournalCap);
   obs::InstrumentedFilter filter(std::move(inner), 0.01);
   for (uint64_t k = 1; k <= 800; ++k) filter.Insert(k);
   for (uint64_t k = 100000; k <= 101000; ++k) filter.Contains(k);
@@ -493,10 +508,10 @@ std::vector<uint64_t> FindInDomainFalsePositives(
 TEST(TunerLoop, AdversarialRepeatsMigrateToAdaptiveAndRecover) {
   const uint64_t seed = TestSeed(9103);
   BBF_ANNOUNCE_SEED(seed);
-  auto inner =
-      std::make_unique<ShardedFilter>(512, 1, FamilyFactory("blocked-bloom", 0.25));
+  auto inner = std::make_unique<ShardedFilter>(
+      512, 1, FamilyFactory("blocked-bloom", 0.25), SaturationConfig{},
+      kJournalCap);
   ShardedFilter* sharded = inner.get();
-  ASSERT_TRUE(sharded->EnableMigration());
   obs::InstrumentedFilter filter(std::move(inner), 0.25);
 
   tuning::TunerConfig cfg;
@@ -567,9 +582,9 @@ TEST(TunerLoop, FprBreachStacksWhenTrainingSampleAvailableAndRecovers) {
   const uint64_t seed = TestSeed(9104);
   BBF_ANNOUNCE_SEED(seed);
   auto inner = std::make_unique<ShardedFilter>(
-      512, 1, FamilyFactory("blocked-bloom", 0.25));
+      512, 1, FamilyFactory("blocked-bloom", 0.25),
+      SaturationConfig{}, kJournalCap);
   ShardedFilter* sharded = inner.get();
-  ASSERT_TRUE(sharded->EnableMigration());
   obs::InstrumentedFilter filter(std::move(inner), 0.25);
 
   const std::vector<uint64_t> keys = GenerateDistinctKeys(400, seed);
@@ -627,11 +642,12 @@ TEST(TunerLoop, FprBreachOnANonZeroShardMigratesThatShard) {
   BBF_ANNOUNCE_SEED(seed);
   int built = 0;
   auto inner = std::make_unique<ShardedFilter>(
-      2048, 4, [&built](uint64_t cap) {
+      2048, 4,
+      [&built](uint64_t cap) {
         return CreateFilter("blocked-bloom", cap, built++ == 2 ? 0.25 : 1e-4);
-      });
+      },
+      SaturationConfig{}, kJournalCap);
   ShardedFilter* sharded = inner.get();
-  ASSERT_TRUE(sharded->EnableMigration());
   obs::InstrumentedFilter filter(std::move(inner), 0.01);
   const std::vector<uint64_t> keys = GenerateDistinctKeys(2000, seed);
   for (uint64_t k : keys) ASSERT_TRUE(filter.Insert(k));
@@ -666,9 +682,9 @@ TEST(TunerLoop, StackedMigrationRefusesEraseWorkloads) {
   const uint64_t seed = TestSeed(9105);
   BBF_ANNOUNCE_SEED(seed);
   auto inner = std::make_unique<ShardedFilter>(
-      512, 1, FamilyFactory("counting-quotient", 0.25));
+      512, 1, FamilyFactory("counting-quotient", 0.25),
+      SaturationConfig{}, kJournalCap);
   ShardedFilter* sharded = inner.get();
-  ASSERT_TRUE(sharded->EnableMigration());
   obs::InstrumentedFilter filter(std::move(inner), 0.25);
 
   const std::vector<uint64_t> keys = GenerateDistinctKeys(400, seed);
@@ -717,9 +733,9 @@ TEST(TunerLoop, StackedShardSnapshotReloadsThroughTheTunerTagBuilder) {
   const uint64_t seed = TestSeed(9106);
   BBF_ANNOUNCE_SEED(seed);
   auto inner = std::make_unique<ShardedFilter>(
-      512, 1, FamilyFactory("blocked-bloom", 0.25));
+      512, 1, FamilyFactory("blocked-bloom", 0.25),
+      SaturationConfig{}, kJournalCap);
   ShardedFilter* sharded = inner.get();
-  ASSERT_TRUE(sharded->EnableMigration());
   obs::InstrumentedFilter filter(std::move(inner), 0.25);
   const std::vector<uint64_t> keys = GenerateDistinctKeys(300, seed);
   for (uint64_t k : keys) ASSERT_TRUE(filter.Insert(k));
@@ -777,10 +793,10 @@ TEST(TunerNet, TunerCtlIsUnsupportedWithoutATuner) {
 }
 
 TEST(TunerNet, TunerCtlServesStatusManualPollAndRejectsUnknownCommands) {
-  auto inner =
-      std::make_unique<ShardedFilter>(1 << 12, 4, FamilyFactory("quotient", 0.01));
+  auto inner = std::make_unique<ShardedFilter>(
+      1 << 12, 4, FamilyFactory("quotient", 0.01), SaturationConfig{},
+      kJournalCap);
   ShardedFilter* sharded = inner.get();
-  ASSERT_TRUE(sharded->EnableMigration());
   obs::InstrumentedFilter filter(std::move(inner), 0.01);
   tuning::Tuner tuner(filter);
 

@@ -41,9 +41,9 @@ TEST(TunerTorture, OnlineMigrationDropsNoAckedKeysUnderMixedStorm) {
   BBF_ANNOUNCE_SEED(seed);
 
   auto inner = std::make_unique<ShardedFilter>(
-      uint64_t{1} << 17, kNumShards, FamilyFactory("quotient", 0.01));
+      uint64_t{1} << 17, kNumShards, FamilyFactory("quotient", 0.01),
+      SaturationConfig{}, ShardedFilter::kDefaultJournalCap);
   ShardedFilter* sharded = inner.get();
-  ASSERT_TRUE(sharded->EnableMigration());
   obs::InstrumentedFilter filter(std::move(inner), 0.01);
 
   tuning::TunerConfig tuner_cfg;
